@@ -108,10 +108,6 @@ _M2_SINGLETON = 1e-9
 _DOMAIN_HALF_WIDTH = 12.0
 _BASE_PANELS = 48
 
-# Selftest mutation hook: the CLI selftest flips this to verify that the
-# halfspace oracle actually exercises the interval system's sign convention.
-_cor3_sign = 1.0
-
 
 class ThreatModel(str, enum.Enum):
     L1 = "l1"
@@ -380,7 +376,7 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
     def gap(w2: float) -> float:
         w1 = _upper_endpoint(q, w2)
         diff = float(std_normal_pdf(w2) - std_normal_pdf(w1))
-        return _cor3_sign * diff - m1
+        return diff - m1
 
     w2_max = float(std_normal_quantile(1.0 - q))
     w2 = bisect_root(gap, -CLAMP, w2_max - 1e-12, tol=1e-13)
@@ -396,10 +392,14 @@ def _interval_probability(w2: float, w1: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _c_values(x: np.ndarray, c0: float, c1: float, u: float, r: float) -> np.ndarray:
-    """c(x) = c0 + c1 x - e^{u + r x}, clamped for downstream Phi/phi."""
-    t = np.minimum(u + r * x, 700.0)
-    return np.clip(c0 + c1 * x - np.exp(t), -1e300, CLAMP)
+def _c_values(x: np.ndarray, c0: float, c1: float, u: float, r: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """c(x) = c0 + c1 x - e^{u + r x}, clamped for downstream Phi/phi.
+
+    Also returns the term e^{u + r x}, its exponent capped at 700.
+    """
+    e = np.exp(np.minimum(u + r * x, 700.0))
+    return np.clip(c0 + c1 * x - e, -1e300, CLAMP), e
 
 
 def _c_slope(x: float, c1: float, u: float, r: float) -> float:
@@ -474,29 +474,46 @@ def _dual_grid(c0: float, c1: float, u: float, r: float,
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
-                   full: bool) -> np.ndarray:
+                   full: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Dual equations F(theta) and their Jacobian dF/dtheta, from one grid.
+
+    theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
+    reduced one, so dc/dtheta is (1, x, -e^{u+rx}) or (c0, -e^{u+rx}).  The
+    integrands differentiate in closed form: d Phi(c) = phi(c) dc,
+    d phi(c) = -c phi(c) dc and d x Phi(c) = x phi(c) dc.  Where c is
+    clipped or the exponent is capped, F does not move, so dc counts as 0.
+    """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
+        dc0 = 1.0
     else:
         # reduced: c0 = e^v keeps the (provably positive) offset positive
-        c0, c1, u = math.exp(min(float(theta[0]), 700.0)), 0.0, float(theta[1])
+        v = float(theta[0])
+        c0, c1, u = math.exp(min(v, 700.0)), 0.0, float(theta[1])
+        dc0 = c0 if v < 700.0 else 0.0
     x, w = _dual_grid(c0, c1, u, r, -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH)
-    c = _c_values(x, c0, c1, u, r)
+    c, e = _c_values(x, c0, c1, u, r)
     base = w * std_normal_pdf(x)
     phi_c = std_normal_pdf(c)
     cdf_c = std_normal_cdf(c)
     eq_q = float(base @ cdf_c) - stats.q
     eq_m2 = float(base @ phi_c) - stats.m2
+    live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
+    d_cdf = np.where(live, base * phi_c, 0.0)
     if not full:
-        return np.array([eq_q, eq_m2])
+        dc = np.stack([np.full_like(x, dc0), -e], axis=1)
+        jac = np.stack([d_cdf, -c * d_cdf]) @ dc
+        return np.array([eq_q, eq_m2]), jac
     eq_m1 = float((base * x) @ cdf_c) - stats.m1
-    return np.array([eq_q, eq_m2, eq_m1])
+    dc = np.stack([np.ones_like(x), x, -e], axis=1)
+    jac = np.stack([d_cdf, -c * d_cdf, x * d_cdf]) @ dc
+    return np.array([eq_q, eq_m2, eq_m1]), jac
 
 
 def _probability_from_coeffs(c0: float, c1: float, u: float, r: float) -> float:
     lo, hi = r - _DOMAIN_HALF_WIDTH, r + _DOMAIN_HALF_WIDTH
     x, w = _dual_grid(c0, c1, u, r, lo, hi)
-    c = _c_values(x, c0, c1, u, r)
+    c, _ = _c_values(x, c0, c1, u, r)
     p = float((w * std_normal_pdf(x - r)) @ std_normal_cdf(c))
     return min(max(p, 0.0), 1.0)
 

@@ -49,9 +49,6 @@ __all__ = ["main"]
 
 SAMPLES_SCHEMA = "smoothcert-samples v1"
 
-# selftest mutation hook, for verifying the oracle suite catches sign bugs
-MUTATE_ENV = "SMOOTHCERT_MUTATE"
-
 _THREAT_ALIASES = {t.value: t for t in ThreatModel}
 
 
@@ -118,7 +115,6 @@ def _run_config(cfg: dict, args) -> RunConfig:
             alpha_total=float(run.get("alpha", 1e-3)),
             n_samples=int(run.get("samples", 200_000)),
             seed=int(run.get("seed", 0)),
-            r_cap=float(run.get("r_cap", cz.R_CAP_DEFAULT)),
             linf_mode=LinfMode(str(run.get("linf_mode", "via_l2"))),
             clamp_infeasible=bool(run.get("clamp_infeasible", False)),
             radius_tol=float(run.get("radius_tol", 1e-4)),
@@ -212,7 +208,6 @@ def _meta_for(run: RunConfig, tasks: list[PointTask],
         "alpha_total": repr(run.alpha_total),
         "n_samples": str(run.n_samples),
         "seed": str(run.seed),
-        "r_cap": repr(run.r_cap),
         "linf_mode": run.linf_mode.value,
         "sample_dtype": run.sample_dtype,
         "threats": ",".join(t.value for t in threats),
@@ -335,12 +330,7 @@ def cmd_curve(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest as st
 
-    if os.environ.get(MUTATE_ENV) == "cor3_sign":
-        cz._cor3_sign = -1.0  # mutation check: oracle suite must now fail
-    try:
-        results = st.run_selftests(quick=args.quick)
-    finally:
-        cz._cor3_sign = 1.0
+    results = st.run_selftests(quick=args.quick)
     width = max(len(r.name) for r in results)
     all_ok = True
     for res in results:

@@ -84,11 +84,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Damped-Newton configuration for the small square systems solved here."""
+    """Damped-Newton configuration for the small square systems solved here.
+
+    ``solve_system`` takes the Jacobian from the residual callable, so no
+    differencing step is configured.
+    """
 
     residual_tolerance: float = 1e-10
     max_iterations: int = 80
-    jacobian_step: float = 1e-6
     damping_floor: float = 1.0 / 1024.0
 
     def __post_init__(self) -> None:
@@ -96,8 +99,6 @@ class SolverSettings:
             raise DomainError("residual_tolerance must lie in (0, 1e-8]")
         if self.max_iterations < 50:
             raise DomainError("max_iterations must be at least 50")
-        if self.jacobian_step <= 0.0:
-            raise DomainError("jacobian_step must be positive")
         if not (0.0 < self.damping_floor < 1.0):
             raise DomainError("damping_floor must lie in (0, 1)")
 
@@ -176,33 +177,27 @@ def gauss_weighted_integral(
     )
 
 
-def _fd_jacobian(residual, x: np.ndarray, f0: np.ndarray, rel_step: float) -> np.ndarray:
-    n = x.size
-    jac = np.empty((f0.size, n), dtype=float)
-    for j in range(n):
-        h = rel_step * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (np.asarray(residual(xp), dtype=float) -
-                     np.asarray(residual(xm), dtype=float)) / (2.0 * h)
-    return jac
+def _evaluate(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    f, jac = residual(x)
+    f = np.atleast_1d(np.asarray(f, dtype=float))
+    return f, np.asarray(jac, dtype=float).reshape(f.size, x.size)
 
 
 def solve_system(
-    residual: Callable[[np.ndarray], Sequence[float]],
+    residual: Callable[[np.ndarray], tuple],
     initial: Sequence[float],
     settings: SolverSettings = SolverSettings(),
 ) -> np.ndarray:
-    """Solve residual(x) = 0 by damped Newton with a finite-difference Jacobian.
+    """Solve F(x) = 0 by damped Newton with a caller-supplied Jacobian.
 
-    The step is halved until the residual max-norm decreases (floor
-    ``damping_floor``); central differences with relative step
-    ``jacobian_step`` supply the Jacobian. Scalar problems may pass floats.
+    ``residual(x)`` returns the pair (F, J): the residual vector and its
+    Jacobian dF/dx at x, of shape len(F) x len(x); scalar problems may
+    return floats.  The step is halved until the residual 2-norm decreases
+    (floor ``damping_floor``).  The accepted trial's J is the next step's
+    Jacobian, so a Newton step costs one evaluation per line-search trial.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
-    f = np.atleast_1d(np.asarray(residual(x), dtype=float))
+    f, jac = _evaluate(residual, x)
     if f.size != x.size:
         raise DomainError(f"residual dimension {f.size} != unknown dimension {x.size}")
     norm = float(np.max(np.abs(f)))
@@ -213,7 +208,6 @@ def solve_system(
             raise NoConvergenceError("residual became non-finite", norm)
         if norm <= settings.residual_tolerance:
             return x
-        jac = _fd_jacobian(lambda v: np.atleast_1d(residual(v)), x, f, settings.jacobian_step)
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
@@ -224,10 +218,10 @@ def solve_system(
         improved = False
         while alpha >= settings.damping_floor:
             trial = x + alpha * step
-            f_trial = np.atleast_1d(np.asarray(residual(trial), dtype=float))
+            f_trial, jac_trial = _evaluate(residual, trial)
             trial_merit = float(np.linalg.norm(f_trial))
             if np.isfinite(trial_merit) and trial_merit < merit:
-                x, f = trial, f_trial
+                x, f, jac = trial, f_trial, jac_trial
                 norm = float(np.max(np.abs(f_trial)))
                 merit = trial_merit
                 improved = True
@@ -239,7 +233,7 @@ def solve_system(
                 raise NoConvergenceError("damped Newton stalled", norm)
             # accept the floored step; a fresh Jacobian often recovers
             x = x + settings.damping_floor * step
-            f = np.atleast_1d(np.asarray(residual(x), dtype=float))
+            f, jac = _evaluate(residual, x)
             norm = float(np.max(np.abs(f)))
             merit = float(np.linalg.norm(f))
         else:

@@ -104,7 +104,6 @@ class RunConfig:
     alpha_total: float = 1e-3
     n_samples: int = 200_000
     seed: int = 0
-    r_cap: float = cz.R_CAP_DEFAULT
     linf_mode: LinfMode = LinfMode.VIA_L2_SCALING
     clamp_infeasible: bool = False
     radius_tol: float = 1e-4

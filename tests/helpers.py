@@ -2,7 +2,7 @@
 
 Expected values here are computed by routes independent of the code under
 test: scipy special-function identities, brute-force bisection, explicit
-Table-1 algebra, linear programs, and Monte Carlo.
+Table-1 algebra, linear programs, Monte Carlo, and central differences.
 """
 
 from __future__ import annotations
@@ -35,6 +35,25 @@ def cdf(x):
 
 def quantile(p):
     return special.ndtri(p)
+
+
+def central_difference_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:
+    """Jacobian of fun at x by central differences, step rel_step * max(1, |x_j|)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    columns = []
+    for j in range(x.size):
+        h = rel_step * max(1.0, abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        columns.append((np.atleast_1d(np.asarray(fun(xp), dtype=float)) -
+                        np.atleast_1d(np.asarray(fun(xm), dtype=float))) / (2.0 * h))
+    return np.stack(columns, axis=1)
+
+
+def with_fd_jacobian(fun):
+    """Residual in the (F, J) form solve_system takes, J by central differences."""
+    return lambda x: (fun(x), central_difference_jacobian(fun, x))
 
 
 def beta_lower_oracle(successes: int, n: int, alpha: float) -> float:

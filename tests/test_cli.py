@@ -155,11 +155,18 @@ class TestSelftestCommand:
         assert "PASS" in out and "FAIL" not in out
 
     def test_mutation_hook_fails(self, capsys, monkeypatch):
-        monkeypatch.setenv("SMOOTHCERT_MUTATE", "cor3_sign")
+        # flip the interval system's sign convention: the halfspace oracle
+        # must catch it
+        from smoothcert import certify
+
+        orig = certify._solve_interval
+        monkeypatch.setattr(certify, "_solve_interval",
+                            lambda q, m1: orig(q, -m1))
         assert main(["selftest", "--quick"]) == 1
         out = capsys.readouterr().out
-        assert "halfspace_l2_exactness" in out
-        assert "FAIL" in out
+        line = next(row for row in out.splitlines()
+                    if row.startswith("halfspace_l2_exactness"))
+        assert "FAIL" in line
 
 
 class TestSampleCommand:

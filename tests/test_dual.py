@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from smoothcert import certify
 from smoothcert.certify import (
     DualVariant,
     FirstOrderStats,
@@ -20,7 +21,13 @@ from smoothcert.certify import (
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
 from smoothcert.numerics import DomainError
 
-from helpers import CDF_1, PHI_1, cdf, interval_radius_oracle
+from helpers import (
+    CDF_1,
+    PHI_1,
+    cdf,
+    central_difference_jacobian,
+    interval_radius_oracle,
+)
 
 
 HALFSPACE_STATS = FirstOrderStats(CDF_1, -PHI_1 * (1.0 - 1e-6), 0.0)
@@ -38,8 +45,34 @@ class TestSolveDual:
         dual = solve_dual(stats, 0.3)
         assert dual.variant is DualVariant.FULL
         theta = np.array([dual.c0, dual.c1, math.log(-dual.c2)])
-        residuals = _dual_residual(theta, stats, 0.3, full=True)
+        residuals, _ = _dual_residual(theta, stats, 0.3, full=True)
         assert np.max(np.abs(residuals)) <= 1e-9
+
+    @pytest.mark.parametrize("theta, r, full", [
+        # full system: theta = (c0, c1, u)
+        ((1.2, 0.0, -1.5), 0.3, True),
+        ((1.5, -0.3, -1.0), 1.0, True),
+        ((0.4, 0.8, 0.5), 2.5, True),
+        # steep slope: c is clipped at +-CLAMP on both sides of its crossing
+        ((0.0, 20.0, -2.0), 0.3, True),
+        # reduced system: theta = (v, u), c0 = e^v
+        ((0.5, -1.0), 0.5, False),
+        ((1.0, -3.0), 2.0, False),
+        # c clipped at +CLAMP below its crossing and at -CLAMP above it
+        ((math.log(45.0), 0.0), 1.0, False),
+        # v past its exponent cap: c is clipped to +CLAMP everywhere, so F
+        # is flat; unmasked, phi(CLAMP) * e^700 would leave J at ~1e-10
+        ((701.0, 0.0), 1.0, False),
+    ])
+    def test_jacobian_matches_central_differences(self, theta, r, full):
+        stats = FirstOrderStats(0.9, -0.05, 0.08)
+        theta = np.array(theta)
+        _, jac = _dual_residual(theta, stats, r, full)
+        ref = central_difference_jacobian(
+            lambda th: _dual_residual(th, stats, r, full)[0], theta)
+        assert jac.shape == ref.shape == (theta.size, theta.size)
+        np.testing.assert_allclose(jac, ref, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(ref)))
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleStatsError):
@@ -116,6 +149,23 @@ class TestLowerBoundProbability:
 
 
 class TestDirectionalRadius:
+    def test_residual_evaluation_count(self, monkeypatch):
+        # each evaluation yields F and J from one grid, so a Newton step
+        # costs only its line-search trials (86 here; differencing the
+        # Jacobian column by column costs 428); the radius is pinned exactly
+        calls = []
+        orig = certify._dual_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "_dual_residual", counted)
+        res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
+                                 SmoothingConfig(0.25, 152), tol=1e-3)
+        assert len(calls) <= 150
+        assert res.radius == 0.307769775390625
+
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)
         res = directional_radius(FirstOrderStats(0.5, 0.0, 0.0), cfg)

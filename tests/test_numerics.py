@@ -18,7 +18,14 @@ from smoothcert.numerics import (
     std_normal_quantile,
 )
 
-from helpers import CDF_1, QUANTILE_09, QUANTILE_0841, cdf, interval_system_oracle
+from helpers import (
+    CDF_1,
+    QUANTILE_09,
+    QUANTILE_0841,
+    cdf,
+    interval_system_oracle,
+    with_fd_jacobian,
+)
 
 
 class TestNormalCdf:
@@ -122,14 +129,16 @@ class TestQuadrature:
 
 
 class TestSolveSystem:
+    # each residual returns (F, J): J analytic, or central differences
+    # through helpers.with_fd_jacobian
     def test_linear_1d(self):
-        got = solve_system(lambda x: x - 3.0, [0.0])
+        got = solve_system(lambda x: (x - 3.0, 1.0), [0.0])
         assert got[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_small_2d(self):
         def residual(v):
             x, y = v
-            return [x * x + y - 2.0, y - 1.0]
+            return [x * x + y - 2.0, y - 1.0], [[2.0 * x, 1.0], [0.0, 1.0]]
 
         got = solve_system(residual, [2.0, 2.0])
         assert got == pytest.approx([1.0, 1.0], abs=1e-9)
@@ -149,7 +158,7 @@ class TestSolveSystem:
                 std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r) - 0.5,
             ]
 
-        got = solve_system(residual, [1.2, 1.5, -4.0])
+        got = solve_system(with_fd_jacobian(residual), [1.2, 1.5, -4.0])
         assert got[0] > 0.0
         assert got[0] == pytest.approx(1.2815516, abs=2e-3)
         assert got[1] == pytest.approx(w1_ref, abs=1e-6)
@@ -163,8 +172,10 @@ class TestSolveSystem:
         root = np.array([0.7, -1.2])
 
         def residual(v):
-            return [math.tanh(v[0] - root[0]) + 0.2 * (v[1] - root[1]),
-                    (v[1] - root[1]) * (1.0 + 0.1 * (v[0] - root[0]) ** 2)]
+            a, b = v[0] - root[0], v[1] - root[1]
+            f = [math.tanh(a) + 0.2 * b, b * (1.0 + 0.1 * a * a)]
+            jac = [[1.0 - math.tanh(a) ** 2, 0.2], [0.2 * a * b, 1.0 + 0.1 * a * a]]
+            return f, jac
 
         gen = np.random.Generator(np.random.Philox(key=[5, 5]))
         for _ in range(25):
@@ -174,13 +185,14 @@ class TestSolveSystem:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):
-            solve_system(lambda v: [v[0], v[0]], [1.0])
+            solve_system(with_fd_jacobian(lambda v: [v[0], v[0]]), [1.0])
 
     def test_nonconvergence_reports_norm(self):
         settings = SolverSettings(max_iterations=50)
         with pytest.raises(NoConvergenceError) as err:
             # no root: residual bounded away from zero
-            solve_system(lambda x: np.tanh(x) + 2.0, [0.0], settings)
+            solve_system(lambda x: (np.tanh(x) + 2.0, 1.0 - np.tanh(x) ** 2),
+                         [0.0], settings)
         assert err.value.residual_norm > 0.5
 
     def test_settings_validation(self):
