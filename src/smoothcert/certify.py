@@ -10,11 +10,12 @@ perpendicular-gradient bounds (m1, m2) and solves the worst-case problem
     integral x phi(x) Phi(c(x)) dx = m1,      c(x) = c0 + c1 x + c2 e^{r x}
 
 for the dual coefficients, then reads off the worst-case probability at
-scaled travel distance r as integral phi(x - r) Phi(c(x)) dx.  When the
-solved slope coefficient c1 is negative the directional constraint is
-invalid as a one-sided bound and the system is re-solved without it
-(``ReducedNoSlope``).  When m2 = 0 the dual degenerates to an indicator of
-an interval [w2, w1]; that branch is solved directly:
+scaled travel distance r as integral phi(x - r) Phi(c(x)) dx.  Either sign
+of the solved slope coefficient c1 is accepted.  Only when no start of the
+full system converges is it re-solved without the directional constraint
+(``REDUCED_NO_SLOPE``), which is always conservative.  When m2 = 0 the dual
+degenerates to an indicator of an interval [w2, w1]; that branch is solved
+directly:
 
     Phi(w1) - Phi(w2)  = q
     phi(w2) - phi(w1)  = m1
@@ -609,11 +610,16 @@ def solve_dual(stats: FirstOrderStats, r: float,
     Solves the full three-equation system; both slope signs are accepted,
     since either sign yields a worst-case set matching the constraints (the
     negative-slope branch is exactly the near-halfspace family required for
-    the linear-classifier limit).  When the full solve fails, or when
-    ``force_variant`` requests it, the two-equation system is solved
-    instead, which drops the directional constraint and is always
-    conservative.  m2 below the degeneracy floor routes to the exact
-    interval geometry.
+    the linear-classifier limit).  Damped Newton starts from, in order:
+
+    1. ``warm``, when it is a FULL solution (the previous bisection step's);
+    2. the m2 = 0 interval with its edges softened to m2;
+    3. the tilted-halfspace limit.
+
+    When none of them converges, or when ``force_variant`` requests it, the
+    two-equation system is solved instead, which drops the directional
+    constraint and is always conservative.  m2 below the degeneracy floor
+    routes to the exact interval geometry.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"travel distance must be positive and finite, got {r}")
@@ -660,12 +666,6 @@ def solve_dual(stats: FirstOrderStats, r: float,
         soft = _soft_interval_init(stats, r)
         if soft is not None:
             full_sol = try_full(soft)
-    if full_sol is None:
-        try:
-            red = _solve_reduced(stats, r, settings, warm_reduced)
-            full_sol = try_full((red[0], 0.0, red[1]))
-        except NoConvergenceError:
-            pass
     if full_sol is None:
         full_sol = try_full(_tilted_init(stats, r))
     if full_sol is None:

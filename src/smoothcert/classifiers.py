@@ -7,8 +7,7 @@ certified region of a smoothed linear classifier is the halfspace itself,
 so every lp radius is margin over the dual norm of the weights).
 
 Sampling uses a counter-based generator keyed by (seed, stream_id): any
-worker that owns a stream reproduces the identical draw sequence, and
-batches from disjoint streams merge associatively.
+worker that owns a stream reproduces the identical draw sequence.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class RngSpec:
     def generator(self) -> np.random.Generator:
         key = [self.seed & _U64, self.stream_id & _U64]
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, stream_id: int) -> "RngSpec":
-        return RngSpec(self.seed, stream_id)
 
 
 class BlackBoxClassifier:

@@ -1,4 +1,4 @@
-"""Command-line surface: certify, curve, selftest, sample.
+"""Command-line surface: certify, curve, selftest.
 
 Runs are driven by a single declarative YAML config (sigma, alpha, samples,
 seed, threat list, classifier spec, points); command-line flags override
@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/config error, 2 partial per-point failures
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -20,19 +19,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from . import certify as cz
 from .certify import LinfMode, ThreatModel
-from .classifiers import (
-    BlackBoxClassifier,
-    RngSpec,
-    make_synthetic,
-    sample_class_sums,
-    batch_for_class,
-)
-from .estimate import GradientSampleBatch, merge_batches
+from .classifiers import BlackBoxClassifier, make_synthetic
 from .numerics import DomainError
 from .pipeline import (
-    CSV_SCHEMA,
     PointResult,
     PointTask,
     RunConfig,
@@ -46,8 +36,6 @@ from .svgplot import curve_svg
 from .workloads import make_linear_workload
 
 __all__ = ["main"]
-
-SAMPLES_SCHEMA = "smoothcert-samples v1"
 
 _THREAT_ALIASES = {t.value: t for t in ThreatModel}
 
@@ -93,8 +81,16 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+_RUN_KEYS = ("sigma", "alpha", "samples", "seed", "threats", "linf_mode",
+             "clamp_infeasible", "radius_tol", "sample_dtype")
+
+
 def _run_config(cfg: dict, args) -> RunConfig:
     run = dict(cfg.get("run", {}))
+    unknown = sorted(str(key) for key in run if key not in _RUN_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown run setting(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(_RUN_KEYS)}")
     overrides = {
         "sigma": args.sigma,
         "alpha": args.alpha,
@@ -341,79 +337,6 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
-def _batch_to_json(point_id: str, batch: GradientSampleBatch) -> dict:
-    return {
-        "point_id": point_id,
-        "x_sum": [float(v) for v in batch.x_sum],
-        "y_sum": [float(v) for v in batch.y_sum],
-        "n1": batch.n1,
-        "n2": batch.n2,
-        "success_count": batch.success_count,
-        "sigma": batch.sigma,
-    }
-
-
-def batch_from_json(entry: dict) -> GradientSampleBatch:
-    return GradientSampleBatch(
-        x_sum=np.asarray(entry["x_sum"], dtype=float),
-        y_sum=np.asarray(entry["y_sum"], dtype=float),
-        n1=int(entry["n1"]),
-        n2=int(entry["n2"]),
-        success_count=int(entry["success_count"]),
-        sigma=float(entry["sigma"]),
-    )
-
-
-def load_batches(path: str) -> list[tuple[str, GradientSampleBatch]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if data.get("schema") != SAMPLES_SCHEMA:
-        raise ConfigError(f"unknown samples schema in {path}")
-    return [(e["point_id"], batch_from_json(e)) for e in data["batches"]]
-
-
-def cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    run = _run_config(cfg, args)
-    if run.n_samples < 2:
-        raise ConfigError("need at least 2 samples per point")
-    if args.streams < 1:
-        raise ConfigError("--streams must be at least 1")
-    classifier, tasks = _build_workload(cfg, args, run)
-    dtype = np.float32 if run.sample_dtype == "float32" else np.float64
-    entries = []
-    for rank, task in enumerate(sorted(tasks, key=lambda t: t.point_id)):
-        smoothing = cz.SmoothingConfig(run.sigma, int(task.x.size))
-        per_stream = [run.n_samples // args.streams] * args.streams
-        for i in range(run.n_samples % args.streams):
-            per_stream[i] += 1
-        merged: Optional[GradientSampleBatch] = None
-        for s, n_s in enumerate(per_stream):
-            if n_s < 2:
-                raise ConfigError(
-                    f"stream {s} would draw {n_s} samples; lower --streams"
-                )
-            rng = RngSpec(run.seed, (rank << 16) | s)
-            sums = sample_class_sums(classifier, task.x, smoothing, n_s, rng,
-                                     dtype=dtype)
-            batch = batch_for_class(sums, sums.majority_class())
-            merged = batch if merged is None else merge_batches(merged, batch)
-        entries.append(_batch_to_json(task.point_id, merged))
-    out = args.out or "samples.json"
-    payload = {
-        "schema": SAMPLES_SCHEMA,
-        "seed": run.seed,
-        "n_samples": run.n_samples,
-        "streams": args.streams,
-        "batches": entries,
-    }
-    with open(out, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    print(f"sampled {len(entries)} point(s) -> {out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothcert",
@@ -421,24 +344,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="YAML run configuration")
-        p.add_argument("--sigma", type=float, help="noise standard deviation")
-        p.add_argument("--alpha", type=float, help="total failure probability")
-        p.add_argument("--samples", type=int, help="noise draws per point")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--threats", help="comma list, e.g. l1,l2,linf,subspace_l2")
-        p.add_argument("--subspace-mask", dest="subspace_mask",
-                       help="comma list of coordinate indices")
-        p.add_argument("--linf-mode", dest="linf_mode",
-                       choices=[m.value for m in LinfMode])
-        p.add_argument("--clamp-infeasible", dest="clamp_infeasible",
-                       action="store_true",
-                       help="rescale infeasible gradient stats onto the boundary")
-        p.add_argument("--out", help="output path (or prefix for curve)")
-
     p_cert = sub.add_parser("certify", help="run certification from a config")
-    add_common(p_cert)
+    p_cert.add_argument("--config", help="YAML run configuration")
+    p_cert.add_argument("--sigma", type=float, help="noise standard deviation")
+    p_cert.add_argument("--alpha", type=float, help="total failure probability")
+    p_cert.add_argument("--samples", type=int, help="noise draws per point")
+    p_cert.add_argument("--seed", type=int, help="base RNG seed")
+    p_cert.add_argument("--threats", help="comma list, e.g. l1,l2,linf,subspace_l2")
+    p_cert.add_argument("--subspace-mask", dest="subspace_mask",
+                        help="comma list of coordinate indices")
+    p_cert.add_argument("--linf-mode", dest="linf_mode",
+                        choices=[m.value for m in LinfMode])
+    p_cert.add_argument("--clamp-infeasible", dest="clamp_infeasible",
+                        action="store_true",
+                        help="rescale infeasible gradient stats onto the boundary")
+    p_cert.add_argument("--out", help="output CSV path")
     p_cert.add_argument("--jobs", type=int, default=1,
                         help="parallel point workers")
     p_cert.set_defaults(func=cmd_certify)
@@ -454,12 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--quick", action="store_true",
                         help="sub-minute subset")
     p_self.set_defaults(func=cmd_selftest)
-
-    p_sample = sub.add_parser("sample", help="persist gradient-statistic batches")
-    add_common(p_sample)
-    p_sample.add_argument("--streams", type=int, default=1,
-                          help="parallel RNG streams to split each point over")
-    p_sample.set_defaults(func=cmd_sample)
     return parser
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "l1_norm_bounds",
     "subspace_norm_bounds",
     "split_alpha",
-    "merge_batches",
 ]
 
 # 1/4 + 3/sqrt(8 pi e)
@@ -92,22 +91,6 @@ class GradientSampleBatch:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
-
-
-def merge_batches(a: GradientSampleBatch, b: GradientSampleBatch) -> GradientSampleBatch:
-    """Combine batches from disjoint RNG streams (associative, commutative)."""
-    if a.dim != b.dim:
-        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.sigma != b.sigma:
-        raise DomainError(f"sigma mismatch: {a.sigma} vs {b.sigma}")
-    return GradientSampleBatch(
-        x_sum=a.x_sum + b.x_sum,
-        y_sum=a.y_sum + b.y_sum,
-        n1=a.n1 + b.n1,
-        n2=a.n2 + b.n2,
-        success_count=a.success_count + b.success_count,
-        sigma=a.sigma,
-    )
 
 
 @dataclass(frozen=True)

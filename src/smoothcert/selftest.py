@@ -14,13 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import certify as cz
-from .certify import (
-    DualVariant,
-    FirstOrderStats,
-    GradientNormBounds,
-    LinfMode,
-    SmoothingConfig,
-)
+from .certify import DualVariant, FirstOrderStats, SmoothingConfig
 from .classifiers import (
     LinearClassifierSpec,
     RngSpec,
@@ -33,7 +27,13 @@ from .classifiers import (
 from .estimate import estimate_q_lower, l2_norm_bounds, subgaussian_k, GradientSampleBatch
 from .numerics import std_normal_quantile
 
-__all__ = ["CheckResult", "run_selftests"]
+__all__ = [
+    "CheckResult",
+    "run_selftests",
+    "table1_l2_oracle",
+    "random_halfspace_case",
+    "shrunk_halfspace_stats",
+]
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,66 @@ class CheckResult:
     detail: str
 
 
-def _shrunk_stats(y0: float, y1: np.ndarray, sigma: float, direction_norm: str,
-                  dim: int) -> FirstOrderStats:
+def table1_l2_oracle(dot: float, k: float, n1: int, n2: int, d: int,
+                     alpha: float) -> tuple[float, float]:
+    """Verbatim Table-1 algebra for the l2 product estimator.
+
+    Independent of the closed forms in ``estimate.l2_norm_bounds``: returns
+    (lower, upper) bounds on ||sigma^2 y1|| from the split-sample dot product.
+    """
+    log_half = math.log(alpha / 2.0)
+    t = math.sqrt(-(k ** 2) * math.sqrt(2.0) * d / (n1 * n2) * log_half)
+    if dot + t <= 0.0:
+        return 0.0, math.inf
+    eps_u = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot + t)))
+    upper = math.sqrt(dot + t) / (math.sqrt(1.0 + eps_u ** 2) - eps_u)
+    if dot - t <= 0.0:
+        return 0.0, upper
+    eps_l = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot - t)))
+    lower = math.sqrt(dot - t) / (math.sqrt(1.0 + eps_l ** 2) + eps_l)
+    return lower, upper
+
+
+def random_halfspace_case(seed: int, dim: int
+                          ) -> tuple[LinearClassifierSpec, np.ndarray, SmoothingConfig]:
+    """Random linear classifier and a point whose smoothed probability is known.
+
+    sigma is drawn from (0.2, 1.0) and the point placed so that the smoothed
+    top-class probability is a draw from (0.62, 0.93).
+    """
+    gen = RngSpec(seed, 0).generator()
+    w = gen.standard_normal(dim)
+    sigma = float(gen.uniform(0.2, 1.0))
+    q_target = float(gen.uniform(0.62, 0.93))
+    w_norm = float(np.linalg.norm(w))
+    margin = sigma * w_norm * float(std_normal_quantile(q_target))
+    x = margin * w / (w_norm * w_norm)
+    return LinearClassifierSpec(w=w, b=0.0), x, SmoothingConfig(sigma, dim)
+
+
+def shrunk_halfspace_stats(spec: LinearClassifierSpec, x: np.ndarray,
+                           cfg: SmoothingConfig, kind: str) -> FirstOrderStats:
+    """Exact first-order stats along the worst ``kind`` direction ("l1", "l2"
+    or "linf"), shrunk by 1e-6 so the solver stays off the boundary.
+    """
+    y0, y1 = analytic_linear_stats(spec, x, cfg)
     l2 = float(np.linalg.norm(y1))
     linf = float(np.max(np.abs(y1)))
     l1 = float(np.sum(np.abs(y1)))
     s = 1.0 - 1e-6
-    if direction_norm == "l1":
+    sigma = cfg.sigma
+    if kind == "l2":
+        return FirstOrderStats(y0, -sigma * l2 * s, 0.0)
+    if kind == "l1":
         m1 = -sigma * linf * s
         m2 = sigma * math.sqrt(max(0.0, l2 * l2 - linf * linf)) * s
-    elif direction_norm == "linf":
-        root_d = math.sqrt(dim)
+        return FirstOrderStats(y0, m1, m2)
+    if kind == "linf":
+        root_d = math.sqrt(cfg.dim)
         m1 = -(sigma / root_d) * l1 * s
-        m2 = (sigma / root_d) * math.sqrt(max(0.0, dim * l2 * l2 - l1 * l1)) * s
-    else:
-        raise ValueError(direction_norm)
-    return FirstOrderStats(y0, m1, m2)
+        m2 = (sigma / root_d) * math.sqrt(max(0.0, cfg.dim * l2 * l2 - l1 * l1)) * s
+        return FirstOrderStats(y0, m1, m2)
+    raise ValueError(kind)
 
 
 def _check_zeroth() -> CheckResult:
@@ -73,21 +117,10 @@ def _check_zeroth() -> CheckResult:
                        f"max |error| = {worst:.2e}")
 
 
-def _halfspace_case(seed: int, dim: int):
-    gen = RngSpec(seed, 0).generator()
-    w = gen.standard_normal(dim)
-    sigma = float(gen.uniform(0.2, 1.0))
-    q_target = float(gen.uniform(0.65, 0.93))
-    margin = sigma * float(np.linalg.norm(w)) * float(std_normal_quantile(q_target))
-    x = margin * w / float(np.linalg.norm(w)) ** 2
-    spec = LinearClassifierSpec(w=w, b=0.0)
-    return spec, x, SmoothingConfig(sigma, dim)
-
-
 def _check_halfspace_l2() -> CheckResult:
     worst = 0.0
     for seed in (1, 2, 3):
-        spec, x, cfg = _halfspace_case(seed, 4)
+        spec, x, cfg = random_halfspace_case(seed, 4)
         y0, y1 = analytic_linear_stats(spec, x, cfg)
         # the slight shrink keeps the interval system's sign convention on
         # the solve path (exactly at the boundary it short-circuits)
@@ -102,9 +135,8 @@ def _check_halfspace_l2() -> CheckResult:
 def _check_halfspace_l1() -> CheckResult:
     worst = 0.0
     for seed in (4, 5):
-        spec, x, cfg = _halfspace_case(seed, 4)
-        y0, y1 = analytic_linear_stats(spec, x, cfg)
-        stats = _shrunk_stats(y0, y1, cfg.sigma, "l1", cfg.dim)
+        spec, x, cfg = random_halfspace_case(seed, 4)
+        stats = shrunk_halfspace_stats(spec, x, cfg, "l1")
         got = cz.directional_radius(stats, cfg).radius
         want = analytic_linear_radius(spec, x, 1)
         worst = max(worst, abs(got - want) / want)
@@ -115,9 +147,8 @@ def _check_halfspace_l1() -> CheckResult:
 def _check_halfspace_linf() -> CheckResult:
     worst = 0.0
     for seed in (6, 7):
-        spec, x, cfg = _halfspace_case(seed, 4)
-        y0, y1 = analytic_linear_stats(spec, x, cfg)
-        stats = _shrunk_stats(y0, y1, cfg.sigma, "linf", cfg.dim)
+        spec, x, cfg = random_halfspace_case(seed, 4)
+        stats = shrunk_halfspace_stats(spec, x, cfg, "linf")
         got = cz.directional_radius(stats, cfg).radius / math.sqrt(cfg.dim)
         want = analytic_linear_radius(spec, x, math.inf)
         worst = max(worst, abs(got - want) / want)
@@ -143,22 +174,6 @@ def _check_mc_oracle(n: int) -> CheckResult:
                        f"max |p - mc| = {worst:.2f} stderr")
 
 
-def _table1_reference(dot: float, k: float, n1: int, n2: int, d: int,
-                      alpha: float) -> tuple[float, float]:
-    """Verbatim Table-1 algebra (independent of the production closed forms)."""
-    log_half = math.log(alpha / 2.0)
-    t = math.sqrt(-(k ** 2) * math.sqrt(2.0) * d / (n1 * n2) * log_half)
-    if dot + t <= 0.0:
-        return 0.0, math.inf
-    eps_u = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot + t)))
-    upper = math.sqrt(dot + t) / (math.sqrt(1.0 + eps_u ** 2) - eps_u)
-    if dot - t <= 0.0:
-        return 0.0, upper
-    eps_l = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot - t)))
-    lower = math.sqrt(dot - t) / (math.sqrt(1.0 + eps_l ** 2) + eps_l)
-    return lower, upper
-
-
 def _check_estimator_formulas() -> CheckResult:
     worst = 0.0
     for seed, (n1, n2, d, sigma, alpha) in enumerate(
@@ -174,7 +189,7 @@ def _check_estimator_formulas() -> CheckResult:
         )
         got = l2_norm_bounds(batch, alpha)
         dot = float((batch.x_sum / n1) @ (batch.y_sum / n2))
-        want = _table1_reference(dot, subgaussian_k(sigma), n1, n2, d, alpha)
+        want = table1_l2_oracle(dot, subgaussian_k(sigma), n1, n2, d, alpha)
         for g, w in zip(got, want):
             if math.isinf(g) and math.isinf(w):
                 continue

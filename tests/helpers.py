@@ -1,8 +1,9 @@
 """Shared oracles and constructors for the test suite.
 
 Expected values here are computed by routes independent of the code under
-test: scipy special-function identities, brute-force bisection, explicit
-Table-1 algebra, linear programs, Monte Carlo, and central differences.
+test: scipy special-function identities, brute-force bisection, linear
+programs and central differences.  The Table-1 and halfspace oracles that
+``smoothcert selftest`` also runs live in ``smoothcert.selftest``.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import numpy as np
 from scipy import optimize, special
 
-from smoothcert.certify import FirstOrderStats, SmoothingConfig
-from smoothcert.classifiers import LinearClassifierSpec, RngSpec, analytic_linear_stats
 
 # frozen high-precision constants (mpmath, 40 digits)
 PHI_0 = 0.3989422804014327
@@ -97,22 +96,6 @@ def interval_radius_oracle(q: float, m1: float) -> float:
     return optimize.brentq(p_of, 0.0, 40.0, xtol=1e-13)
 
 
-def table1_l2_oracle(dot: float, k: float, n1: int, n2: int, d: int,
-                     alpha: float) -> tuple[float, float]:
-    """Verbatim Table-1 algebra for the l2 product estimator."""
-    log_half = math.log(alpha / 2.0)
-    t = math.sqrt(-(k ** 2) * math.sqrt(2.0) * d / (n1 * n2) * log_half)
-    if dot + t <= 0.0:
-        return 0.0, math.inf
-    eps_u = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot + t)))
-    upper = math.sqrt(dot + t) / (math.sqrt(1.0 + eps_u ** 2) - eps_u)
-    if dot - t <= 0.0:
-        return 0.0, upper
-    eps_l = math.sqrt(-k * (n1 + n2) * log_half / (2.0 * n1 * n2 * (dot - t)))
-    lower = math.sqrt(dot - t) / (math.sqrt(1.0 + eps_l ** 2) + eps_l)
-    return lower, upper
-
-
 def dual_norm_lp_oracle(w: np.ndarray, p: float) -> float:
     """Dual norm max_{||v||_p <= 1} w.v by linear programming (p in {1, inf}).
 
@@ -134,41 +117,3 @@ def dual_norm_lp_oracle(w: np.ndarray, p: float) -> float:
                                bounds=[(0, None)] * (2 * d), method="highs")
         return float(-res.fun)
     raise ValueError(p)
-
-
-def random_halfspace_case(seed: int, dim: int, sigma_range=(0.2, 1.0),
-                          q_range=(0.62, 0.93)):
-    """Random linear classifier + point with controlled smoothed probability."""
-    gen = RngSpec(seed, 0).generator()
-    w = gen.standard_normal(dim)
-    sigma = float(gen.uniform(*sigma_range))
-    q_target = float(gen.uniform(*q_range))
-    w_norm = float(np.linalg.norm(w))
-    margin = sigma * w_norm * float(quantile(q_target))
-    x = margin * w / (w_norm * w_norm)
-    spec = LinearClassifierSpec(w=w, b=0.0)
-    cfg = SmoothingConfig(sigma, dim)
-    return spec, x, cfg
-
-
-def shrunk_halfspace_stats(spec: LinearClassifierSpec, x, cfg: SmoothingConfig,
-                           norm_kind: str, shrink: float = 1e-6) -> FirstOrderStats:
-    """Exact first-order stats for the threat direction, shrunk for conditioning."""
-    y0, y1 = analytic_linear_stats(spec, x, cfg)
-    l2 = float(np.linalg.norm(y1))
-    linf = float(np.max(np.abs(y1)))
-    l1 = float(np.sum(np.abs(y1)))
-    s = 1.0 - shrink
-    sigma = cfg.sigma
-    if norm_kind == "l2":
-        return FirstOrderStats(y0, -sigma * l2 * s, 0.0)
-    if norm_kind == "l1":
-        m1 = -sigma * linf * s
-        m2 = sigma * math.sqrt(max(0.0, l2 ** 2 - linf ** 2)) * s
-        return FirstOrderStats(y0, m1, m2)
-    if norm_kind == "linf":
-        root_d = math.sqrt(cfg.dim)
-        m1 = -(sigma / root_d) * l1 * s
-        m2 = (sigma / root_d) * math.sqrt(max(0.0, cfg.dim * l2 ** 2 - l1 ** 2)) * s
-        return FirstOrderStats(y0, m1, m2)
-    raise ValueError(norm_kind)

@@ -50,9 +50,10 @@ from smoothcert.pipeline import (
     persist_run,
     run_points,
 )
+from smoothcert.selftest import random_halfspace_case, table1_l2_oracle
 from smoothcert.workloads import make_linear_workload
 
-from helpers import SUBGAUSSIAN_K_1, quantile, random_halfspace_case, table1_l2_oracle
+from helpers import SUBGAUSSIAN_K_1, quantile
 
 
 def report(criterion: str, passed: bool, detail: str, started: float) -> None:

@@ -1,10 +1,7 @@
-import json
-
-import numpy as np
+import pytest
 import yaml
 
-from smoothcert.cli import batch_from_json, load_batches, main
-from smoothcert.estimate import merge_batches
+from smoothcert.cli import main
 from smoothcert.pipeline import load_run
 
 
@@ -58,6 +55,19 @@ class TestCertifyCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["certify", "--config", str(tmp_path / "absent.yaml")]) == 1
+
+    def test_too_few_samples(self, tmp_path):
+        config = write_config(tmp_path / "run.yaml")
+        assert main(["certify", "--config", str(config), "--samples", "1"]) == 1
+
+    @pytest.mark.parametrize("key", ["r_cap", "radius_tol_typo"])
+    def test_unknown_run_key_exits_1(self, tmp_path, capsys, key):
+        # a setting the run would not use must not be accepted silently
+        config = write_config(tmp_path / "run.yaml", run={"sigma": 1.0, key: 2})
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path / "run.yaml")
@@ -154,6 +164,11 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_full_passes(self, capsys):
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert "halfspace_linf_exactness" in out and "FAIL" not in out
+
     def test_mutation_hook_fails(self, capsys, monkeypatch):
         # flip the interval system's sign convention: the halfspace oracle
         # must catch it
@@ -167,66 +182,6 @@ class TestSelftestCommand:
         line = next(row for row in out.splitlines()
                     if row.startswith("halfspace_l2_exactness"))
         assert "FAIL" in line
-
-
-class TestSampleCommand:
-    def test_persist_and_reload(self, tmp_path):
-        config = write_config(tmp_path / "run.yaml")
-        out = tmp_path / "samples.json"
-        assert main(["sample", "--config", str(config), "--samples", "1000",
-                     "--out", str(out)]) == 0
-        batches = load_batches(out)
-        assert len(batches) == 1
-        pid, batch = batches[0]
-        assert pid == "p0"
-        assert batch.n_total == 1000
-        # reload identity through the JSON round trip
-        with open(out) as fh:
-            payload = json.load(fh)
-        again = batch_from_json(payload["batches"][0])
-        assert np.array_equal(again.x_sum, batch.x_sum)
-
-    def test_stream_merge_associativity(self, tmp_path):
-        # a two-stream pass equals the merge of the per-stream batches
-        from smoothcert.certify import SmoothingConfig
-        from smoothcert.classifiers import (
-            RngSpec,
-            batch_for_class,
-            make_synthetic,
-            sample_class_sums,
-        )
-
-        config = write_config(tmp_path / "run.yaml")
-        merged_path = tmp_path / "merged.json"
-        assert main(["sample", "--config", str(config), "--samples", "2000",
-                     "--streams", "2", "--out", str(merged_path)]) == 0
-        _, merged = load_batches(merged_path)[0]
-        assert merged.n_total == 2000
-
-        f = make_synthetic("linear", {"w": [1.0, -0.5], "b": 0.0})
-        smoothing = SmoothingConfig(1.0, 2)
-        parts = []
-        for stream in (0, 1):
-            sums = sample_class_sums(f, [1.2, 0.0], smoothing, 1000,
-                                     RngSpec(5, (0 << 16) | stream),
-                                     dtype=np.float32)
-            parts.append(batch_for_class(sums, sums.majority_class()))
-        by_hand = merge_batches(parts[0], parts[1])
-        assert np.array_equal(by_hand.x_sum, merged.x_sum)
-        assert np.array_equal(by_hand.y_sum, merged.y_sum)
-        assert by_hand.success_count == merged.success_count
-
-    def test_too_few_samples(self, tmp_path):
-        config = write_config(tmp_path / "run.yaml")
-        assert main(["sample", "--config", str(config), "--samples", "1"]) == 1
-
-    def test_idempotent_output(self, tmp_path):
-        config = write_config(tmp_path / "run.yaml")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            assert main(["sample", "--config", str(config), "--samples", "500",
-                         "--out", str(out)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestThreatParsing:

@@ -74,6 +74,25 @@ class TestSolveDual:
         np.testing.assert_allclose(jac, ref, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(ref)))
 
+    def test_start_chain_falls_back_to_reduced(self, monkeypatch):
+        # no full start converges here: the soft-interval and tilted starts
+        # fail, and the third solve is the conservative reduced system
+        calls = []
+        orig = certify.solve_system
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "solve_system", counted)
+        stats = FirstOrderStats(0.7710664422055722, -0.2922115017479008,
+                                0.07959514963886805)
+        dual = solve_dual(stats, 0.9375)
+        assert dual.variant is DualVariant.REDUCED_NO_SLOPE
+        assert len(calls) == 3
+        assert (dual.c0, dual.c1, dual.c2) == (4.348574752892094, 0.0,
+                                               -2.0591584841381723)
+
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleStatsError):
             solve_dual(FirstOrderStats(0.9, 0.0, 0.5), 0.3)

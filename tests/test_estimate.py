@@ -12,14 +12,14 @@ from smoothcert.estimate import (
     l1_norm_bounds,
     l2_norm_bounds,
     linf_norm_bounds,
-    merge_batches,
     split_alpha,
     subgaussian_k,
     subspace_norm_bounds,
 )
 from smoothcert.numerics import DomainError
+from smoothcert.selftest import table1_l2_oracle
 
-from helpers import SUBGAUSSIAN_K_1, beta_lower_oracle, table1_l2_oracle
+from helpers import SUBGAUSSIAN_K_1, beta_lower_oracle
 
 
 def make_batch(x_sum, y_sum, n1, n2, successes=0, sigma=1.0):
@@ -244,19 +244,3 @@ class TestBatch:
             make_batch([1.0], [1.0], 0, 5)
         with pytest.raises(DomainError):
             make_batch([1.0], [1.0], 5, 5, successes=11)
-
-    def test_merge(self):
-        a = make_batch([1.0, 2.0], [3.0, 4.0], 10, 10, successes=12)
-        b = make_batch([0.5, 0.5], [0.5, 0.5], 6, 6, successes=7)
-        m = merge_batches(a, b)
-        assert m.n1 == 16 and m.n2 == 16 and m.success_count == 19
-        assert m.x_sum == pytest.approx([1.5, 2.5])
-        # commutative
-        m2 = merge_batches(b, a)
-        assert m2.x_sum == pytest.approx(m.x_sum)
-
-    def test_merge_mismatch(self):
-        a = make_batch([1.0], [1.0], 5, 5)
-        b = make_batch([1.0, 2.0], [1.0, 2.0], 5, 5)
-        with pytest.raises(DomainError):
-            merge_batches(a, b)

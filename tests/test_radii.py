@@ -27,13 +27,9 @@ from smoothcert.classifiers import (
     mc_worst_case_probability,
 )
 from smoothcert.numerics import DomainError
+from smoothcert.selftest import random_halfspace_case, shrunk_halfspace_stats
 
-from helpers import (
-    MAX_GRAD_09,
-    QUANTILE_09,
-    random_halfspace_case,
-    shrunk_halfspace_stats,
-)
+from helpers import MAX_GRAD_09, QUANTILE_09
 
 
 class TestRadiusL2:
