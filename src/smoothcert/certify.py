@@ -716,11 +716,12 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
                        settings: SolverSettings = SolverSettings()) -> RadiusResult:
     """Largest certified travel distance along the encoded direction.
 
-    Returns sigma * r* with p(r*) = 0.5 (tol is in input units), 0 with the
-    abstain flag when q <= 0.5, and sigma * r_cap with the capped flag when
-    the worst-case probability never falls to 0.5 before the cap.  The
-    result is floored at the zeroth-order radius, which the first-order
-    bound provably dominates.
+    Returns sigma * r*, where r* lies short of the root of p(r) = 0.5 by
+    at most tol (in input units) and never past it; 0 with the abstain flag
+    when q <= 0.5; and sigma * r_cap with the capped flag when the
+    worst-case probability never falls to 0.5 before the cap.  The result
+    is floored at the zeroth-order radius, which the first-order bound
+    provably dominates.
     """
     q = stats.q
     if q <= 0.5:

@@ -253,6 +253,9 @@ def bisect_root(
 
     Runs a fixed iteration count derived from tol, which keeps results
     deterministic and monotone under pointwise-ordered objective families.
+    Returns the final bracket's end on the side of lo, within tol/2 of the
+    root, where f keeps the sign of f(lo): a radius search on p(r) - 1/2
+    therefore never reports an r past the root.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
@@ -275,7 +278,7 @@ def bisect_root(
         if f_mid == 0.0:
             return mid
         if np.sign(f_mid) == np.sign(f_lo):
-            lo, f_lo = mid, f_mid
+            lo = mid
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            hi = mid
+    return lo

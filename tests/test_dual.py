@@ -183,7 +183,28 @@ class TestDirectionalRadius:
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
         assert len(calls) <= 150
-        assert res.radius == 0.307769775390625
+        assert res.radius == 0.3076171875
+
+    def test_reported_radius_is_safe(self):
+        # a radius is a safety claim: the worst-case probability at the
+        # reported R must be at least 1/2, so the bisection over r keeps
+        # the bracket end below the root instead of the midpoint
+        stats = []
+        for q in (0.6, 0.75, 0.9, 0.97):
+            big_m = max_gradient_magnitude(q)
+            # the interval branch (m2 = 0), then two smooth threat-path angles
+            for turn, frac in ((1.0, 0.5), (0.75, 0.6), (0.6, 0.9)):
+                mag = frac * big_m
+                m2 = 0.0 if turn == 1.0 else mag * math.sin(math.pi * turn)
+                stats.append(FirstOrderStats(q, mag * math.cos(math.pi * turn), m2))
+        for s in stats:
+            for tol in (1e-3, 1e-4):
+                # powers of two, so R / sigma gives back r* exactly
+                for sigma in (0.25, 1.0):
+                    res = directional_radius(s, SmoothingConfig(sigma, 152), tol=tol)
+                    assert not res.capped
+                    p = lower_bound_probability(s, res.radius / sigma)
+                    assert p >= 0.5, (s, tol, sigma, p)
 
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)
