@@ -81,12 +81,22 @@ def _load_config(path: Optional[str]) -> dict:
     return data
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """A mapping section of the config; a key with no value reads as empty."""
+    section = cfg.get(name)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a mapping")
+    return section
+
+
 _RUN_KEYS = ("sigma", "alpha", "samples", "seed", "threats", "linf_mode",
              "clamp_infeasible", "radius_tol", "sample_dtype")
 
 
 def _run_config(cfg: dict, args) -> RunConfig:
-    run = dict(cfg.get("run", {}))
+    run = dict(_section(cfg, "run"))
     unknown = sorted(str(key) for key in run if key not in _RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown run setting(s) {', '.join(unknown)}; "
@@ -123,7 +133,7 @@ def _run_config(cfg: dict, args) -> RunConfig:
 def _threats_from(cfg: dict, args) -> tuple[ThreatModel, ...]:
     if getattr(args, "threats", None):
         return _parse_threats(args.threats)
-    run = cfg.get("run", {})
+    run = _section(cfg, "run")
     if "threats" in run:
         return _parse_threats(run["threats"])
     return (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
@@ -136,7 +146,7 @@ def _subspace_mask(cfg: dict, args) -> Optional[tuple[int, ...]]:
             return tuple(sorted({int(s) for s in raw.split(",")}))
         except ValueError as err:
             raise ConfigError(f"bad --subspace-mask: {err}")
-    sub = cfg.get("subspace", {})
+    sub = _section(cfg, "subspace")
     if "mask" in sub:
         return tuple(sorted({int(i) for i in sub["mask"]}))
     return None

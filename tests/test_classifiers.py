@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from smoothcert.certify import (
     solve_dual,
 )
 from smoothcert.classifiers import (
+    BlackBoxClassifier,
     LinearClassifier,
     LinearClassifierSpec,
     RngSpec,
@@ -133,6 +135,82 @@ class TestSampling:
             sample_statistics(f, [1.0, 2.0, 3.0], 0, cfg, 100, RngSpec(0, 0))
         with pytest.raises(DomainError):
             sample_statistics(f, [1.0, 2.0], 0, cfg, 1, RngSpec(0, 0))
+
+
+class ThreeClassLinear(BlackBoxClassifier):
+    """Label = argmax of three linear scores."""
+
+    num_classes = 3
+
+    def __init__(self, scores):
+        self.scores = np.asarray(scores, dtype=float)  # (d, 3)
+
+    def classify_batch(self, points):
+        return np.argmax(points @ self.scores, axis=1).astype(np.int64)
+
+
+def naive_class_sums(f, x, sigma, n, rng, dtype):
+    """Row-by-row reference: the same draws, labelled and summed one at a time.
+
+    Each coordinate sum is exactly rounded (math.fsum), and the sums of
+    absolute values bound the rounding of any summation order.
+    """
+    n1 = (n + 1) // 2
+    draws = rng.generator().standard_normal((n, x.size), dtype=dtype)
+    counts = np.zeros((2, f.num_classes), dtype=np.int64)
+    rows = [[[] for _ in range(f.num_classes)] for _ in range(2)]
+    for i in range(n):
+        w = (draws[i] * dtype(sigma)).astype(np.float64)
+        label = f.classify(x + w)
+        split = 0 if i < n1 else 1
+        counts[split, label] += 1
+        rows[split][label].append(w)
+    sums = np.zeros((2, f.num_classes, x.size))
+    scale = np.zeros_like(sums)
+    for split in range(2):
+        for c in range(f.num_classes):
+            if rows[split][c]:
+                block = np.array(rows[split][c])
+                sums[split, c] = [math.fsum(col) for col in block.T]
+                scale[split, c] = np.abs(block).sum(axis=0)
+    return counts, sums, scale
+
+
+class TestChunkedSampler:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
+    def test_matches_row_by_row_reference(self, chunk, dtype):
+        # three classes exercise the one-hot sums beyond C = 2; n is odd so
+        # the split boundary n1 = 501 falls inside a chunk for chunk 7 and 64
+        gen = np.random.default_rng(5)
+        f = ThreeClassLinear(gen.standard_normal((4, 3)))
+        x = 0.3 * gen.standard_normal(4)
+        n, sigma = 1001, 0.7
+        sums = sample_class_sums(f, x, SmoothingConfig(sigma, 4), n, RngSpec(12, 3),
+                                 chunk=chunk, dtype=dtype)
+        counts, ref, scale = naive_class_sums(f, x, sigma, n, RngSpec(12, 3), dtype)
+        assert (sums.n1, sums.n2) == (501, 500)
+        assert np.array_equal(sums.counts, counts)
+        assert np.all(counts > 0)
+        # rtol 1e-12 of the sum of magnitudes: any summation order of k <= n
+        # terms is within k * eps of that scale of the exact sum
+        assert np.all(np.abs(sums.class_w_sum - ref) <= 1e-12 * scale)
+
+    def test_peak_memory_is_bounded(self):
+        # d = 3072, n = 10k: the whole pass is 30.7M draws (123 MB as float32,
+        # 246 MB as float64); chunked buffers keep one call far below that
+        d = 3072
+        gen = np.random.default_rng(8)
+        f = LinearClassifier(LinearClassifierSpec(w=gen.standard_normal(d), b=0.0))
+        x = gen.standard_normal(d)
+        tracemalloc.start()
+        try:
+            sample_class_sums(f, x, SmoothingConfig(0.25, d), 10_000, RngSpec(4, 0),
+                              dtype=np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestAnalyticOracle:

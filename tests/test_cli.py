@@ -69,6 +69,36 @@ class TestCertifyCommand:
         assert not out.exists()
         assert key in capsys.readouterr().err
 
+    # a YAML key with no value loads as None; it must read as an empty section
+    BODY = ("classifier: {kind: linear, params: {w: [1.0, -0.5], b: 0.0}}\n"
+            "points: {explicit: [{id: p0, x: [1.2, 0.0], label: 0}]}\n")
+
+    def test_empty_run_section_uses_flags(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("run:\n" + self.BODY)
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--sigma", "1", "--samples", "2000"]) == 0
+        results, meta = load_run(out)
+        assert len(results) == 1
+        assert meta["sigma"] == "1.0"
+
+    def test_empty_subspace_section(self, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("run: {sigma: 1.0, samples: 2000}\nsubspace:\n" + self.BODY)
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+        assert len(load_run(out)[0]) == 1
+
+    def test_run_section_not_a_mapping_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_text("run: [1, 2]\n" + self.BODY)
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--sigma", "1"]) == 1
+        assert not out.exists()
+        assert "'run' must be a mapping" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path / "run.yaml")
         out = tmp_path / "c.csv"
