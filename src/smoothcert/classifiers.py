@@ -237,6 +237,10 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
             counts[split] += onehot.sum(axis=1)
             class_w_sum[split] += onehot.astype(np.float64) @ w64[sl]
         drawn += m
+    # a label outside [0, num_classes) matches no one-hot row and would drop
+    # its draw from every count and sum
+    if int(counts.sum()) != n:
+        raise DomainError(f"classifier returned labels outside [0, {num_classes - 1}]")
     return ClassConditionalSums(counts, class_w_sum, n1, n - n1, cfg.sigma)
 
 

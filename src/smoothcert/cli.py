@@ -47,8 +47,11 @@ class ConfigError(ValueError):
 def _parse_threats(text) -> tuple[ThreatModel, ...]:
     if isinstance(text, str):
         items = [s.strip() for s in text.split(",") if s.strip()]
-    else:
+    elif isinstance(text, (list, tuple)):
         items = list(text)
+    else:
+        raise ConfigError(f"threats must be a list or a comma-separated string, "
+                          f"got {text!r}")
     threats = []
     for item in items:
         key = str(item).strip().lower()
@@ -148,7 +151,10 @@ def _subspace_mask(cfg: dict, args) -> Optional[tuple[int, ...]]:
             raise ConfigError(f"bad --subspace-mask: {err}")
     sub = _section(cfg, "subspace")
     if "mask" in sub:
-        return tuple(sorted({int(i) for i in sub["mask"]}))
+        try:
+            return tuple(sorted({int(i) for i in sub["mask"]}))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad subspace.mask: {err}")
     return None
 
 
@@ -158,8 +164,8 @@ def _build_workload(cfg: dict, args, run: RunConfig
     mask = _subspace_mask(cfg, args)
     if any(t.is_subspace for t in threats) and mask is None:
         raise ConfigError("subspace threats need subspace.mask or --subspace-mask")
-    points = cfg.get("points")
-    if points is None:
+    points = _section(cfg, "points")
+    if not points:
         raise ConfigError("config must define a points section")
     if "generate" in points:
         gen = points["generate"]
@@ -176,17 +182,17 @@ def _build_workload(cfg: dict, args, run: RunConfig
                 abstain_fraction=float(gen.get("abstain_fraction", 0.05)),
                 mislabel_fraction=float(gen.get("mislabel_fraction", 0.1)),
             )
-        except (KeyError, DomainError, ValueError) as err:
+        except (KeyError, TypeError, DomainError, ValueError) as err:
             raise ConfigError(f"bad points.generate section: {err}")
         return classifier, tasks
     if "explicit" not in points:
         raise ConfigError("points section needs either 'generate' or 'explicit'")
-    spec = cfg.get("classifier")
-    if not spec or "kind" not in spec:
+    spec = _section(cfg, "classifier")
+    if "kind" not in spec:
         raise ConfigError("explicit points require a classifier spec (kind, params)")
     try:
         classifier = make_synthetic(str(spec["kind"]), dict(spec.get("params", {})))
-    except DomainError as err:
+    except (TypeError, ValueError, DomainError) as err:
         raise ConfigError(f"bad classifier spec: {err}")
     tasks = []
     try:
@@ -198,7 +204,7 @@ def _build_workload(cfg: dict, args, run: RunConfig
                 requested_threats=threats,
                 subspace_mask=mask,
             ))
-    except (KeyError, ValueError, DomainError) as err:
+    except (KeyError, TypeError, ValueError, DomainError) as err:
         raise ConfigError(f"bad points.explicit entry: {err}")
     if not tasks:
         raise ConfigError("points.explicit is empty")

@@ -196,6 +196,16 @@ class TestChunkedSampler:
         # terms is within k * eps of that scale of the exact sum
         assert np.all(np.abs(sums.class_w_sum - ref) <= 1e-12 * scale)
 
+    def test_label_out_of_range_raises(self):
+        class TwoClassReturningThree(ThreeClassLinear):
+            num_classes = 2
+
+        gen = np.random.default_rng(5)
+        f = TwoClassReturningThree(gen.standard_normal((4, 3)))
+        with pytest.raises(DomainError, match="labels outside"):
+            sample_class_sums(f, np.zeros(4), SmoothingConfig(0.7, 4), 1001,
+                              RngSpec(12, 3))
+
     def test_peak_memory_is_bounded(self):
         # d = 3072, n = 10k: the whole pass is 30.7M draws (123 MB as float32,
         # 246 MB as float64); chunked buffers keep one call far below that

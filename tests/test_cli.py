@@ -90,14 +90,31 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
         assert len(load_run(out)[0]) == 1
 
-    def test_run_section_not_a_mapping_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("run: [1, 2]\n" + BODY, "'run' must be a mapping"),
+        ("run: {sigma: 1.0}\nsubspace: 3\n" + BODY, "'subspace' must be a mapping"),
+        ("run: {sigma: 1.0}\npoints: 5\n", "'points' must be a mapping"),
+        ("run: {sigma: 1.0}\nclassifier: 5\npoints: {explicit: []}\n",
+         "'classifier' must be a mapping"),
+        ("run: {sigma: 1.0}\npoints: {generate: 5}\n", "bad points.generate"),
+        ("run: {sigma: 1.0}\nclassifier: {kind: linear, params: 5}\n"
+         "points: {explicit: [{id: p0, x: [1.0], label: 0}]}\n", "bad classifier spec"),
+        ("run: {sigma: 1.0}\nclassifier: {kind: linear, params: {w: [1.0]}}\n"
+         "points: {explicit: [5]}\n", "bad points.explicit"),
+        ("run: {sigma: 1.0, threats: 5}\n" + BODY, "threats must be a list"),
+        ("run: {sigma: 1.0}\nsubspace: {mask: 5}\n" + BODY, "bad subspace.mask"),
+        ("run: {sigma: 1.0}\nsubspace: {mask: [a]}\n" + BODY, "bad subspace.mask"),
+    ], ids=["run-list", "subspace-int", "points-int", "classifier-int", "generate-int",
+            "params-int", "explicit-entry-int", "threats-int", "mask-int", "mask-entry-str"])
+    def test_malformed_section_exits_1(self, tmp_path, capsys, text, message):
+        # a section of the wrong type is a config error, not a traceback
         config = tmp_path / "run.yaml"
-        config.write_text("run: [1, 2]\n" + self.BODY)
+        config.write_text(text)
         out = tmp_path / "nope.csv"
         assert main(["certify", "--config", str(config), "--out", str(out),
                      "--sigma", "1"]) == 1
         assert not out.exists()
-        assert "'run' must be a mapping" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path / "run.yaml")
