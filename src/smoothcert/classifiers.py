@@ -8,15 +8,23 @@ so every lp radius is margin over the dual norm of the weights).
 
 Sampling uses a counter-based generator keyed by (seed, stream_id): any
 worker that owns a stream reproduces the identical draw sequence.  A pass
-draws in chunks of a fixed element budget into buffers reused across chunks
-and adds each chunk's noise to its class sums with one one-hot matmul; the
-draws and labels do not depend on the chunk size.
+splits its draws over a fixed number of sub-streams of that key, each
+starting at its own Philox counter offset, and samples them on one shared
+thread pool of ``os.cpu_count()`` threads; the per-sub-stream counts and
+sums are added in sub-stream order, so the output does not depend on the
+thread count.  Each sub-stream draws in chunks of a fixed element budget
+into buffers reused across chunks and adds each chunk's noise to its class
+sums with one one-hot matmul; the draws and labels do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,14 +56,23 @@ _U64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Counter-based RNG key; same (seed, stream_id) -> identical draws."""
+    """Counter-based RNG key; same (seed, stream_id) -> identical draws.
+
+    Sub-stream k starts at Philox counter ``[0, 0, 0, k]``, 2^192 blocks past
+    sub-stream k - 1, so sub-streams never overlap; sub-stream 0 is the
+    plain stream of the key.
+    """
 
     seed: int
     stream_id: int = 0
+    substream: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = [self.seed & _U64, self.stream_id & _U64]
-        return np.random.Generator(np.random.Philox(key=key))
+        # as uint64 arrays: numpy reads a list holding a word >= 2^63 next to
+        # a smaller one as float64, which rounds the word (2^64 - 1 to 0)
+        key = np.array([self.seed & _U64, self.stream_id & _U64], dtype=np.uint64)
+        counter = np.array([0, 0, 0, self.substream & _U64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 class BlackBoxClassifier:
@@ -189,31 +206,59 @@ class ClassConditionalSums:
 # At 1 << 19 (170 rows at d = 3072) the (C, rows) @ (rows, d) class-sum
 # product crosses OpenBLAS's threading threshold: two pool threads running
 # two BLAS threads each then took 0.75 s per d = 3072 point instead of 0.36.
+# That product runs on the sampler threads: at most os.cpu_count() of them
+# run at once, whatever run_points' jobs, but above the threshold each would
+# still start BLAS threads of its own.
 _CHUNK_ELEMENTS = 1 << 16
 
+# Sub-streams per pass: 0 .. K/2 - 1 draw the first half of the rows and
+# K/2 .. K - 1 the second, so the halves come from disjoint sub-streams.  A
+# constant of the layout, not the worker count.  At d = 152 and 200k float32
+# draws on 2 cores, a point took 0.36-0.40 s (median of 18) for each of
+# K = 2, 4 and 8, against 0.59 s for one serial stream; 4 leaves work for
+# more than 2 cores.
+_SUBSTREAMS = 4
 
-def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
-                      rng: RngSpec, chunk: Optional[int] = None,
-                      dtype=np.float64) -> ClassConditionalSums:
-    """One pass of n Gaussian perturbations, accumulated per class and split.
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
 
-    ``chunk`` is the number of rows drawn at a time (default: from the
-    element budget).  The draws, the labels and the counts do not depend on
-    it; the sums depend on it only through their summation order.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != cfg.dim:
-        raise DomainError(f"point must be a vector of length {cfg.dim}")
-    if n < 2:
-        raise DomainError(f"need at least 2 samples, got {n}")
-    n1 = (n + 1) // 2
+
+def _sampler_pool() -> ThreadPoolExecutor:
+    """The shared sampler pool, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                       thread_name_prefix="smoothcert-sampler")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool but none of its threads: work handed
+    # to it would never run
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _substream_rows(n1: int, n2: int) -> list[int]:
+    """Rows per sub-stream: each half spread evenly, lower k takes the extra."""
+    per_half = _SUBSTREAMS // 2
+    return [half // per_half + (k < half % per_half)
+            for half in (n1, n2) for k in range(per_half)]
+
+
+def _sample_substream(f: BlackBoxClassifier, x: np.ndarray, sigma, n: int,
+                      rows: int, rng: RngSpec, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Class counts (C,) and noise sums (C, d) of n draws from one sub-stream."""
     num_classes = f.num_classes
-    d = cfg.dim
-    rows = min(n, chunk if chunk is not None else max(1, _CHUNK_ELEMENTS // d))
-    counts = np.zeros((2, num_classes), dtype=np.int64)
-    class_w_sum = np.zeros((2, num_classes, d), dtype=float)
+    d = x.size
+    counts = np.zeros(num_classes, dtype=np.int64)
+    class_w_sum = np.zeros((num_classes, d), dtype=float)
     classes = np.arange(num_classes)[:, None]
-    sigma = dtype(cfg.sigma)
     w_buf = np.empty((rows, d), dtype=dtype)
     w64_buf = w_buf if dtype == np.float64 else np.empty((rows, d), dtype=np.float64)
     pts_buf = np.empty((rows, d), dtype=np.float64)
@@ -227,16 +272,51 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
         if w64_buf is not w_buf:
             np.copyto(w64, w)
         np.add(x, w64, out=pts)
-        labels = f.classify_batch(pts)
-        # a chunk may straddle the split boundary
-        boundary = min(max(n1 - drawn, 0), m)
-        for split, sl in ((0, slice(0, boundary)), (1, slice(boundary, m))):
-            if sl.start == sl.stop:
-                continue
-            onehot = labels[sl] == classes
-            counts[split] += onehot.sum(axis=1)
-            class_w_sum[split] += onehot.astype(np.float64) @ w64[sl]
+        onehot = f.classify_batch(pts) == classes
+        counts += onehot.sum(axis=1)
+        class_w_sum += onehot.astype(np.float64) @ w64
         drawn += m
+    return counts, class_w_sum
+
+
+def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
+                      rng: RngSpec, chunk: Optional[int] = None,
+                      dtype=np.float64) -> ClassConditionalSums:
+    """One pass of n Gaussian perturbations, accumulated per class and split.
+
+    The first n1 = ceil(n / 2) draws come from sub-streams 0 .. K/2 - 1 of
+    ``rng`` and the other n2 from K/2 .. K - 1, each sub-stream drawing its
+    rows from the start of its stream.  The sub-streams run on the shared
+    sampler pool and their counts and sums are added in sub-stream order, so
+    the result is the same for any thread count.  ``chunk`` is the number
+    of rows a sub-stream draws at a time (default: from the element
+    budget).  The draws, the labels and the counts do not depend on it; the
+    sums depend on it only through their summation order.  If the
+    classifier raises in several sub-streams, the lowest one's error is
+    raised once all have finished.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size != cfg.dim:
+        raise DomainError(f"point must be a vector of length {cfg.dim}")
+    if n < 2:
+        raise DomainError(f"need at least 2 samples, got {n}")
+    n1 = (n + 1) // 2
+    num_classes = f.num_classes
+    rows = chunk if chunk is not None else max(1, _CHUNK_ELEMENTS // cfg.dim)
+    pool = _sampler_pool()
+    futures = [
+        (k, pool.submit(_sample_substream, f, x, dtype(cfg.sigma), n_k, min(rows, n_k),
+                        replace(rng, substream=k), dtype))
+        for k, n_k in enumerate(_substream_rows(n1, n - n1)) if n_k
+    ]
+    wait([future for _, future in futures])
+    counts = np.zeros((2, num_classes), dtype=np.int64)
+    class_w_sum = np.zeros((2, num_classes, cfg.dim), dtype=float)
+    for k, future in futures:
+        counts_k, sums_k = future.result()
+        half = 2 * k // _SUBSTREAMS
+        counts[half] += counts_k
+        class_w_sum[half] += sums_k
     # a label outside [0, num_classes) matches no one-hot row and would drop
     # its draw from every count and sum
     if int(counts.sum()) != n:

@@ -294,7 +294,9 @@ def run_points(tasks: Sequence[PointTask], f: BlackBoxClassifier,
     """Certify points independently; results canonically ordered by point_id.
 
     Stream ids are assigned by sorted rank before any work starts, so the
-    output is identical for any worker count.
+    output is identical for any worker count.  The ``jobs`` threads hand
+    their sampling to the classifiers' shared pool of ``os.cpu_count()``
+    threads, so sampling never runs on more threads than that.
     """
     ordered = sorted(tasks, key=lambda t: t.point_id)
     if len({t.point_id for t in ordered}) != len(ordered):

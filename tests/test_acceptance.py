@@ -334,8 +334,34 @@ def test_criterion_9_end_to_end_determinism_and_dominance(tmp_path):
         for z, f in zip(z_curve, f_curve):
             if f.certified_accuracy < z.certified_accuracy - 1e-12:
                 dominance_ok = False
-    passed = identical and dominance_ok and n_errors == 0
-    report("9 end-to-end determinism + dominance", passed,
+
+    # soundness: the smoothed linear classifier is the halfspace itself, so
+    # each certified radius is at most the exact one except with probability
+    # alpha per point; P(Binomial(100, 1e-3) >= 3) is about 1.5e-4
+    by_id = {t.point_id: t for t in tasks}
+    radius_fields = {1: "radius_first_l1", 2: "radius_first_l2",
+                     math.inf: "radius_first_linf"}
+    violations = {p: 0 for p in radius_fields}
+    worst_ratio = {p: 0.0 for p in radius_fields}
+    for res in results:
+        if res.abstained:
+            continue
+        x = by_id[res.point_id].x
+        for p, name in radius_fields.items():
+            certified = getattr(res, name)
+            # a smoothed prediction off the base class is certified nowhere
+            exact = (analytic_linear_radius(classifier.spec, x, p)
+                     if res.predicted == classifier.classify(x) else 0.0)
+            if certified > exact:
+                violations[p] += 1
+            if exact > 0.0:
+                worst_ratio[p] = max(worst_ratio[p], certified / exact)
+    sound = all(v <= 2 for v in violations.values())
+    passed = identical and dominance_ok and n_errors == 0 and sound
+    report("9 end-to-end determinism + dominance + soundness", passed,
            f"byte-identical={identical}, dominance={dominance_ok}, "
-           f"errors={n_errors}", t0)
+           f"errors={n_errors}, violations l1/l2/linf="
+           f"{violations[1]}/{violations[2]}/{violations[math.inf]}, "
+           f"max certified/exact l1/l2/linf={worst_ratio[1]:.4f}/"
+           f"{worst_ratio[2]:.4f}/{worst_ratio[math.inf]:.4f}", t0)
     assert passed

@@ -1,10 +1,19 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from smoothcert.certify import Certificate, Method, ThreatModel
-from smoothcert.classifiers import LinearClassifier, LinearClassifierSpec, make_synthetic
+from smoothcert.classifiers import (
+    LinearClassifier,
+    LinearClassifierSpec,
+    RngSpec,
+    make_synthetic,
+)
 from smoothcert.numerics import DomainError
 from smoothcert.pipeline import (
     ParseError,
@@ -119,6 +128,67 @@ class TestRunPoints:
         serial = run_points(tasks, classifier, config, jobs=1)
         parallel = run_points(tasks, classifier, config, jobs=3)
         assert serial == parallel
+
+    def test_sampling_concurrency_is_bounded(self):
+        # every run_points thread hands its sub-streams to the one sampler
+        # pool, so no more than cpu_count classify_batch calls overlap
+        class CountingLinear(LinearClassifier):
+            def __init__(self, spec):
+                super().__init__(spec)
+                self.lock = threading.Lock()
+                self.active = 0
+                self.peak = 0
+
+            def classify_batch(self, points):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                try:
+                    time.sleep(0.002)  # holds the call open so overlaps show
+                    return super().classify_batch(points)
+                finally:
+                    with self.lock:
+                        self.active -= 1
+
+        classifier, tasks = make_linear_workload(
+            dim=160, count=6, seed=9, sigma=0.5, threats=THREATS,
+        )
+        counting = CountingLinear(classifier.spec)
+        config = small_config(n_samples=4000)
+        # frequent thread switches, so a lost update in the merge would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = run_points(tasks, counting, config, jobs=3)
+        finally:
+            sys.setswitchinterval(interval)
+        cpus = os.cpu_count() or 1
+        assert min(2, cpus) <= counting.peak <= cpus
+        assert results == run_points(tasks, classifier, config, jobs=1)
+
+    def test_failure_in_one_substream_stays_in_its_row(self):
+        # raise on the first chunk of sub-stream 2 of the second point only;
+        # float64 draws make that chunk's first row exact: x + sigma * z
+        classifier, tasks = make_linear_workload(
+            dim=160, count=3, seed=9, sigma=0.5, threats=THREATS,
+        )
+        config = small_config(sample_dtype="float64")
+        target = tasks[1].x + config.sigma * RngSpec(
+            config.seed, 1, substream=2).generator().standard_normal(160)
+
+        class FailingLinear(LinearClassifier):
+            def classify_batch(self, points):
+                if np.array_equal(points[0], target):
+                    raise RuntimeError("classifier down")
+                return super().classify_batch(points)
+
+        failing = FailingLinear(classifier.spec)
+        clean = run_points(tasks, classifier, config, jobs=1)
+        for jobs in (1, 2):
+            results = run_points(tasks, failing, config, jobs=jobs)
+            assert results[1].error == "RuntimeError: classifier down"
+            assert results[1].abstained and results[1].predicted == -1
+            assert [results[0], results[2]] == [clean[0], clean[2]]
 
 
 class TestCurve:
