@@ -8,21 +8,19 @@ so every lp radius is margin over the dual norm of the weights).
 
 Sampling uses a counter-based generator keyed by (seed, stream_id): any
 worker that owns a stream reproduces the identical draw sequence.  A pass
-splits its draws over a fixed number of sub-streams of that key, each
-starting at its own Philox counter offset, and samples them on one shared
-thread pool of ``os.cpu_count()`` threads; the per-sub-stream counts and
-sums are added in sub-stream order, so the output does not depend on the
-thread count.  Each sub-stream draws in chunks of a fixed element budget
-into buffers reused across chunks and adds each chunk's noise to its class
-sums with one one-hot matmul; the draws and labels do not depend on the
-chunk size.
+draws each of its two halves from its own sub-stream of that key, each
+starting at its own Philox counter offset, and samples both on one shared
+thread pool of ``os.cpu_count()`` threads; each half's counts and sums come
+from one sub-stream, so the output does not depend on the thread count.
+Each sub-stream draws in chunks of a fixed element budget into buffers
+reused across chunks and adds each chunk's noise to its class sums with
+one one-hot matmul; the draws and labels do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -76,7 +74,12 @@ class RngSpec:
 
 
 class BlackBoxClassifier:
-    """Hard-label classifier: only class labels are observable."""
+    """Hard-label classifier: only class labels are observable.
+
+    ``classify_batch`` must be thread-safe: sampling always runs on the
+    shared sampler pool, so several calls may run at once, even in a
+    serial ``run_points``.
+    """
 
     num_classes: int = 2
 
@@ -211,44 +214,20 @@ class ClassConditionalSums:
 # still start BLAS threads of its own.
 _CHUNK_ELEMENTS = 1 << 16
 
-# Sub-streams per pass: 0 .. K/2 - 1 draw the first half of the rows and
-# K/2 .. K - 1 the second, so the halves come from disjoint sub-streams.  A
-# constant of the layout, not the worker count.  At d = 152 and 200k float32
-# draws on 2 cores, a point took 0.36-0.40 s (median of 18) for each of
-# K = 2, 4 and 8, against 0.59 s for one serial stream; 4 leaves work for
-# more than 2 cores.
-_SUBSTREAMS = 4
-
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _sampler_pool() -> ThreadPoolExecutor:
-    """The shared sampler pool, created on first use."""
+# The sampler pool, shared by every pass: a pass submits one task per half,
+# each drawing from its own sub-stream.  At d = 152 and 200k float32 draws
+# on 2 cores, a point took 0.36-0.40 s (median of 18) with 2, 4 or 8
+# sub-streams per pass, against 0.59 s for one serial stream.
+def _new_pool() -> None:
+    # also run in a forked child, which inherits the pool but none of its
+    # threads: work handed to the inherited pool would never run
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
-                                       thread_name_prefix="smoothcert-sampler")
-        return _pool
+    _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                               thread_name_prefix="smoothcert-sampler")
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the pool but none of its threads: work handed
-    # to it would never run
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _substream_rows(n1: int, n2: int) -> list[int]:
-    """Rows per sub-stream: each half spread evenly, lower k takes the extra."""
-    per_half = _SUBSTREAMS // 2
-    return [half // per_half + (k < half % per_half)
-            for half in (n1, n2) for k in range(per_half)]
+_new_pool()
+os.register_at_fork(after_in_child=_new_pool)
 
 
 def _sample_substream(f: BlackBoxClassifier, x: np.ndarray, sigma, n: int,
@@ -284,16 +263,14 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
                       dtype=np.float64) -> ClassConditionalSums:
     """One pass of n Gaussian perturbations, accumulated per class and split.
 
-    The first n1 = ceil(n / 2) draws come from sub-streams 0 .. K/2 - 1 of
-    ``rng`` and the other n2 from K/2 .. K - 1, each sub-stream drawing its
-    rows from the start of its stream.  The sub-streams run on the shared
-    sampler pool and their counts and sums are added in sub-stream order, so
-    the result is the same for any thread count.  ``chunk`` is the number
-    of rows a sub-stream draws at a time (default: from the element
-    budget).  The draws, the labels and the counts do not depend on it; the
-    sums depend on it only through their summation order.  If the
-    classifier raises in several sub-streams, the lowest one's error is
-    raised once all have finished.
+    The first n1 = ceil(n / 2) draws come from sub-stream 0 of ``rng`` and
+    the other n2 from sub-stream 1, each from the start of its stream.  The
+    two run on the shared sampler pool, so the result is the same for any
+    thread count.  ``chunk`` is the number of rows a sub-stream draws at a
+    time (default: from the element budget).  The draws, the labels and the
+    counts do not depend on it; the sums depend on it only through their
+    summation order.  If the classifier raises, the error of the first half
+    that failed is raised once both halves have finished.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != cfg.dim:
@@ -303,20 +280,16 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
     n1 = (n + 1) // 2
     num_classes = f.num_classes
     rows = chunk if chunk is not None else max(1, _CHUNK_ELEMENTS // cfg.dim)
-    pool = _sampler_pool()
     futures = [
-        (k, pool.submit(_sample_substream, f, x, dtype(cfg.sigma), n_k, min(rows, n_k),
-                        replace(rng, substream=k), dtype))
-        for k, n_k in enumerate(_substream_rows(n1, n - n1)) if n_k
+        _pool.submit(_sample_substream, f, x, dtype(cfg.sigma), n_h, min(rows, n_h),
+                     replace(rng, substream=h), dtype)
+        for h, n_h in enumerate((n1, n - n1))
     ]
-    wait([future for _, future in futures])
+    wait(futures)
     counts = np.zeros((2, num_classes), dtype=np.int64)
     class_w_sum = np.zeros((2, num_classes, cfg.dim), dtype=float)
-    for k, future in futures:
-        counts_k, sums_k = future.result()
-        half = 2 * k // _SUBSTREAMS
-        counts[half] += counts_k
-        class_w_sum[half] += sums_k
+    for h, future in enumerate(futures):
+        counts[h], class_w_sum[h] = future.result()
     # a label outside [0, num_classes) matches no one-hot row and would drop
     # its draw from every count and sum
     if int(counts.sum()) != n:

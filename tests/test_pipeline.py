@@ -130,7 +130,7 @@ class TestRunPoints:
         assert serial == parallel
 
     def test_sampling_concurrency_is_bounded(self):
-        # every run_points thread hands its sub-streams to the one sampler
+        # every run_points thread hands its two halves to the one sampler
         # pool, so no more than cpu_count classify_batch calls overlap
         class CountingLinear(LinearClassifier):
             def __init__(self, spec):
@@ -167,14 +167,14 @@ class TestRunPoints:
         assert results == run_points(tasks, classifier, config, jobs=1)
 
     def test_failure_in_one_substream_stays_in_its_row(self):
-        # raise on the first chunk of sub-stream 2 of the second point only;
+        # raise on the first chunk of sub-stream 1 of the second point only;
         # float64 draws make that chunk's first row exact: x + sigma * z
         classifier, tasks = make_linear_workload(
             dim=160, count=3, seed=9, sigma=0.5, threats=THREATS,
         )
         config = small_config(sample_dtype="float64")
         target = tasks[1].x + config.sigma * RngSpec(
-            config.seed, 1, substream=2).generator().standard_normal(160)
+            config.seed, 1, substream=1).generator().standard_normal(160)
 
         class FailingLinear(LinearClassifier):
             def classify_batch(self, points):
