@@ -583,11 +583,19 @@ def _soft_interval_init(stats: FirstOrderStats, r: float
     return c0, c1, u
 
 
-def _solve_reduced(stats: FirstOrderStats, r: float, settings: SolverSettings,
-                   warm: Optional[tuple[float, float]] = None) -> tuple[float, float]:
+def _reduced_dual(stats: FirstOrderStats, r: float,
+                  settings: SolverSettings = SolverSettings(),
+                  warm: Optional[DualSolution] = None) -> DualSolution:
+    """The two-equation dual, which drops the directional constraint.
+
+    A minimum over fewer constraints is no larger, so the bound is always
+    conservative; ``solve_dual`` falls back to it.  ``warm``, when it is a
+    reduced solution, is tried before the cold start.
+    """
     inits = []
-    if warm is not None:
-        inits.append(warm)
+    if (warm is not None and warm.variant is DualVariant.REDUCED_NO_SLOPE
+            and warm.c0 > 0.0):
+        inits.append((math.log(warm.c0), math.log(-warm.c2)))
     inits.append(_reduced_init(stats, r))
     last: Optional[NoConvergenceError] = None
     for init in inits:
@@ -595,16 +603,18 @@ def _solve_reduced(stats: FirstOrderStats, r: float, settings: SolverSettings,
             sol = solve_system(
                 lambda th: _dual_residual(th, stats, r, full=False), init, settings
             )
-            return math.exp(min(float(sol[0]), 700.0)), float(sol[1])
         except NoConvergenceError as err:
             last = err
+            continue
+        c0, u = math.exp(min(float(sol[0]), 700.0)), float(sol[1])
+        return DualSolution(c0, 0.0, -math.exp(max(u, -745.0)),
+                            DualVariant.REDUCED_NO_SLOPE, r)
     raise last  # type: ignore[misc]
 
 
 def solve_dual(stats: FirstOrderStats, r: float,
                settings: SolverSettings = SolverSettings(),
-               warm: Optional[DualSolution] = None,
-               force_variant: Optional[DualVariant] = None) -> DualSolution:
+               warm: Optional[DualSolution] = None) -> DualSolution:
     """Worst-case dual coefficients at scaled travel distance r > 0.
 
     Solves the full three-equation system; both slope signs are accepted,
@@ -616,10 +626,10 @@ def solve_dual(stats: FirstOrderStats, r: float,
     2. the m2 = 0 interval with its edges softened to m2;
     3. the tilted-halfspace limit.
 
-    When none of them converges, or when ``force_variant`` requests it, the
-    two-equation system is solved instead, which drops the directional
-    constraint and is always conservative.  m2 below the degeneracy floor
-    routes to the exact interval geometry.
+    When none of them converges, the two-equation system is solved instead
+    (``_reduced_dual``), which drops the directional constraint and is
+    always conservative.  m2 below the degeneracy floor routes to the exact
+    interval geometry.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"travel distance must be positive and finite, got {r}")
@@ -630,26 +640,14 @@ def solve_dual(stats: FirstOrderStats, r: float,
     if stats.m2 > m2_cap:
         stats = replace(stats, m2=m2_cap)
 
-    if stats.m2 < M2_DEGENERATE or force_variant is DualVariant.INTERVAL:
+    if stats.m2 < M2_DEGENERATE:
         w2, w1 = _solve_interval(stats.q, stats.m1)
         return DualSolution(None, None, None, DualVariant.INTERVAL, r,
                             interval=(w2, w1))
 
     warm_full: Optional[tuple[float, float, float]] = None
-    warm_reduced: Optional[tuple[float, float]] = None
     if warm is not None and warm.variant is DualVariant.FULL:
         warm_full = (warm.c0, warm.c1, math.log(-warm.c2))
-    if warm is not None and warm.variant is DualVariant.REDUCED_NO_SLOPE:
-        if warm.c0 > 0.0:
-            warm_reduced = (math.log(warm.c0), math.log(-warm.c2))
-
-    def reduced_solution() -> DualSolution:
-        c0_r, u_r = _solve_reduced(stats, r, settings, warm_reduced)
-        return DualSolution(c0_r, 0.0, -math.exp(max(u_r, -745.0)),
-                            DualVariant.REDUCED_NO_SLOPE, r)
-
-    if force_variant is DualVariant.REDUCED_NO_SLOPE:
-        return reduced_solution()
 
     def try_full(init: tuple[float, float, float]) -> Optional[np.ndarray]:
         try:
@@ -670,7 +668,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
         full_sol = try_full(_tilted_init(stats, r))
     if full_sol is None:
         # conservative fallback: the two-equation bound is valid regardless
-        return reduced_solution()
+        return _reduced_dual(stats, r, settings, warm)
 
     c0, c1, u = float(full_sol[0]), float(full_sol[1]), float(full_sol[2])
     return DualSolution(c0, c1, -math.exp(max(u, -745.0)), DualVariant.FULL, r)

@@ -43,7 +43,6 @@ __all__ = [
     "ClassConditionalSums",
     "sample_class_sums",
     "batch_for_class",
-    "sample_statistics",
     "analytic_linear_stats",
     "analytic_linear_radius",
     "mc_worst_case_probability",
@@ -184,13 +183,21 @@ class ClassConditionalSums:
     Enough to reconstruct the gradient-statistic batch for any class c:
     z = w (1[label = c] - 1/2), so
     sum z = class_w_sum[c] - (sum over classes k of class_w_sum[k]) / 2.
+    The draws n1 and n2 of the halves are their count totals, since
+    ``sample_class_sums`` rejects labels outside the classes.
     """
 
     counts: np.ndarray       # (2, num_classes)
     class_w_sum: np.ndarray  # (2, num_classes, d)
-    n1: int
-    n2: int
     sigma: float
+
+    @property
+    def n1(self) -> int:
+        return int(self.counts[0].sum())
+
+    @property
+    def n2(self) -> int:
+        return int(self.counts[1].sum())
 
     @property
     def total_counts(self) -> np.ndarray:
@@ -294,7 +301,7 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
     # its draw from every count and sum
     if int(counts.sum()) != n:
         raise DomainError(f"classifier returned labels outside [0, {num_classes - 1}]")
-    return ClassConditionalSums(counts, class_w_sum, n1, n - n1, cfg.sigma)
+    return ClassConditionalSums(counts, class_w_sum, cfg.sigma)
 
 
 def batch_for_class(sums: ClassConditionalSums, c: int) -> GradientSampleBatch:
@@ -310,13 +317,6 @@ def batch_for_class(sums: ClassConditionalSums, c: int) -> GradientSampleBatch:
         success_count=int(sums.counts[0, c] + sums.counts[1, c]),
         sigma=sums.sigma,
     )
-
-
-def sample_statistics(f: BlackBoxClassifier, x, c: int, cfg: SmoothingConfig,
-                      n: int, rng: RngSpec, chunk: Optional[int] = None,
-                      dtype=np.float64) -> GradientSampleBatch:
-    """Draw n perturbations and accumulate the class-c gradient statistic."""
-    return batch_for_class(sample_class_sums(f, x, cfg, n, rng, chunk, dtype), c)
 
 
 def analytic_linear_stats(spec: LinearClassifierSpec, x,

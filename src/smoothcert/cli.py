@@ -343,12 +343,12 @@ def cmd_selftest(args) -> int:
     from . import selftest as st
 
     results = st.run_selftests(quick=args.quick)
-    width = max(len(r.name) for r in results)
+    width = max(len(name) for name, _ in results)
     all_ok = True
-    for res in results:
+    for name, res in results:
         mark = "PASS" if res.passed else "FAIL"
         all_ok &= res.passed
-        print(f"{res.name.ljust(width)}  {mark}  {res.detail}")
+        print(f"{name.ljust(width)}  {mark}  {res.detail}")
     print(f"{'overall'.ljust(width)}  {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 

@@ -115,7 +115,8 @@ class RunConfig:
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be at least 2, got {self.n_samples}")
         if self.sample_dtype not in ("float32", "float64"):
-            raise DomainError(f"sample_dtype must be float32 or float64")
+            raise DomainError("sample_dtype must be float32 or float64, "
+                              f"got {self.sample_dtype!r}")
         object.__setattr__(self, "linf_mode", LinfMode(self.linf_mode))
 
 

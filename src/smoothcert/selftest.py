@@ -2,26 +2,31 @@
 
 Each check pits an independently derived value (closed form, re-derived
 algebra, or simulation) against the production code path; the suite exists
-so a broken build fails loudly without the full test suite.
+so a broken build fails loudly without the full test suite.  The checks
+take their seeds, grids, sample counts and limits as arguments:
+``run_selftests`` passes small ones, and the acceptance suite calls the same
+checks with its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import certify as cz
-from .certify import DualVariant, FirstOrderStats, SmoothingConfig
+from .certify import (DualVariant, FirstOrderStats, GradientNormBounds, LinfMode,
+                      SmoothingConfig)
 from .classifiers import (
     LinearClassifierSpec,
     RngSpec,
     analytic_linear_radius,
     analytic_linear_stats,
+    batch_for_class,
     mc_worst_case_probability,
-    sample_statistics,
+    sample_class_sums,
     LinearClassifier,
 )
 from .estimate import estimate_q_lower, l2_norm_bounds, subgaussian_k, GradientSampleBatch
@@ -32,15 +37,17 @@ __all__ = [
     "run_selftests",
     "table1_l2_oracle",
     "random_halfspace_case",
-    "shrunk_halfspace_stats",
 ]
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    name: str
+    """Outcome of one check; ``values`` holds the figures behind ``detail``
+    for callers that report them in their own format."""
+
     passed: bool
     detail: str
+    values: dict[str, float] = field(default_factory=dict)
 
 
 def table1_l2_oracle(dot: float, k: float, n1: int, n2: int, d: int,
@@ -80,122 +87,89 @@ def random_halfspace_case(seed: int, dim: int
     return LinearClassifierSpec(w=w, b=0.0), x, SmoothingConfig(sigma, dim)
 
 
-def shrunk_halfspace_stats(spec: LinearClassifierSpec, x: np.ndarray,
-                           cfg: SmoothingConfig, kind: str) -> FirstOrderStats:
-    """Exact first-order stats along the worst ``kind`` direction ("l1", "l2"
-    or "linf"), shrunk by 1e-6 so the solver stays off the boundary.
-    """
-    y0, y1 = analytic_linear_stats(spec, x, cfg)
-    l2 = float(np.linalg.norm(y1))
-    linf = float(np.max(np.abs(y1)))
-    l1 = float(np.sum(np.abs(y1)))
-    s = 1.0 - 1e-6
-    sigma = cfg.sigma
-    if kind == "l2":
-        return FirstOrderStats(y0, -sigma * l2 * s, 0.0)
-    if kind == "l1":
-        m1 = -sigma * linf * s
-        m2 = sigma * math.sqrt(max(0.0, l2 * l2 - linf * linf)) * s
-        return FirstOrderStats(y0, m1, m2)
-    if kind == "linf":
-        root_d = math.sqrt(cfg.dim)
-        m1 = -(sigma / root_d) * l1 * s
-        m2 = (sigma / root_d) * math.sqrt(max(0.0, cfg.dim * l2 * l2 - l1 * l1)) * s
-        return FirstOrderStats(y0, m1, m2)
-    raise ValueError(kind)
-
-
-def _check_zeroth() -> CheckResult:
+def _check_zeroth(sigmas, dim: int, qs, limit: float) -> CheckResult:
     worst = 0.0
-    for sigma in (0.12, 0.25, 0.5, 1.0):
-        cfg = SmoothingConfig(sigma, 3)
-        for q in np.linspace(0.51, 0.995, 13):
+    for sigma in sigmas:
+        cfg = SmoothingConfig(sigma, dim)
+        for q in qs:
             got = cz.zeroth_radius_l2(float(q), cfg)
             want = sigma * float(std_normal_quantile(float(q)))
             worst = max(worst, abs(got - want))
-    return CheckResult("zeroth_closed_form", worst <= 1e-9,
-                       f"max |error| = {worst:.2e}")
+    return CheckResult(worst <= limit, f"max |error| = {worst:.2e}",
+                       {"worst": worst})
 
 
-def _check_halfspace_l2() -> CheckResult:
+# the first-order lp radius from exact gradient-norm bounds, per p
+_HALFSPACE_RADIUS = {
+    2: lambda y0, bounds, cfg, tol: cz.radius_l2_first(y0, bounds.l2_upper, cfg, tol),
+    1: lambda y0, bounds, cfg, tol: cz.radius_l1_first(y0, bounds, cfg, tol),
+    math.inf: lambda y0, bounds, cfg, tol: cz.radius_linf_first(
+        y0, bounds, cfg, tol, mode=LinfMode.VIA_L1_BOUND),
+}
+
+
+def _check_halfspace(p, cases, tol: float, limit: float) -> CheckResult:
+    """First-order lp radius against the exact halfspace radius, for each
+    ``random_halfspace_case(seed, dim)`` of ``cases``."""
     worst = 0.0
-    for seed in (1, 2, 3):
-        spec, x, cfg = random_halfspace_case(seed, 4)
+    # the slight shrink keeps the interval system's sign convention on the
+    # solve path (exactly at the boundary it short-circuits)
+    s = 1.0 - 1e-6
+    for seed, dim in cases:
+        spec, x, cfg = random_halfspace_case(seed, dim)
         y0, y1 = analytic_linear_stats(spec, x, cfg)
-        # the slight shrink keeps the interval system's sign convention on
-        # the solve path (exactly at the boundary it short-circuits)
-        bound = float(np.linalg.norm(y1)) * (1.0 - 1e-6)
-        got = cz.radius_l2_first(y0, bound, cfg).radius
-        want = analytic_linear_radius(spec, x, 2)
+        l2 = float(np.linalg.norm(y1))
+        linf = float(np.max(np.abs(y1)))
+        l1 = float(np.sum(np.abs(y1)))
+        bounds = GradientNormBounds(l2_lower=l2 * s, l2_upper=l2 * s,
+                                    linf_upper=linf * s, l1_upper=l1 * s)
+        got = _HALFSPACE_RADIUS[p](y0, bounds, cfg, tol).radius
+        want = analytic_linear_radius(spec, x, p)
         worst = max(worst, abs(got - want) / want)
-    return CheckResult("halfspace_l2_exactness", worst <= 0.02,
-                       f"max relative error = {worst:.2e}")
+    return CheckResult(worst <= limit, f"max relative error = {worst:.2e}",
+                       {"worst": worst})
 
 
-def _check_halfspace_l1() -> CheckResult:
+def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
+    """Each case is ``(q, m1, m2, r, solve)``, ``solve`` being
+    ``certify.solve_dual`` or ``certify._reduced_dual``; case i draws from
+    seed + i."""
     worst = 0.0
-    for seed in (4, 5):
-        spec, x, cfg = random_halfspace_case(seed, 4)
-        stats = shrunk_halfspace_stats(spec, x, cfg, "l1")
-        got = cz.directional_radius(stats, cfg).radius
-        want = analytic_linear_radius(spec, x, 1)
-        worst = max(worst, abs(got - want) / want)
-    return CheckResult("halfspace_l1_exactness", worst <= 0.05,
-                       f"max relative error = {worst:.2e}")
-
-
-def _check_halfspace_linf() -> CheckResult:
-    worst = 0.0
-    for seed in (6, 7):
-        spec, x, cfg = random_halfspace_case(seed, 4)
-        stats = shrunk_halfspace_stats(spec, x, cfg, "linf")
-        got = cz.directional_radius(stats, cfg).radius / math.sqrt(cfg.dim)
-        want = analytic_linear_radius(spec, x, math.inf)
-        worst = max(worst, abs(got - want) / want)
-    return CheckResult("halfspace_linf_exactness", worst <= 0.05,
-                       f"max relative error = {worst:.2e}")
-
-
-def _check_mc_oracle(n: int) -> CheckResult:
-    tuples = [
-        (0.9, 0.0, 0.08, 0.3, None),
-        (0.8, 0.05, 0.1, 0.4, None),
-        (0.75, -0.1, 0.15, 0.6, None),
-        (0.9, 0.0, 0.08, 0.3, DualVariant.REDUCED_NO_SLOPE),
-        (0.9, -0.12, 0.0, 0.7, None),  # interval variant
-    ]
-    worst = 0.0
-    for i, (q, m1, m2, r, force) in enumerate(tuples):
-        dual = cz.solve_dual(FirstOrderStats(q, m1, m2), r, force_variant=force)
+    reduced = 0
+    for i, (q, m1, m2, r, solve) in enumerate(cases):
+        dual = solve(FirstOrderStats(q, m1, m2), r)
+        reduced += dual.variant is DualVariant.REDUCED_NO_SLOPE
         p = cz.probability_from_dual(dual)
-        est, se = mc_worst_case_probability(dual, r, n, RngSpec(100 + i, 0))
+        est, se = mc_worst_case_probability(dual, r, n, RngSpec(seed + i, 0))
         worst = max(worst, abs(p - est) / max(se, 1e-12))
-    return CheckResult("mc_oracle_agreement", worst <= 4.0,
-                       f"max |p - mc| = {worst:.2f} stderr")
+    return CheckResult(worst <= limit, f"max |p - mc| = {worst:.2f} stderr",
+                       {"worst": worst, "reduced": reduced})
 
 
-def _check_estimator_formulas() -> CheckResult:
+def _check_estimator_formulas(cases, seed: int, mean_scale: float,
+                              noise_scale: float, limit: float) -> CheckResult:
+    """Each case is ``(n1, n2, d, sigma, alpha)``; case i draws from seed + i
+    a mean at ``mean_scale``, added n1 and n2 times, then each sum's noise."""
     worst = 0.0
-    for seed, (n1, n2, d, sigma, alpha) in enumerate(
-        [(1000, 1000, 200, 1.0, 0.01), (5000, 4000, 400, 0.5, 0.001),
-         (200, 300, 300, 0.25, 0.05)]
-    ):
-        gen = RngSpec(50 + seed, 0).generator()
-        mean = gen.standard_normal(d) * 0.01
+    for i, (n1, n2, d, sigma, alpha) in enumerate(cases):
+        gen = RngSpec(seed + i, 0).generator()
+        mean = gen.standard_normal(d) * mean_scale
         batch = GradientSampleBatch(
-            x_sum=mean * n1 + gen.standard_normal(d) * 0.05,
-            y_sum=mean * n2 + gen.standard_normal(d) * 0.05,
+            x_sum=mean * n1 + gen.standard_normal(d) * noise_scale,
+            y_sum=mean * n2 + gen.standard_normal(d) * noise_scale,
             n1=n1, n2=n2, success_count=n1 + n2, sigma=sigma,
         )
         got = l2_norm_bounds(batch, alpha)
         dot = float((batch.x_sum / n1) @ (batch.y_sum / n2))
         want = table1_l2_oracle(dot, subgaussian_k(sigma), n1, n2, d, alpha)
         for g, w in zip(got, want):
-            if math.isinf(g) and math.isinf(w):
-                continue
-            worst = max(worst, abs(g - w) / max(abs(w), 1e-12))
-    return CheckResult("table1_constants", worst <= 1e-9,
-                       f"max relative mismatch = {worst:.2e}")
+            if math.isinf(w):
+                err = 0.0 if g == w else math.inf
+            else:
+                err = abs(g - w) / max(abs(w), 1e-12)
+            worst = max(worst, err)
+    return CheckResult(worst <= limit, f"max relative mismatch = {worst:.2e}",
+                       {"worst": worst})
 
 
 def _check_clopper_pearson() -> CheckResult:
@@ -205,8 +179,7 @@ def _check_clopper_pearson() -> CheckResult:
     ]
     got = estimate_q_lower(900, 1000, 0.001)
     checks.append(0.86 < got < 0.90)
-    return CheckResult("clopper_pearson", all(checks),
-                       f"q_lb(900/1000, a=1e-3) = {got:.5f}")
+    return CheckResult(all(checks), f"q_lb(900/1000, a=1e-3) = {got:.5f}")
 
 
 def _check_determinism() -> CheckResult:
@@ -214,62 +187,87 @@ def _check_determinism() -> CheckResult:
     f = LinearClassifier(spec)
     cfg = SmoothingConfig(0.5, 3)
     x = np.array([0.2, 0.0, -0.1])
-    a = sample_statistics(f, x, 0, cfg, 4096, RngSpec(9, 9))
-    b = sample_statistics(f, x, 0, cfg, 4096, RngSpec(9, 9))
+    a = batch_for_class(sample_class_sums(f, x, cfg, 4096, RngSpec(9, 9)), 0)
+    b = batch_for_class(sample_class_sums(f, x, cfg, 4096, RngSpec(9, 9)), 0)
     same = (np.array_equal(a.x_sum, b.x_sum) and np.array_equal(a.y_sum, b.y_sum)
             and a.success_count == b.success_count)
-    return CheckResult("sampling_determinism", same,
-                       "bit-identical batches" if same else "batches differ")
+    return CheckResult(same, "bit-identical batches" if same else "batches differ")
 
 
-def _check_dominance() -> CheckResult:
-    worst = -math.inf
-    for q in (0.6, 0.75, 0.9, 0.99):
-        cfg = SmoothingConfig(0.5, 8)
+def _check_dominance(qs, sigmas, fracs, dim: int, gap_limit: float,
+                     boundary_limit: float) -> CheckResult:
+    """Corollary 3: the first-order l2 radius is at least the zeroth-order
+    one, and equals it at frac = 1, the largest feasible gradient."""
+    worst_gap = -math.inf
+    worst_eq = 0.0
+    for q in qs:
         big_m = cz.max_gradient_magnitude(q)
-        for frac in (0.25, 0.5, 0.75, 1.0):
-            first = cz.radius_l2_first(q, frac * big_m / cfg.sigma, cfg).radius
-            worst = max(worst, cz.zeroth_radius_l2(q, cfg) - first)
-    return CheckResult("l2_dominance", worst <= 1e-6,
-                       f"max (zeroth - first) = {worst:.2e}")
+        for sigma in sigmas:
+            cfg = SmoothingConfig(sigma, dim)
+            zeroth = cz.zeroth_radius_l2(q, cfg)
+            for frac in fracs:
+                first = cz.radius_l2_first(q, frac * big_m / sigma, cfg).radius
+                worst_gap = max(worst_gap, zeroth - first)
+                if frac == 1.0:
+                    worst_eq = max(worst_eq, abs(first - zeroth) / zeroth)
+    return CheckResult(worst_gap <= gap_limit and worst_eq <= boundary_limit,
+                       f"max (zeroth - first) = {worst_gap:.2e}",
+                       {"gap": worst_gap, "boundary": worst_eq})
 
 
-def _check_angular() -> CheckResult:
+def _check_angular(q: float, mag_frac: float, angles: int) -> CheckResult:
     cfg = SmoothingConfig(1.0, 4)
-    q, mag = 0.85, 0.8 * cz.max_gradient_magnitude(0.85)
+    mag = mag_frac * cz.max_gradient_magnitude(q)
     radii = []
-    for theta in np.linspace(0.0, math.pi, 5):
+    for theta in np.linspace(0.0, math.pi, angles):
         stats = FirstOrderStats(q, mag * math.cos(theta), mag * abs(math.sin(theta)))
         radii.append(cz.directional_radius(stats, cfg).radius)
     diffs = [radii[i + 1] - radii[i] for i in range(len(radii) - 1)]
     ok = all(d <= 1e-9 for d in diffs)
-    return CheckResult("angular_monotonicity", ok,
-                       f"radii = {[round(r, 4) for r in radii]}")
+    return CheckResult(ok, f"radii = {[round(r, 4) for r in radii]}")
 
 
-def run_selftests(quick: bool = False) -> list[CheckResult]:
-    checks: list[Callable[[], CheckResult]] = [
-        _check_zeroth,
-        _check_halfspace_l2,
-        _check_halfspace_l1,
-        _check_clopper_pearson,
-        _check_estimator_formulas,
-        _check_determinism,
-        lambda: _check_mc_oracle(100_000),
+def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
+    """Run the checks in a fixed order; return (name, result) pairs."""
+    mc_cases = [
+        (0.9, 0.0, 0.08, 0.3, cz.solve_dual),
+        (0.8, 0.05, 0.1, 0.4, cz.solve_dual),
+        (0.75, -0.1, 0.15, 0.6, cz.solve_dual),
+        (0.9, 0.0, 0.08, 0.3, cz._reduced_dual),
+        (0.9, -0.12, 0.0, 0.7, cz.solve_dual),  # interval variant
+    ]
+    checks: list[tuple[str, Callable[[], CheckResult]]] = [
+        ("zeroth_closed_form", lambda: _check_zeroth(
+            sigmas=(0.12, 0.25, 0.5, 1.0), dim=3, qs=np.linspace(0.51, 0.995, 13),
+            limit=1e-9)),
+        ("halfspace_l2_exactness", lambda: _check_halfspace(
+            2, cases=[(1, 4), (2, 4), (3, 4)], tol=1e-6, limit=0.02)),
+        ("halfspace_l1_exactness", lambda: _check_halfspace(
+            1, cases=[(4, 4), (5, 4)], tol=1e-4, limit=0.05)),
+        ("clopper_pearson", _check_clopper_pearson),
+        ("table1_constants", lambda: _check_estimator_formulas(
+            [(1000, 1000, 200, 1.0, 0.01), (5000, 4000, 400, 0.5, 0.001),
+             (200, 300, 300, 0.25, 0.05)],
+            seed=50, mean_scale=0.01, noise_scale=0.05, limit=1e-9)),
+        ("sampling_determinism", _check_determinism),
+        ("mc_oracle_agreement", lambda: _check_mc_oracle(
+            mc_cases, n=100_000, seed=100, limit=4.0)),
     ]
     if not quick:
         checks += [
-            _check_halfspace_linf,
-            lambda: _check_mc_oracle(1_000_000),
-            _check_dominance,
-            _check_angular,
+            ("halfspace_linf_exactness", lambda: _check_halfspace(
+                math.inf, cases=[(6, 4), (7, 4)], tol=1e-4, limit=0.05)),
+            ("mc_oracle_agreement", lambda: _check_mc_oracle(
+                mc_cases, n=1_000_000, seed=100, limit=4.0)),
+            ("l2_dominance", lambda: _check_dominance(
+                qs=(0.6, 0.75, 0.9, 0.99), sigmas=(0.5,), fracs=(0.25, 0.5, 0.75, 1.0),
+                dim=8, gap_limit=1e-6, boundary_limit=math.inf)),
+            ("angular_monotonicity", lambda: _check_angular(0.85, mag_frac=0.8, angles=5)),
         ]
     results = []
-    for check in checks:
+    for name, check in checks:
         try:
-            results.append(check())
+            results.append((name, check()))
         except Exception as err:  # a crash is a failed check, not a crash
-            name = getattr(check, "__name__", "mc_oracle_agreement")
-            results.append(CheckResult(name.lstrip("_"), False,
-                                       f"{type(err).__name__}: {err}"))
+            results.append((name, CheckResult(False, f"{type(err).__name__}: {err}")))
     return results

@@ -2,8 +2,11 @@
 
 Expected values here are computed by routes independent of the code under
 test: scipy special-function identities, brute-force bisection, linear
-programs and central differences.  The Table-1 and halfspace oracles that
-``smoothcert selftest`` also runs live in ``smoothcert.selftest``.
+programs and central differences.  The cross-checks that ``smoothcert
+selftest`` runs live in ``smoothcert.selftest``: the acceptance suite calls
+its zeroth closed-form, halfspace-exactness, l2-dominance, Monte-Carlo
+oracle and Table-1 checks with its own parameters, and the unit tests call
+the zeroth, halfspace and angular checks with theirs.
 """
 
 from __future__ import annotations

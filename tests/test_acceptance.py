@@ -1,5 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Criteria 1, 2, 4, 5 and 8 call the ``smoothcert.selftest`` checks
+``_check_zeroth``, ``_check_halfspace``, ``_check_dominance``,
+``_check_mc_oracle`` and ``_check_estimator_formulas`` with their own seeds,
+grids, sample counts and limits; ``smoothcert selftest`` runs the same
+checks with smaller ones.
+
 Criterion 8 checks the sub-Gaussian constant k(sigma) = sigma^2 (1/4 +
 3/sqrt(8 pi e)) against the 40-digit reference ``helpers.SUBGAUSSIAN_K_1``
 to within 1e-12, at each sigma its Table-1 check uses.
@@ -11,20 +17,16 @@ import time
 import numpy as np
 
 from smoothcert.certify import (
-    DualVariant,
     FirstOrderStats,
     GradientNormBounds,
-    LinfMode,
     Method,
     SmoothingConfig,
     ThreatModel,
+    _reduced_dual,
     directional_radius,
     lower_bound_probability,
     max_gradient_magnitude,
-    probability_from_dual,
     radius_l1_first,
-    radius_l2_first,
-    radius_linf_first,
     solve_dual,
     zeroth_radius_l2,
 )
@@ -34,8 +36,8 @@ from smoothcert.classifiers import (
     RngSpec,
     analytic_linear_radius,
     analytic_linear_stats,
-    mc_worst_case_probability,
-    sample_statistics,
+    batch_for_class,
+    sample_class_sums,
 )
 from smoothcert.estimate import (
     estimate_q_lower,
@@ -50,7 +52,13 @@ from smoothcert.pipeline import (
     persist_run,
     run_points,
 )
-from smoothcert.selftest import random_halfspace_case, table1_l2_oracle
+from smoothcert.selftest import (
+    _check_dominance,
+    _check_estimator_formulas,
+    _check_halfspace,
+    _check_mc_oracle,
+    _check_zeroth,
+)
 from smoothcert.workloads import make_linear_workload
 
 from helpers import SUBGAUSSIAN_K_1, quantile
@@ -63,45 +71,23 @@ def report(criterion: str, passed: bool, detail: str, started: float) -> None:
 
 def test_criterion_1_zeroth_closed_form():
     t0 = time.time()
-    worst = 0.0
-    qs = np.linspace(0.5 + 1e-4, 0.999, 50)
-    for sigma in (0.12, 0.25, 0.5, 1.0):
-        cfg = SmoothingConfig(sigma, 8)
-        for q in qs:
-            got = zeroth_radius_l2(float(q), cfg)
-            worst = max(worst, abs(got - sigma * float(quantile(q))))
-    passed = worst <= 1e-9
-    report("1 zeroth closed form", passed, f"max |err| = {worst:.2e}", t0)
-    assert passed
+    res = _check_zeroth(sigmas=(0.12, 0.25, 0.5, 1.0), dim=8,
+                        qs=np.linspace(0.5 + 1e-4, 0.999, 50), limit=1e-9)
+    report("1 zeroth closed form", res.passed,
+           f"max |err| = {res.values['worst']:.2e}", t0)
+    assert res.passed
 
 
 def test_criterion_2_halfspace_exactness():
     t0 = time.time()
-    dims = [2, 4, 16]
-    worst = {"l2": 0.0, "l1": 0.0, "linf": 0.0}
-    s = 1.0 - 1e-6
-    for seed in range(10):
-        spec, x, cfg = random_halfspace_case(100 + seed, dims[seed % 3])
-        y0, y1 = analytic_linear_stats(spec, x, cfg)
-        l2 = float(np.linalg.norm(y1))
-        linf = float(np.max(np.abs(y1)))
-        l1 = float(np.sum(np.abs(y1)))
-        bounds = GradientNormBounds(l2_lower=l2 * s, l2_upper=l2 * s,
-                                    linf_upper=linf * s, l1_upper=l1 * s)
-        got_l2 = radius_l2_first(y0, l2 * s, cfg, tol=1e-6).radius
-        want_l2 = analytic_linear_radius(spec, x, 2)
-        worst["l2"] = max(worst["l2"], abs(got_l2 - want_l2) / want_l2)
-        got_l1 = radius_l1_first(y0, bounds, cfg, tol=5e-4).radius
-        want_l1 = analytic_linear_radius(spec, x, 1)
-        worst["l1"] = max(worst["l1"], abs(got_l1 - want_l1) / want_l1)
-        got_li = radius_linf_first(y0, bounds, cfg, tol=5e-4,
-                                   mode=LinfMode.VIA_L1_BOUND).radius
-        want_li = analytic_linear_radius(spec, x, math.inf)
-        worst["linf"] = max(worst["linf"], abs(got_li - want_li) / want_li)
-    passed = worst["l2"] <= 0.02 and worst["l1"] <= 0.05 and worst["linf"] <= 0.05
+    cases = [(100 + seed, (2, 4, 16)[seed % 3]) for seed in range(10)]
+    l2 = _check_halfspace(2, cases, tol=1e-6, limit=0.02)
+    l1 = _check_halfspace(1, cases, tol=5e-4, limit=0.05)
+    linf = _check_halfspace(math.inf, cases, tol=5e-4, limit=0.05)
+    passed = l2.passed and l1.passed and linf.passed
     report("2 halfspace exactness", passed,
-           f"rel err l2 {worst['l2']:.1e}, l1 {worst['l1']:.1e}, "
-           f"linf {worst['linf']:.1e}", t0)
+           f"rel err l2 {l2.values['worst']:.1e}, l1 {l1.values['worst']:.1e}, "
+           f"linf {linf.values['worst']:.1e}", t0)
     assert passed
 
 
@@ -126,53 +112,34 @@ def test_criterion_3_l1_gain():
 
 def test_criterion_4_corollary3_dominance():
     t0 = time.time()
-    worst_gap = -math.inf
-    worst_eq = 0.0
-    for q in (0.6, 0.75, 0.9, 0.99):
-        big_m = max_gradient_magnitude(q)
-        for sigma in (0.25, 1.0):
-            cfg = SmoothingConfig(sigma, 8)
-            zeroth = zeroth_radius_l2(q, cfg)
-            for frac in (0.25, 0.5, 0.75, 1.0):
-                got = radius_l2_first(q, frac * big_m / sigma, cfg).radius
-                worst_gap = max(worst_gap, zeroth - got)
-                if frac == 1.0:
-                    worst_eq = max(worst_eq, abs(got - zeroth) / zeroth)
-    passed = worst_gap <= 1e-6 and worst_eq <= 0.01
-    report("4 corollary-3 dominance", passed,
-           f"max zeroth-first = {worst_gap:.2e}, boundary rel dev = {worst_eq:.2e}",
-           t0)
-    assert passed
+    res = _check_dominance(qs=(0.6, 0.75, 0.9, 0.99), sigmas=(0.25, 1.0),
+                           fracs=(0.25, 0.5, 0.75, 1.0), dim=8, gap_limit=1e-6,
+                           boundary_limit=0.01)
+    report("4 corollary-3 dominance", res.passed,
+           f"max zeroth-first = {res.values['gap']:.2e}, "
+           f"boundary rel dev = {res.values['boundary']:.2e}", t0)
+    assert res.passed
 
 
 def test_criterion_5_mc_oracle_equivalence():
     t0 = time.time()
     gen = RngSpec(5150, 0).generator()
-    tuples = []
+    cases = []
     for _ in range(20):
         q = float(gen.uniform(0.55, 0.99))
         mag = float(gen.uniform(0.15, 0.95)) * max_gradient_magnitude(q)
         theta = float(gen.uniform(0.0, math.pi))
         r = float(gen.uniform(0.1, 3.0))
-        tuples.append((q, mag * math.cos(theta), mag * math.sin(theta), r, None))
+        cases.append((q, mag * math.cos(theta), mag * math.sin(theta), r, solve_dual))
     for i in range(3):  # the fallback path, exercised explicitly
         q = 0.7 + 0.08 * i
         mag = 0.5 * max_gradient_magnitude(q)
-        tuples.append((q, 0.3 * mag, 0.8 * mag, 0.5 + 0.4 * i,
-                       DualVariant.REDUCED_NO_SLOPE))
-    worst = 0.0
-    n_reduced = 0
-    for i, (q, m1, m2, r, force) in enumerate(tuples):
-        dual = solve_dual(FirstOrderStats(q, m1, m2), r, force_variant=force)
-        if dual.variant is DualVariant.REDUCED_NO_SLOPE:
-            n_reduced += 1
-        p = probability_from_dual(dual)
-        est, se = mc_worst_case_probability(dual, r, 1_000_000,
-                                            RngSpec(6000 + i, 0))
-        worst = max(worst, abs(p - est) / max(se, 1e-12))
-    passed = worst <= 3.0 and n_reduced >= 3 and len(tuples) >= 20
+        cases.append((q, 0.3 * mag, 0.8 * mag, 0.5 + 0.4 * i, _reduced_dual))
+    res = _check_mc_oracle(cases, n=1_000_000, seed=6000, limit=3.0)
+    n_reduced = res.values["reduced"]
+    passed = res.passed and n_reduced >= 3 and len(cases) >= 20
     report("5 MC oracle equivalence", passed,
-           f"max dev = {worst:.2f} stderr over {len(tuples)} tuples "
+           f"max dev = {res.values['worst']:.2f} stderr over {len(cases)} tuples "
            f"({n_reduced} reduced)", t0)
     assert passed
 
@@ -233,8 +200,8 @@ def test_criterion_7_estimator_coverage():
         y0, y1 = analytic_linear_stats(spec, x, cfg)
         true_l2 = sigma * sigma * float(np.linalg.norm(y1))
         true_linf = sigma * sigma * float(np.max(np.abs(y1)))
-        batch = sample_statistics(f, x, f.classify(x), cfg, n,
-                                  RngSpec(100_000 + trial, 0), dtype=np.float32)
+        batch = batch_for_class(sample_class_sums(
+            f, x, cfg, n, RngSpec(100_000 + trial, 0), dtype=np.float32), f.classify(x))
         q_lb = estimate_q_lower(batch.success_count, n, alpha)
         if q_lb <= y0:
             hits["q"] += 1
@@ -256,25 +223,10 @@ def test_criterion_7_estimator_coverage():
 def test_criterion_8_subgaussian_constant():
     t0 = time.time()
     # Table 1 constants on three parameter sets (formula-evaluation oracle)
-    from smoothcert.estimate import GradientSampleBatch
-
-    table_ok = True
-    for seed, (n1, n2, d, sigma, alpha) in enumerate(
+    table_ok = _check_estimator_formulas(
         [(2000, 2000, 160, 1.0, 0.01), (100_000, 100_000, 200, 0.25, 0.001),
-         (500, 700, 300, 0.5, 0.05)]
-    ):
-        gen = RngSpec(8800 + seed, 0).generator()
-        x = gen.standard_normal(d) * 0.5
-        y = gen.standard_normal(d) * 0.5
-        batch = GradientSampleBatch(x, y, n1, n2, 0, sigma)
-        got = l2_norm_bounds(batch, alpha)
-        dot = float((x / n1) @ (y / n2))
-        want = table1_l2_oracle(dot, subgaussian_k(sigma), n1, n2, d, alpha)
-        for g, w in zip(got, want):
-            if math.isinf(w):
-                table_ok &= math.isinf(g)
-            else:
-                table_ok &= abs(g - w) <= 1e-10 * max(1.0, abs(w))
+         (500, 700, 300, 0.5, 0.05)],
+        seed=8800, mean_scale=0.0, noise_scale=0.5, limit=1e-10).passed
 
     # k(sigma) = sigma^2 (1/4 + 3/sqrt(8 pi e)) against the frozen reference
     constant_ok = True

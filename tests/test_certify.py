@@ -18,8 +18,9 @@ from smoothcert.certify import (
     zeroth_radius_l2,
 )
 from smoothcert.numerics import DomainError
+from smoothcert.selftest import _check_zeroth
 
-from helpers import MAX_GRAD_09, PHI_0, PHI_1, QUANTILE_0841, quantile
+from helpers import MAX_GRAD_09, PHI_0, PHI_1, QUANTILE_0841
 
 
 class TestTypes:
@@ -75,13 +76,9 @@ class TestZerothRadius:
         assert zeroth_radius_l2(0.95, cfg4) == pytest.approx(0.4112134, abs=1e-7)
 
     def test_closed_form_grid(self):
-        for sigma in (0.12, 0.25, 0.5, 1.0):
-            cfg = SmoothingConfig(sigma, 5)
-            for q in np.linspace(0.500001, 0.999, 23):
-                want = sigma * float(quantile(q))
-                assert zeroth_radius_l2(float(q), cfg) == pytest.approx(
-                    want, abs=1e-9
-                )
+        res = _check_zeroth(sigmas=(0.12, 0.25, 0.5, 1.0), dim=5,
+                            qs=np.linspace(0.500001, 0.999, 23), limit=1e-9)
+        assert res.passed, res.detail
 
     def test_threat_scaling(self):
         cfg = SmoothingConfig(0.5, 16)

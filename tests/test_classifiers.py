@@ -24,7 +24,6 @@ from smoothcert.classifiers import (
     make_synthetic,
     mc_worst_case_probability,
     sample_class_sums,
-    sample_statistics,
 )
 from smoothcert.estimate import gradient_mean
 from smoothcert.numerics import DomainError
@@ -70,12 +69,12 @@ class TestSampling:
     def test_deterministic_batches(self):
         f = make_synthetic("linear", {"w": [1.0, 1.0], "b": 0.2})
         cfg = SmoothingConfig(0.7, 2)
-        a = sample_statistics(f, [0.1, 0.0], 0, cfg, 999, RngSpec(3, 14))
-        b = sample_statistics(f, [0.1, 0.0], 0, cfg, 999, RngSpec(3, 14))
+        a = batch_for_class(sample_class_sums(f, [0.1, 0.0], cfg, 999, RngSpec(3, 14)), 0)
+        b = batch_for_class(sample_class_sums(f, [0.1, 0.0], cfg, 999, RngSpec(3, 14)), 0)
         assert np.array_equal(a.x_sum, b.x_sum)
         assert np.array_equal(a.y_sum, b.y_sum)
         assert a.success_count == b.success_count
-        c = sample_statistics(f, [0.1, 0.0], 0, cfg, 999, RngSpec(3, 15))
+        c = batch_for_class(sample_class_sums(f, [0.1, 0.0], cfg, 999, RngSpec(3, 15)), 0)
         assert not np.array_equal(a.x_sum, c.x_sum)
 
     def test_chunking_invariance(self):
@@ -83,8 +82,10 @@ class TestSampling:
         # (bitwise reproducibility is guaranteed for a fixed chunk size)
         f = make_synthetic("linear", {"w": [1.0, -1.0], "b": 0.0})
         cfg = SmoothingConfig(1.0, 2)
-        a = sample_statistics(f, [0.3, 0.0], 0, cfg, 5000, RngSpec(8, 0), chunk=64)
-        b = sample_statistics(f, [0.3, 0.0], 0, cfg, 5000, RngSpec(8, 0), chunk=4096)
+        a = batch_for_class(
+            sample_class_sums(f, [0.3, 0.0], cfg, 5000, RngSpec(8, 0), chunk=64), 0)
+        b = batch_for_class(
+            sample_class_sums(f, [0.3, 0.0], cfg, 5000, RngSpec(8, 0), chunk=4096), 0)
         assert a.success_count == b.success_count
         assert np.allclose(a.x_sum, b.x_sum, rtol=1e-10)
         assert np.allclose(a.y_sum, b.y_sum, rtol=1e-10)
@@ -93,11 +94,12 @@ class TestSampling:
         cfg = SmoothingConfig(1.0, 3)
         f = make_synthetic("sphere_interior", {"center": [0.0] * 3, "radius": 0.0})
         n = 40_000
-        batch0 = sample_statistics(f, [0.0] * 3, 0, cfg, n, RngSpec(1, 0))
+        sums = sample_class_sums(f, [0.0] * 3, cfg, n, RngSpec(1, 0))
+        batch0 = batch_for_class(sums, 0)
         assert batch0.success_count == n
         # z = w / 2 has zero mean: pooled mean shrinks like 1/sqrt(n)
         assert np.linalg.norm(gradient_mean(batch0)) < 4.0 * 0.5 / math.sqrt(n) * 2
-        batch1 = sample_statistics(f, [0.0] * 3, 1, cfg, n, RngSpec(1, 0))
+        batch1 = batch_for_class(sums, 1)
         assert batch1.success_count == 0
         assert gradient_mean(batch1) == pytest.approx(-gradient_mean(batch0))
 
@@ -108,8 +110,8 @@ class TestSampling:
         x = np.array([0.2, -0.1, 0.4])
         label = f.classify(x)
         n = 1_000_000
-        batch = sample_statistics(f, x, label, cfg, n, RngSpec(77, 0),
-                                  dtype=np.float32)
+        batch = batch_for_class(
+            sample_class_sums(f, x, cfg, n, RngSpec(77, 0), dtype=np.float32), label)
         y0, y1 = analytic_linear_stats(spec, x, cfg)
         mean = gradient_mean(batch)
         # per-coordinate standard error of z is at most sigma/(2 sqrt(n)) plus
@@ -134,9 +136,9 @@ class TestSampling:
         f = make_synthetic("linear", {"w": [1.0, 0.0], "b": 0.0})
         cfg = SmoothingConfig(1.0, 2)
         with pytest.raises(DomainError):
-            sample_statistics(f, [1.0, 2.0, 3.0], 0, cfg, 100, RngSpec(0, 0))
+            sample_class_sums(f, [1.0, 2.0, 3.0], cfg, 100, RngSpec(0, 0))
         with pytest.raises(DomainError):
-            sample_statistics(f, [1.0, 2.0], 0, cfg, 1, RngSpec(0, 0))
+            sample_class_sums(f, [1.0, 2.0], cfg, 1, RngSpec(0, 0))
 
 
 class ThreeClassLinear(BlackBoxClassifier):
@@ -402,13 +404,13 @@ class TestConsistencySweep:
         k = SUBGAUSSIAN_K_1 * cfg.sigma ** 2
         delta = 1e-6
         for n in (1_000, 10_000, 100_000):
-            batch = sample_statistics(f, x, f.classify(x), cfg, n,
-                                      RngSpec(31, 0), dtype=np.float32)
+            batch = batch_for_class(sample_class_sums(
+                f, x, cfg, n, RngSpec(31, 0), dtype=np.float32), f.classify(x))
             error = float(np.max(np.abs(gradient_mean(batch) - target)))
             bound = math.sqrt(2.0 * (k / n) * math.log(2.0 * cfg.dim / delta))
             assert error <= bound, f"n = {n}: error {error:.3e} > t(n) = {bound:.3e}"
 
-    def test_sample_statistics_vs_analytic(self):
+    def test_class_sums_vs_analytic(self):
         # randomized linear classifiers reproduce the closed-form statistics
         n = 200_000
         for seed in range(6):
@@ -421,8 +423,8 @@ class TestConsistencySweep:
             sigma = float(gen.uniform(0.3, 1.2))
             cfg = SmoothingConfig(sigma, dim)
             label = f.classify(x)
-            batch = sample_statistics(f, x, label, cfg, n,
-                                      RngSpec(2000 + seed, 0), dtype=np.float32)
+            batch = batch_for_class(sample_class_sums(
+                f, x, cfg, n, RngSpec(2000 + seed, 0), dtype=np.float32), label)
             y0, y1 = analytic_linear_stats(spec, x, cfg)
             se = sigma / math.sqrt(n)
             assert np.all(np.abs(gradient_mean(batch) - sigma ** 2 * y1)

@@ -205,16 +205,43 @@ class TestCurveCommand:
             (tmp_path / "c2_l2.svg").read_bytes()
 
 
+QUICK_CHECKS = ["zeroth_closed_form", "halfspace_l2_exactness",
+                "halfspace_l1_exactness", "clopper_pearson", "table1_constants",
+                "sampling_determinism", "mc_oracle_agreement"]
+FULL_CHECKS = QUICK_CHECKS + ["halfspace_linf_exactness", "mc_oracle_agreement",
+                              "l2_dominance", "angular_monotonicity"]
+
+
+def printed_names(out):
+    return [line.split()[0] for line in out.splitlines()]
+
+
 class TestSelftestCommand:
     def test_quick_passes(self, capsys):
         assert main(["selftest", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert printed_names(out) == QUICK_CHECKS + ["overall"]
 
     def test_full_passes(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "halfspace_linf_exactness" in out and "FAIL" not in out
+        assert printed_names(out) == FULL_CHECKS + ["overall"]
+
+    def test_crashed_check_keeps_its_name(self, capsys, monkeypatch):
+        # a check that raises is reported under the name it passes under
+        from smoothcert import certify
+
+        def down(*args, **kwargs):
+            raise RuntimeError("solver down")
+
+        monkeypatch.setattr(certify, "solve_dual", down)
+        assert main(["selftest", "--quick"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        mc = next(row for row in lines if row.startswith("mc_oracle_agreement"))
+        assert "FAIL" in mc and "RuntimeError: solver down" in mc
+        assert not any(row.startswith(("<lambda>", "check_")) for row in lines)
 
     def test_mutation_hook_fails(self, capsys, monkeypatch):
         # flip the interval system's sign convention: the halfspace oracle

@@ -12,6 +12,7 @@ from smoothcert.certify import (
     InfeasibleStatsError,
     SmoothingConfig,
     _dual_residual,
+    _reduced_dual,
     directional_radius,
     lower_bound_probability,
     max_gradient_magnitude,
@@ -20,6 +21,7 @@ from smoothcert.certify import (
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
 from smoothcert.numerics import DomainError
+from smoothcert.selftest import _check_angular
 
 from helpers import (
     CDF_1,
@@ -106,8 +108,7 @@ class TestSolveDual:
     def test_coefficient_signs(self):
         dual = solve_dual(FirstOrderStats(0.8, 0.05, 0.1), 0.4)
         assert dual.c2 < 0.0
-        reduced = solve_dual(FirstOrderStats(0.8, 0.05, 0.1), 0.4,
-                             force_variant=DualVariant.REDUCED_NO_SLOPE)
+        reduced = _reduced_dual(FirstOrderStats(0.8, 0.05, 0.1), 0.4)
         assert reduced.variant is DualVariant.REDUCED_NO_SLOPE
         assert reduced.c1 == 0.0 and reduced.c0 > 0.0
 
@@ -115,9 +116,7 @@ class TestSolveDual:
         # dropping the directional constraint can only lower the bound
         stats = FirstOrderStats(0.85, -0.08, 0.1)
         full = probability_from_dual(solve_dual(stats, 0.8))
-        red = probability_from_dual(
-            solve_dual(stats, 0.8, force_variant=DualVariant.REDUCED_NO_SLOPE)
-        )
+        red = probability_from_dual(_reduced_dual(stats, 0.8))
         assert red <= full + 1e-9
 
     def test_warm_start_consistency(self):
@@ -257,15 +256,8 @@ class TestDirectionalRadius:
         assert near.radius > 5.0
 
     def test_angular_monotonicity_interior(self):
-        cfg = SmoothingConfig(1.0, 4)
-        q = 0.85
-        mag = 0.75 * max_gradient_magnitude(q)
-        radii = []
-        for theta in np.linspace(0.0, math.pi, 9):
-            stats = FirstOrderStats(q, mag * math.cos(theta),
-                                    mag * abs(math.sin(theta)))
-            radii.append(directional_radius(stats, cfg).radius)
-        assert all(b - a <= 1e-9 for a, b in zip(radii, radii[1:]))
+        res = _check_angular(0.85, mag_frac=0.75, angles=9)
+        assert res.passed, res.detail
 
     def test_dominates_zeroth(self):
         cfg = SmoothingConfig(1.0, 4)

@@ -323,3 +323,5 @@ class TestRunConfig:
             RunConfig(sigma=0.25, alpha_total=0.7)
         with pytest.raises(DomainError):
             RunConfig(sigma=0.25, n_samples=1)
+        with pytest.raises(DomainError, match="float16"):
+            RunConfig(sigma=0.25, sample_dtype="float16")
