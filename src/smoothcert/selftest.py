@@ -5,7 +5,8 @@ algebra, or simulation) against the production code path; the suite exists
 so a broken build fails loudly without the full test suite.  The checks
 take their seeds, grids, sample counts and limits as arguments:
 ``run_selftests`` passes small ones, and the acceptance suite calls the same
-checks with its own.
+checks with its own.  Worst cases are kept with ``np.maximum``, which keeps
+a NaN error where the builtin ``max`` can drop it, so a NaN fails its limit.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy import special
 
 from . import certify as cz
 from .certify import (DualVariant, FirstOrderStats, GradientNormBounds, LinfMode,
@@ -93,8 +95,10 @@ def _check_zeroth(sigmas, dim: int, qs, limit: float) -> CheckResult:
         cfg = SmoothingConfig(sigma, dim)
         for q in qs:
             got = cz.zeroth_radius_l2(float(q), cfg)
-            want = sigma * float(std_normal_quantile(float(q)))
-            worst = max(worst, abs(got - want))
+            # scipy's ndtri directly: zeroth_radius_l2 goes through
+            # numerics.std_normal_quantile, the function under test
+            want = sigma * float(special.ndtri(float(q)))
+            worst = np.maximum(worst, abs(got - want))
     return CheckResult(worst <= limit, f"max |error| = {worst:.2e}",
                        {"worst": worst})
 
@@ -125,7 +129,7 @@ def _check_halfspace(p, cases, tol: float, limit: float) -> CheckResult:
                                     linf_upper=linf * s, l1_upper=l1 * s)
         got = _HALFSPACE_RADIUS[p](y0, bounds, cfg, tol).radius
         want = analytic_linear_radius(spec, x, p)
-        worst = max(worst, abs(got - want) / want)
+        worst = np.maximum(worst, abs(got - want) / want)
     return CheckResult(worst <= limit, f"max relative error = {worst:.2e}",
                        {"worst": worst})
 
@@ -141,7 +145,7 @@ def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
         reduced += dual.variant is DualVariant.REDUCED_NO_SLOPE
         p = cz.probability_from_dual(dual)
         est, se = mc_worst_case_probability(dual, r, n, RngSpec(seed + i, 0))
-        worst = max(worst, abs(p - est) / max(se, 1e-12))
+        worst = np.maximum(worst, abs(p - est) / max(se, 1e-12))
     return CheckResult(worst <= limit, f"max |p - mc| = {worst:.2f} stderr",
                        {"worst": worst, "reduced": reduced})
 
@@ -167,7 +171,7 @@ def _check_estimator_formulas(cases, seed: int, mean_scale: float,
                 err = 0.0 if g == w else math.inf
             else:
                 err = abs(g - w) / max(abs(w), 1e-12)
-            worst = max(worst, err)
+            worst = np.maximum(worst, err)
     return CheckResult(worst <= limit, f"max relative mismatch = {worst:.2e}",
                        {"worst": worst})
 
@@ -207,9 +211,9 @@ def _check_dominance(qs, sigmas, fracs, dim: int, gap_limit: float,
             zeroth = cz.zeroth_radius_l2(q, cfg)
             for frac in fracs:
                 first = cz.radius_l2_first(q, frac * big_m / sigma, cfg).radius
-                worst_gap = max(worst_gap, zeroth - first)
+                worst_gap = np.maximum(worst_gap, zeroth - first)
                 if frac == 1.0:
-                    worst_eq = max(worst_eq, abs(first - zeroth) / zeroth)
+                    worst_eq = np.maximum(worst_eq, abs(first - zeroth) / zeroth)
     return CheckResult(worst_gap <= gap_limit and worst_eq <= boundary_limit,
                        f"max (zeroth - first) = {worst_gap:.2e}",
                        {"gap": worst_gap, "boundary": worst_eq})

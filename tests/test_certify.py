@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from smoothcert import certify
 from smoothcert.certify import (
     Certificate,
     DualSolution,
@@ -79,6 +82,13 @@ class TestZerothRadius:
         res = _check_zeroth(sigmas=(0.12, 0.25, 0.5, 1.0), dim=5,
                             qs=np.linspace(0.500001, 0.999, 23), limit=1e-9)
         assert res.passed, res.detail
+
+    def test_nan_radius_fails_the_grid(self, monkeypatch):
+        # one NaN among finite errors must fail the check, wherever it falls
+        monkeypatch.setattr(certify, "zeroth_radius_l2",
+                            lambda q, cfg: math.nan if q == 0.75 else 0.0)
+        res = _check_zeroth(sigmas=(1.0,), dim=5, qs=(0.5, 0.75, 0.99), limit=10.0)
+        assert not res.passed and "nan" in res.detail
 
     def test_threat_scaling(self):
         cfg = SmoothingConfig(0.5, 16)

@@ -90,6 +90,15 @@ class TestL2Bounds:
         lo, hi = l2_norm_bounds(batch, 0.01)
         assert lo == 0.0 and hi > 0.0
 
+    def test_opposed_halves_give_no_upper_bound(self):
+        # X.Y = -1 lies below -t: the dot + t <= 0 branch
+        v = np.zeros(200)
+        v[0] = 1.0
+        batch = make_batch(v * 1000, -v * 1000, 1000, 1000)
+        assert l2_norm_bounds(batch, 0.01) == (0.0, math.inf)
+        want = table1_l2_oracle(-1.0, subgaussian_k(1.0), 1000, 1000, 200, 0.01)
+        assert want == (0.0, math.inf)
+
     def test_matches_table1_algebra(self):
         # d = 200 keeps the Theorem-5 hypothesis valid at alpha = 0.001
         d, n1, n2, sigma, alpha = 200, 100_000, 100_000, 1.0, 0.001
