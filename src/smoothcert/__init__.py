@@ -35,10 +35,7 @@ from .numerics import (
     DomainError,
     NoConvergenceError,
     NumericalError,
-    QuadratureSpec,
-    SolverSettings,
     bisect_root,
-    gauss_weighted_integral,
     solve_system,
     std_normal_cdf,
     std_normal_pdf,

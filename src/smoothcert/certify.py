@@ -26,7 +26,11 @@ Endpoint labels follow the convention validated by the halfspace limit
 travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
 
 All quantities here are dimensionless (travel measured in units of sigma);
-entry points convert to input units exactly once on the way out.
+entry points convert to input units exactly once on the way out.  The l2
+entry point feeds the interval system directly; the l1, linf-via-l1 and
+subspace entry points differ only in the dual norm of the gradient they
+bound and the sqrt(k) scale of the travel direction, and share one core.
+Travel is capped at R_CAP_DEFAULT = 10 sigma.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .numerics import (
     CLAMP,
     DomainError,
     NoConvergenceError,
-    SolverSettings,
     bisect_root,
     panel_nodes,
     solve_system,
@@ -64,6 +67,7 @@ __all__ = [
     "RadiusResult",
     "InfeasibleStatsError",
     "R_CAP_DEFAULT",
+    "DUAL_EXPONENT",
     "zeroth_radius_l2",
     "zeroth_radius",
     "max_gradient_magnitude",
@@ -82,6 +86,9 @@ __all__ = [
 # Travel cap in sigma units; unbounded certified regions are reported as
 # sigma * R_CAP_DEFAULT with the capped flag set.
 R_CAP_DEFAULT = 10.0
+
+# threat norm p -> the exponent p' of its dual norm, 1/p + 1/p' = 1
+DUAL_EXPONENT = {1: math.inf, 2: 2, math.inf: 1}
 
 # Below this the perpendicular-gradient information is dropped and the
 # degenerate interval geometry is used instead (always conservative).
@@ -584,7 +591,6 @@ def _soft_interval_init(stats: FirstOrderStats, r: float
 
 
 def _reduced_dual(stats: FirstOrderStats, r: float,
-                  settings: SolverSettings = SolverSettings(),
                   warm: Optional[DualSolution] = None) -> DualSolution:
     """The two-equation dual, which drops the directional constraint.
 
@@ -601,7 +607,7 @@ def _reduced_dual(stats: FirstOrderStats, r: float,
     for init in inits:
         try:
             sol = solve_system(
-                lambda th: _dual_residual(th, stats, r, full=False), init, settings
+                lambda th: _dual_residual(th, stats, r, full=False), init
             )
         except NoConvergenceError as err:
             last = err
@@ -613,7 +619,6 @@ def _reduced_dual(stats: FirstOrderStats, r: float,
 
 
 def solve_dual(stats: FirstOrderStats, r: float,
-               settings: SolverSettings = SolverSettings(),
                warm: Optional[DualSolution] = None) -> DualSolution:
     """Worst-case dual coefficients at scaled travel distance r > 0.
 
@@ -652,7 +657,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
     def try_full(init: tuple[float, float, float]) -> Optional[np.ndarray]:
         try:
             return solve_system(
-                lambda th: _dual_residual(th, stats, r, full=True), init, settings
+                lambda th: _dual_residual(th, stats, r, full=True), init
             )
         except NoConvergenceError:
             return None
@@ -668,7 +673,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
         full_sol = try_full(_tilted_init(stats, r))
     if full_sol is None:
         # conservative fallback: the two-equation bound is valid regardless
-        return _reduced_dual(stats, r, settings, warm)
+        return _reduced_dual(stats, r, warm)
 
     c0, c1, u = float(full_sol[0]), float(full_sol[1]), float(full_sol[2])
     return DualSolution(c0, c1, -math.exp(max(u, -745.0)), DualVariant.FULL, r)
@@ -684,9 +689,7 @@ def probability_from_dual(dual: DualSolution) -> float:
     return _probability_from_coeffs(dual.c0, dual.c1, u, r)
 
 
-def lower_bound_probability(stats: FirstOrderStats, r: float,
-                            settings: SolverSettings = SolverSettings(),
-                            warm: Optional[DualSolution] = None) -> float:
+def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
     """Worst-case smoothed probability at scaled distance r (r = 0 gives q)."""
     if r < 0.0 or not math.isfinite(r):
         raise DomainError(f"travel distance must be nonnegative, got {r}")
@@ -703,23 +706,21 @@ def lower_bound_probability(stats: FirstOrderStats, r: float,
         return _interval_probability(w2, w1, r)
     if r < _R_SMOOTH_FLOOR:
         # exponential basis degenerates as r -> 0; interpolate from p(0) = q
-        p_floor = lower_bound_probability(stats, _R_SMOOTH_FLOOR, settings, warm)
+        p_floor = lower_bound_probability(stats, _R_SMOOTH_FLOOR)
         return stats.q + (p_floor - stats.q) * (r / _R_SMOOTH_FLOOR)
-    return probability_from_dual(solve_dual(stats, r, settings, warm))
+    return probability_from_dual(solve_dual(stats, r))
 
 
 def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
-                       tol: float = 1e-4,
-                       r_cap: float = R_CAP_DEFAULT,
-                       settings: SolverSettings = SolverSettings()) -> RadiusResult:
+                       tol: float = 1e-4) -> RadiusResult:
     """Largest certified travel distance along the encoded direction.
 
     Returns sigma * r*, where r* lies short of the root of p(r) = 0.5 by
     at most tol (in input units) and never past it; 0 with the abstain flag
-    when q <= 0.5; and sigma * r_cap with the capped flag when the
-    worst-case probability never falls to 0.5 before the cap.  The result
-    is floored at the zeroth-order radius, which the first-order bound
-    provably dominates.
+    when q <= 0.5; and the fixed cap sigma * R_CAP_DEFAULT = 10 sigma with
+    the capped flag when the worst-case probability never falls to 0.5
+    before it.  The result is floored at the zeroth-order radius, which the
+    first-order bound provably dominates.
     """
     q = stats.q
     if q <= 0.5:
@@ -731,16 +732,16 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     if stats.m2 >= max_gradient_magnitude(q) * (1.0 - _M2_SINGLETON):
         # exact perpendicular-boundary stats: the worst case is the
         # perpendicular halfspace itself, unbounded along the travel ray
-        return RadiusResult(cfg.sigma * r_cap, capped=True)
+        return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
     scaled_tol = max(tol / cfg.sigma, 1e-12)
 
     if stats.m2 < M2_DEGENERATE:
         w2, w1 = _solve_interval(q, stats.m1)
-        if _interval_probability(w2, w1, r_cap) >= 0.5:
-            return RadiusResult(cfg.sigma * r_cap, capped=True)
+        if _interval_probability(w2, w1, R_CAP_DEFAULT) >= 0.5:
+            return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
         r_star = bisect_root(
             lambda rr: _interval_probability(w2, w1, rr) - 0.5,
-            0.0, r_cap, tol=min(scaled_tol, 1e-9),
+            0.0, R_CAP_DEFAULT, tol=min(scaled_tol, 1e-9),
         )
         return RadiusResult(max(cfg.sigma * r_star, zeroth))
 
@@ -753,17 +754,17 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         if rr == 0.0:
             return q - 0.5
         if rr < _R_SMOOTH_FLOOR:
-            return lower_bound_probability(stats, rr, settings) - 0.5
-        dual = solve_dual(stats, rr, settings, warm=state["warm"])
+            return lower_bound_probability(stats, rr) - 0.5
+        dual = solve_dual(stats, rr, warm=state["warm"])
         state["warm"] = dual
         if dual.variant is not DualVariant.FULL:
             state["fallback"] = True
         return probability_from_dual(dual) - 0.5
 
-    if gap(r_cap) >= 0.0:
-        return RadiusResult(cfg.sigma * r_cap, capped=True,
+    if gap(R_CAP_DEFAULT) >= 0.0:
+        return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True,
                             fallback_used=state["fallback"])
-    r_star = bisect_root(gap, 0.0, r_cap, tol=scaled_tol)
+    r_star = bisect_root(gap, 0.0, R_CAP_DEFAULT, tol=scaled_tol)
     return RadiusResult(max(cfg.sigma * r_star, zeroth),
                         fallback_used=state["fallback"])
 
@@ -823,17 +824,32 @@ def _threat_stats(q: float, m1: float, m2: float,
     return FirstOrderStats(q, m1, m2), clamped
 
 
+def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
+                      cfg: SmoothingConfig, tol: float,
+                      clamp: bool) -> RadiusResult:
+    """First-order radius from ``dual``, a bound on the threat's dual norm of y1.
+
+    The worst travel direction is a unit l2 vector of threat norm 1/sqrt(k)
+    along which y1 can fall by dual/sqrt(k): a basis vector for l1 (k = 1),
+    the sign diagonal of k coordinates for linf (k = d or the subspace
+    dimension), the projected gradient for subspace l2 (k = 1).
+    """
+    if q <= 0.5:
+        return RadiusResult(0.0, abstained=True)
+    root_k = math.sqrt(k)
+    step = cfg.sigma / root_k
+    m1 = -step * dual
+    m2 = step * _perp_component(k * l2_lower ** 2, dual ** 2)
+    stats, clamped = _threat_stats(q, m1, m2, clamp)
+    res = directional_radius(stats, cfg, tol)
+    return res._replace(radius=res.radius / root_k, clamped=clamped)
+
+
 def radius_l1_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,
                     tol: float = 1e-4, clamp_infeasible: bool = False) -> RadiusResult:
     """First-order l1 radius (worst basis direction; m1 from the linf bound)."""
-    if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
-    sigma = cfg.sigma
-    m1 = -sigma * bounds.linf_upper
-    m2 = sigma * _perp_component(bounds.l2_lower ** 2, bounds.linf_upper ** 2)
-    stats, clamped = _threat_stats(q, m1, m2, clamp_infeasible)
-    res = directional_radius(stats, cfg, tol)
-    return res._replace(clamped=clamped)
+    return _dual_norm_radius(q, bounds.linf_upper, bounds.l2_lower, 1, cfg, tol,
+                             clamp_infeasible)
 
 
 def radius_linf_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,
@@ -849,20 +865,13 @@ def radius_linf_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig
     """
     if q <= 0.5:
         return RadiusResult(0.0, abstained=True)
-    root_d = math.sqrt(cfg.dim)
     if mode is LinfMode.VIA_L2_SCALING:
         res = radius_l2_first(q, bounds.l2_upper, cfg, tol)
-        return res._replace(radius=res.radius / root_d)
+        return res._replace(radius=res.radius / math.sqrt(cfg.dim))
     if bounds.l1_upper is None:
         raise DomainError("linf via the l1 bound requires l1_upper")
-    sigma = cfg.sigma
-    m1 = -(sigma / root_d) * bounds.l1_upper
-    m2 = (sigma / root_d) * _perp_component(
-        cfg.dim * bounds.l2_lower ** 2, bounds.l1_upper ** 2
-    )
-    stats, clamped = _threat_stats(q, m1, m2, clamp_infeasible)
-    res = directional_radius(stats, cfg, tol)
-    return res._replace(radius=res.radius / root_d, clamped=clamped)
+    return _dual_norm_radius(q, bounds.l1_upper, bounds.l2_lower, cfg.dim, cfg,
+                             tol, clamp_infeasible)
 
 
 def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
@@ -880,22 +889,8 @@ def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
         raise DomainError(
             f"subspace_dim must lie in [1, {cfg.dim}], got {subspace_dim}"
         )
-    if p not in (1, 2, math.inf):
+    if p not in DUAL_EXPONENT:
         raise DomainError(f"p must be 1, 2 or inf, got {p}")
-    if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
-    sigma = cfg.sigma
-    dual = bounds.subspace_dual_upper
-    if p == math.inf:
-        scale = 1.0 / math.sqrt(subspace_dim)
-        m1 = -sigma * scale * dual
-        m2 = sigma * scale * _perp_component(
-            subspace_dim * bounds.l2_lower ** 2, dual ** 2
-        )
-    else:
-        scale = 1.0
-        m1 = -sigma * dual
-        m2 = sigma * _perp_component(bounds.l2_lower ** 2, dual ** 2)
-    stats, clamped = _threat_stats(q, m1, m2, clamp_infeasible)
-    res = directional_radius(stats, cfg, tol)
-    return res._replace(radius=res.radius * scale, clamped=clamped)
+    k = subspace_dim if p == math.inf else 1
+    return _dual_norm_radius(q, bounds.subspace_dual_upper, bounds.l2_lower, k,
+                             cfg, tol, clamp_infeasible)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import DualSolution, DualVariant, SmoothingConfig
+from .certify import DUAL_EXPONENT, DualSolution, DualVariant, SmoothingConfig
 from .estimate import GradientSampleBatch
 from .numerics import DomainError, std_normal_cdf, std_normal_pdf
 
@@ -338,9 +338,6 @@ def analytic_linear_stats(spec: LinearClassifierSpec, x,
     return y0, y1
 
 
-_DUAL_NORM = {1: math.inf, 2: 2, math.inf: 1}
-
-
 def analytic_linear_radius(spec: LinearClassifierSpec, x, p,
                            mask: Optional[Sequence[int]] = None,
                            cap: Optional[float] = None) -> float:
@@ -350,7 +347,7 @@ def analytic_linear_radius(spec: LinearClassifierSpec, x, p,
     projection with positive margin means the region is unbounded within
     the subspace, reported as ``cap`` (or +inf when no cap is given).
     """
-    if p not in _DUAL_NORM:
+    if p not in DUAL_EXPONENT:
         raise DomainError(f"p must be 1, 2 or inf, got {p}")
     x = np.asarray(x, dtype=float)
     margin = abs(float(spec.w @ x + spec.b))
@@ -362,7 +359,7 @@ def analytic_linear_radius(spec: LinearClassifierSpec, x, p,
         idx = np.asarray(sorted(set(int(i) for i in mask)), dtype=int)
         proj[idx] = w[idx]
         w = proj
-    dual = float(np.linalg.norm(w, ord=_DUAL_NORM[p]))
+    dual = float(np.linalg.norm(w, ord=DUAL_EXPONENT[p]))
     if dual == 0.0:
         return cap if cap is not None else math.inf
     return margin / dual

@@ -23,7 +23,6 @@ from .certify import LinfMode, ThreatModel
 from .classifiers import BlackBoxClassifier, make_synthetic
 from .numerics import DomainError
 from .pipeline import (
-    PointResult,
     PointTask,
     RunConfig,
     certificates_for,
@@ -255,14 +254,6 @@ def cmd_certify(args) -> int:
     return 2 if failures else 0
 
 
-def _threat_radius(res: PointResult, threat: ThreatModel) -> Optional[float]:
-    return {
-        ThreatModel.L1: res.radius_first_l1,
-        ThreatModel.L2: res.radius_first_l2,
-        ThreatModel.LINF: res.radius_first_linf,
-    }.get(threat, res.radius_first_subspace)
-
-
 def cmd_curve(args) -> int:
     if not os.path.exists(args.input):
         raise ConfigError(f"input file not found: {args.input}")
@@ -278,14 +269,11 @@ def cmd_curve(args) -> int:
                        if "subspace_threat" in meta else None)
     subspace_dim = int(meta["subspace_dim"]) if "subspace_dim" in meta else None
 
-    threats = [
-        t for t in (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
-        if any(_threat_radius(r, t) is not None for r in results)
-    ]
-    if subspace_threat is not None and any(
-        r.radius_first_subspace is not None for r in results
-    ):
-        threats.append(subspace_threat)
+    candidates = [ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF]
+    if subspace_threat is not None:
+        candidates.append(subspace_threat)
+    threats = [t for t in candidates
+               if any(r.first_radius(t) is not None for r in results)]
     if not threats:
         raise ConfigError("no first-order radii found in input")
 
@@ -293,7 +281,7 @@ def cmd_curve(args) -> int:
     for res in results:
         max_radius = max(max_radius, res.radius_zeroth_l2)
         for t in threats:
-            value = _threat_radius(res, t)
+            value = res.first_radius(t)
             if value is not None:
                 max_radius = max(max_radius, value)
     hi = args.grid_max if args.grid_max is not None else 1.6 * max_radius

@@ -1,4 +1,4 @@
-"""Special functions, Gaussian-weighted quadrature and small nonlinear solvers.
+"""Special functions, Gauss-Legendre panel nodes and small nonlinear solvers.
 
 Everything in here is pure: no module state is mutated after import, so all
 functions are safe to call from multiple threads.
@@ -6,7 +6,6 @@ functions are safe to call from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,12 +16,9 @@ __all__ = [
     "NumericalError",
     "NoConvergenceError",
     "BracketError",
-    "QuadratureSpec",
-    "SolverSettings",
     "std_normal_cdf",
     "std_normal_pdf",
     "std_normal_quantile",
-    "gauss_weighted_integral",
     "panel_nodes",
     "solve_system",
     "bisect_root",
@@ -38,6 +34,11 @@ GAUSS_LEGENDRE_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# fixed damped-Newton setup of solve_system
+RESIDUAL_TOLERANCE = 1e-10
+MAX_ITERATIONS = 80
+DAMPING_FLOOR = 1.0 / 1024.0
 
 
 class DomainError(ValueError):
@@ -58,49 +59,6 @@ class NoConvergenceError(NumericalError):
 
 class BracketError(DomainError):
     """Root bracketing endpoints do not straddle a sign change."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Truncated integration domain and accuracy target.
-
-    The domain is expressed relative to the weight's center; [-12, 12] leaves
-    Gaussian tail mass below 1e-31, far under every tolerance used here.
-    """
-
-    lower: float = -12.0
-    upper: float = 12.0
-    panel_count: int = 64
-    abs_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (self.lower < self.upper):
-            raise DomainError(f"need lower < upper, got [{self.lower}, {self.upper}]")
-        if self.panel_count < 1:
-            raise DomainError("panel_count must be a positive integer")
-        if not (0.0 < self.abs_tolerance <= 1e-6):
-            raise DomainError("abs_tolerance must lie in (0, 1e-6]")
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    """Damped-Newton configuration for the small square systems solved here.
-
-    ``solve_system`` takes the Jacobian from the residual callable, so no
-    differencing step is configured.
-    """
-
-    residual_tolerance: float = 1e-10
-    max_iterations: int = 80
-    damping_floor: float = 1.0 / 1024.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.residual_tolerance <= 1e-8):
-            raise DomainError("residual_tolerance must lie in (0, 1e-8]")
-        if self.max_iterations < 50:
-            raise DomainError("max_iterations must be at least 50")
-        if not (0.0 < self.damping_floor < 1.0):
-            raise DomainError("damping_floor must lie in (0, 1)")
 
 
 def std_normal_cdf(x):
@@ -136,47 +94,6 @@ def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def _weighted_sum(integrand, center: float, edges: np.ndarray) -> float:
-    x, w = panel_nodes(edges)
-    values = np.asarray(integrand(x), dtype=float)
-    if values.shape != x.shape:
-        values = np.broadcast_to(values, x.shape)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        raise NumericalError(
-            f"integrand returned a non-finite value at x={x[bad][0]!r}"
-        )
-    return float(np.sum(w * std_normal_pdf(x - center) * values))
-
-
-def gauss_weighted_integral(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    center: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
-    """Integrate phi(x - center) * integrand(x) over the truncated domain.
-
-    Composite fixed-order Gauss-Legendre panels, starting from
-    ``spec.panel_count`` and doubling until two successive refinements agree
-    to within ``spec.abs_tolerance``. The integrand must accept an ndarray.
-    """
-    lo = center + spec.lower
-    hi = center + spec.upper
-    panels = spec.panel_count
-    prev = _weighted_sum(integrand, center, np.linspace(lo, hi, panels + 1))
-    max_panels = max(8192, panels)
-    while panels < max_panels:
-        panels *= 2
-        cur = _weighted_sum(integrand, center, np.linspace(lo, hi, panels + 1))
-        if abs(cur - prev) <= 0.5 * spec.abs_tolerance:
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"quadrature did not stabilize to {spec.abs_tolerance:g} "
-        f"within {max_panels} panels"
-    )
-
-
 def _evaluate(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f, jac = residual(x)
     f = np.atleast_1d(np.asarray(f, dtype=float))
@@ -186,15 +103,16 @@ def _evaluate(residual, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def solve_system(
     residual: Callable[[np.ndarray], tuple],
     initial: Sequence[float],
-    settings: SolverSettings = SolverSettings(),
 ) -> np.ndarray:
     """Solve F(x) = 0 by damped Newton with a caller-supplied Jacobian.
 
     ``residual(x)`` returns the pair (F, J): the residual vector and its
     Jacobian dF/dx at x, of shape len(F) x len(x); scalar problems may
-    return floats.  The step is halved until the residual 2-norm decreases
-    (floor ``damping_floor``).  The accepted trial's J is the next step's
+    return floats.  The step is halved until the residual 2-norm decreases,
+    down to DAMPING_FLOOR.  The accepted trial's J is the next step's
     Jacobian, so a Newton step costs one evaluation per line-search trial.
+    Raises NoConvergenceError unless the residual max-norm reaches
+    RESIDUAL_TOLERANCE within MAX_ITERATIONS steps.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     f, jac = _evaluate(residual, x)
@@ -203,10 +121,10 @@ def solve_system(
     norm = float(np.max(np.abs(f)))
     merit = float(np.linalg.norm(f))
     stagnant = 0
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if not np.isfinite(norm):
             raise NoConvergenceError("residual became non-finite", norm)
-        if norm <= settings.residual_tolerance:
+        if norm <= RESIDUAL_TOLERANCE:
             return x
         try:
             step = np.linalg.solve(jac, -f)
@@ -216,7 +134,7 @@ def solve_system(
             raise NoConvergenceError("Newton step became non-finite", norm)
         alpha = 1.0
         improved = False
-        while alpha >= settings.damping_floor:
+        while alpha >= DAMPING_FLOOR:
             trial = x + alpha * step
             f_trial, jac_trial = _evaluate(residual, trial)
             trial_merit = float(np.linalg.norm(f_trial))
@@ -232,13 +150,13 @@ def solve_system(
             if stagnant >= 3:
                 raise NoConvergenceError("damped Newton stalled", norm)
             # accept the floored step; a fresh Jacobian often recovers
-            x = x + settings.damping_floor * step
+            x = x + DAMPING_FLOOR * step
             f, jac = _evaluate(residual, x)
             norm = float(np.max(np.abs(f)))
             merit = float(np.linalg.norm(f))
         else:
             stagnant = 0
-    if norm <= settings.residual_tolerance:
+    if norm <= RESIDUAL_TOLERANCE:
         return x
     raise NoConvergenceError("iteration cap reached", norm)
 

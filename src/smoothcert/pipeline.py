@@ -58,17 +58,18 @@ __all__ = [
     "CSV_SCHEMA",
 ]
 
-# threat -> the dual-norm order its gradient estimator must bound
-_SUBSPACE_DUAL_ORDER = {
-    ThreatModel.SUBSPACE_L1: math.inf,
-    ThreatModel.SUBSPACE_L2: 2,
-    ThreatModel.SUBSPACE_LINF: 1,
-}
-
 _SUBSPACE_P = {
     ThreatModel.SUBSPACE_L1: 1,
     ThreatModel.SUBSPACE_L2: 2,
     ThreatModel.SUBSPACE_LINF: math.inf,
+}
+
+# threat -> the PointResult column (CSV column) holding its first-order radius
+_RADIUS_COLUMN = {
+    ThreatModel.L1: "radius_first_l1",
+    ThreatModel.L2: "radius_first_l2",
+    ThreatModel.LINF: "radius_first_linf",
+    **{t: "radius_first_subspace" for t in _SUBSPACE_P},
 }
 
 
@@ -92,8 +93,11 @@ class PointTask:
         if self.subspace_mask is not None:
             object.__setattr__(self, "subspace_mask",
                                tuple(sorted(set(int(i) for i in self.subspace_mask))))
-        if any(t.is_subspace for t in self.requested_threats) and self.subspace_mask is None:
+        subspace = sum(t.is_subspace for t in self.requested_threats)
+        if subspace and self.subspace_mask is None:
             raise DomainError(f"point {self.point_id}: subspace threat needs a mask")
+        if subspace > 1:
+            raise DomainError(f"point {self.point_id}: at most one subspace threat")
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,10 @@ class PointResult:
     capped: bool
     fallback_used: bool
     error: str = ""
+
+    def first_radius(self, threat: ThreatModel) -> Optional[float]:
+        """The first-order radius recorded for ``threat``, None if not run."""
+        return getattr(self, _RADIUS_COLUMN[threat])
 
 
 class ParseError(ValueError):
@@ -224,7 +232,7 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         subspace_dim = None
         if subspace_threats:
             subspace_dim = len(task.subspace_mask)
-            order = _SUBSPACE_DUAL_ORDER[subspace_threats[0]]
+            order = cz.DUAL_EXPONENT[_SUBSPACE_P[subspace_threats[0]]]
             try:
                 subspace_ub = subspace_norm_bounds(
                     batch, task.subspace_mask, order, budget.alpha_subspace,
@@ -243,14 +251,13 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
 
         zeroth_l2 = cz.zeroth_radius_l2(q_lb, cfg)
         abstained = q_lb <= 0.5
-        radii: dict[ThreatModel, RadiusResult] = {}
-        for threat in threats:
-            radii[threat] = _first_radius_for_threat(
-                threat, q_lb, bounds, cfg, config, subspace_dim
-            )
-        subspace_value = None
-        if subspace_threats:
-            subspace_value = radii[subspace_threats[0]].radius
+        radii = {
+            threat: _first_radius_for_threat(threat, q_lb, bounds, cfg, config,
+                                             subspace_dim)
+            for threat in threats
+        }
+        columns = dict.fromkeys(_RADIUS_COLUMN.values())
+        columns.update((_RADIUS_COLUMN[t], r.radius) for t, r in radii.items())
         return PointResult(
             point_id=task.point_id,
             predicted=predicted,
@@ -260,10 +267,7 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
             grad_l2_ub=bounds.l2_upper,
             grad_linf_ub=bounds.linf_upper,
             radius_zeroth_l2=zeroth_l2,
-            radius_first_l1=radii[ThreatModel.L1].radius if ThreatModel.L1 in radii else None,
-            radius_first_l2=radii[ThreatModel.L2].radius if ThreatModel.L2 in radii else None,
-            radius_first_linf=radii[ThreatModel.LINF].radius if ThreatModel.LINF in radii else None,
-            radius_first_subspace=subspace_value,
+            **columns,
             abstained=abstained,
             capped=any(r.capped for r in radii.values()),
             fallback_used=any(r.fallback_used for r in radii.values()),
@@ -279,10 +283,7 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
             grad_l2_ub=None,
             grad_linf_ub=None,
             radius_zeroth_l2=0.0,
-            radius_first_l1=None,
-            radius_first_l2=None,
-            radius_first_linf=None,
-            radius_first_subspace=None,
+            **dict.fromkeys(_RADIUS_COLUMN.values()),
             abstained=True,
             capped=False,
             fallback_used=False,
@@ -333,15 +334,9 @@ def certificates_for(result: PointResult, alpha: float,
                            method=method, alpha=alpha, abstained=abstained)
         pairs.append((result.correct, cert))
 
-    threat_fields = [
-        (ThreatModel.L1, result.radius_first_l1),
-        (ThreatModel.L2, result.radius_first_l2),
-        (ThreatModel.LINF, result.radius_first_linf),
-    ]
-    if subspace_threat is not None:
-        threat_fields.append((subspace_threat, result.radius_first_subspace))
-    for threat, first in threat_fields:
-        if first is None:
+    for threat in _RADIUS_COLUMN:
+        first = result.first_radius(threat)
+        if first is None or (threat.is_subspace and threat is not subspace_threat):
             continue
         scale = cz._threat_scale(threat, cfg, subspace_dim)
         add(threat, result.radius_zeroth_l2 * scale, Method.ZEROTH_ORDER)

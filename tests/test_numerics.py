@@ -7,11 +7,7 @@ from smoothcert.numerics import (
     BracketError,
     DomainError,
     NoConvergenceError,
-    NumericalError,
-    QuadratureSpec,
-    SolverSettings,
     bisect_root,
-    gauss_weighted_integral,
     solve_system,
     std_normal_cdf,
     std_normal_pdf,
@@ -22,7 +18,6 @@ from helpers import (
     CDF_1,
     QUANTILE_09,
     QUANTILE_0841,
-    cdf,
     interval_system_oracle,
     with_fd_jacobian,
 )
@@ -70,62 +65,6 @@ class TestNormalQuantile:
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
-
-
-class TestQuadrature:
-    def test_normalization(self):
-        spec = QuadratureSpec()
-        got = gauss_weighted_integral(lambda x: np.ones_like(x), 0.0, spec)
-        assert got == pytest.approx(1.0, abs=1e-10)
-
-    def test_odd_symmetry(self):
-        got = gauss_weighted_integral(lambda x: x, 0.0, QuadratureSpec())
-        assert got == pytest.approx(0.0, abs=1e-10)
-
-    def test_expected_cdf_is_half(self):
-        # E[Phi(Z)] = P(Z' < Z) = 1/2 by exchangeability
-        got = gauss_weighted_integral(lambda x: std_normal_cdf(x), 0.0,
-                                      QuadratureSpec())
-        assert got == pytest.approx(0.5, abs=1e-9)
-
-    def test_shifted_center(self):
-        # integral phi(x - c) Phi(x) dx = Phi(c / sqrt(2))
-        centre = 0.8
-        got = gauss_weighted_integral(lambda x: std_normal_cdf(x), centre,
-                                      QuadratureSpec())
-        assert got == pytest.approx(float(cdf(centre / math.sqrt(2.0))), abs=1e-9)
-
-    def test_density_section_mass(self):
-        spec = QuadratureSpec()
-        got = gauss_weighted_integral(
-            lambda x: np.asarray(std_normal_pdf(x)) * math.sqrt(2.0 * math.pi),
-            0.0, spec,
-        )
-        assert got <= 1.0 + spec.abs_tolerance
-
-    def test_panel_doubling_stability(self):
-        base = QuadratureSpec(panel_count=64)
-        doubled = QuadratureSpec(panel_count=128)
-        for integrand in (lambda x: np.ones_like(x),
-                          lambda x: std_normal_cdf(3.0 * x - 1.0)):
-            a = gauss_weighted_integral(integrand, 0.0, base)
-            b = gauss_weighted_integral(integrand, 0.0, doubled)
-            assert abs(a - b) < base.abs_tolerance
-
-    def test_nonfinite_integrand_reports_abscissa(self):
-        def bad(x):
-            out = np.ones_like(x)
-            out[x > 1.0] = np.nan
-            return out
-
-        with pytest.raises(NumericalError, match="non-finite"):
-            gauss_weighted_integral(bad, 0.0, QuadratureSpec())
-
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(lower=1.0, upper=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tolerance=1e-3)
 
 
 class TestSolveSystem:
@@ -188,18 +127,11 @@ class TestSolveSystem:
             solve_system(with_fd_jacobian(lambda v: [v[0], v[0]]), [1.0])
 
     def test_nonconvergence_reports_norm(self):
-        settings = SolverSettings(max_iterations=50)
         with pytest.raises(NoConvergenceError) as err:
             # no root: residual bounded away from zero
             solve_system(lambda x: (np.tanh(x) + 2.0, 1.0 - np.tanh(x) ** 2),
-                         [0.0], settings)
+                         [0.0])
         assert err.value.residual_norm > 0.5
-
-    def test_settings_validation(self):
-        with pytest.raises(DomainError):
-            SolverSettings(residual_tolerance=1e-6)
-        with pytest.raises(DomainError):
-            SolverSettings(max_iterations=10)
 
 
 class TestBisect:

@@ -112,6 +112,13 @@ class TestCertifyPoint:
         with pytest.raises(DomainError):
             PointTask("p0", np.zeros(4), 0, (ThreatModel.SUBSPACE_L2,))
 
+    def test_one_subspace_threat_per_point(self):
+        # a row has one subspace column, estimated for one dual norm
+        with pytest.raises(DomainError, match="at most one subspace threat"):
+            PointTask("p0", np.zeros(4), 0,
+                      (ThreatModel.SUBSPACE_L2, ThreatModel.SUBSPACE_LINF),
+                      subspace_mask=(0, 1))
+
 
 class TestRunPoints:
     def test_duplicate_ids_rejected(self):

@@ -146,6 +146,24 @@ class TestRadiusSubspace:
         l2r = radius_l2_first(0.85, 0.1, cfg, tol=1e-8)
         assert sub.radius == pytest.approx(l2r.radius, abs=1e-9)
 
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_full_space_equals_threat_path(self, p):
+        # over the full space the subspace bound is the threat's own dual
+        # norm bound, so both paths run the same core and agree bit for bit;
+        # sigma and d are chosen so that sigma / sqrt(d) and sigma * (1 /
+        # sqrt(d)) differ in the last bit
+        cfg = SmoothingConfig(0.3, 5)
+        dual = 0.6 if p == 1 else 1.2
+        bounds = GradientNormBounds(l2_lower=0.65, l2_upper=0.7, linf_upper=0.6,
+                                    l1_upper=1.2, subspace_dual_upper=dual)
+        sub = radius_subspace(0.8, bounds, p, cfg.dim, cfg, tol=1e-6)
+        if p == 1:
+            ref = radius_l1_first(0.8, bounds, cfg, tol=1e-6)
+        else:
+            ref = radius_linf_first(0.8, bounds, cfg, tol=1e-6,
+                                    mode=LinfMode.VIA_L1_BOUND)
+        assert sub == ref
+
     def test_halfspace_masked_gain(self):
         # w = (1,0,1,0), margin 1, subspace = first two coordinates:
         # ||P_S w||_2 = 1 vs ||w||_2 = sqrt(2), so the subspace radius gains
