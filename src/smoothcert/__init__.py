@@ -7,14 +7,12 @@ the estimators needed to obtain those statistics from label samples.
 """
 
 from .certify import (
-    Certificate,
     DualSolution,
     DualVariant,
     FirstOrderStats,
     GradientNormBounds,
     InfeasibleStatsError,
     LinfMode,
-    Method,
     RadiusResult,
     SmoothingConfig,
     ThreatModel,
@@ -27,7 +25,6 @@ from .certify import (
     radius_linf_first,
     radius_subspace,
     solve_dual,
-    zeroth_radius,
     zeroth_radius_l2,
 )
 from .numerics import (

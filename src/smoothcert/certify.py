@@ -56,20 +56,17 @@ from .numerics import (
 
 __all__ = [
     "ThreatModel",
-    "Method",
     "DualVariant",
     "LinfMode",
     "SmoothingConfig",
     "FirstOrderStats",
     "DualSolution",
-    "Certificate",
     "GradientNormBounds",
     "RadiusResult",
     "InfeasibleStatsError",
     "R_CAP_DEFAULT",
     "DUAL_EXPONENT",
     "zeroth_radius_l2",
-    "zeroth_radius",
     "max_gradient_magnitude",
     "check_feasible",
     "ensure_feasible",
@@ -128,11 +125,6 @@ class ThreatModel(str, enum.Enum):
     @property
     def is_subspace(self) -> bool:
         return self.value.startswith("subspace_")
-
-
-class Method(str, enum.Enum):
-    ZEROTH_ORDER = "zeroth"
-    FIRST_ORDER = "first"
 
 
 class DualVariant(str, enum.Enum):
@@ -221,23 +213,6 @@ class DualSolution:
                 raise DomainError("reduced variant must have c1 = 0")
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """One certified radius under one threat model."""
-
-    threat: ThreatModel
-    radius: float
-    method: Method
-    alpha: float
-    abstained: bool
-
-    def __post_init__(self) -> None:
-        if self.abstained and self.radius != 0.0:
-            raise DomainError("abstained certificates must carry radius 0")
-        if self.radius < 0.0:
-            raise DomainError(f"radius must be nonnegative, got {self.radius}")
-
-
 class RadiusResult(NamedTuple):
     """Radius in input units plus solver diagnostics."""
 
@@ -295,28 +270,6 @@ def zeroth_radius_l2(q: float, cfg: SmoothingConfig) -> float:
     if q >= 1.0:
         return cfg.sigma * float(std_normal_quantile(1.0 - 1e-16))
     return cfg.sigma * float(std_normal_quantile(q))
-
-
-def _threat_scale(threat: ThreatModel, cfg: SmoothingConfig,
-                  subspace_dim: Optional[int]) -> float:
-    if threat is ThreatModel.LINF:
-        return 1.0 / math.sqrt(cfg.dim)
-    if threat is ThreatModel.SUBSPACE_LINF:
-        if subspace_dim is None:
-            raise DomainError("subspace threat requires subspace_dim")
-        return 1.0 / math.sqrt(subspace_dim)
-    return 1.0
-
-
-def zeroth_radius(q: float, cfg: SmoothingConfig, threat: ThreatModel,
-                  subspace_dim: Optional[int] = None) -> float:
-    """Zeroth-order radius under any threat model.
-
-    The zeroth-order certified region is the l2 ball of radius
-    sigma * Phi^-1(q); the inscribed l1 ball has the same radius and the
-    inscribed linf ball is smaller by sqrt(d).
-    """
-    return zeroth_radius_l2(q, cfg) * _threat_scale(threat, cfg, subspace_dim)
 
 
 def max_gradient_magnitude(q: float) -> float:

@@ -266,18 +266,17 @@ def _sample_substream(f: BlackBoxClassifier, x: np.ndarray, sigma, n: int,
 
 
 def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
-                      rng: RngSpec, chunk: Optional[int] = None,
-                      dtype=np.float64) -> ClassConditionalSums:
+                      rng: RngSpec, dtype=np.float64) -> ClassConditionalSums:
     """One pass of n Gaussian perturbations, accumulated per class and split.
 
     The first n1 = ceil(n / 2) draws come from sub-stream 0 of ``rng`` and
     the other n2 from sub-stream 1, each from the start of its stream.  The
     two run on the shared sampler pool, so the result is the same for any
-    thread count.  ``chunk`` is the number of rows a sub-stream draws at a
-    time (default: from the element budget).  The draws, the labels and the
-    counts do not depend on it; the sums depend on it only through their
-    summation order.  If the classifier raises, the error of the first half
-    that failed is raised once both halves have finished.
+    thread count.  A sub-stream draws max(1, _CHUNK_ELEMENTS // d) rows at
+    a time.  The draws, the labels and the counts do not depend on that
+    chunk size; the sums depend on it only through their summation order.
+    If the classifier raises, the error of the first half that failed is
+    raised once both halves have finished.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != cfg.dim:
@@ -286,7 +285,7 @@ def sample_class_sums(f: BlackBoxClassifier, x, cfg: SmoothingConfig, n: int,
         raise DomainError(f"need at least 2 samples, got {n}")
     n1 = (n + 1) // 2
     num_classes = f.num_classes
-    rows = chunk if chunk is not None else max(1, _CHUNK_ELEMENTS // cfg.dim)
+    rows = max(1, _CHUNK_ELEMENTS // cfg.dim)
     futures = [
         _pool.submit(_sample_substream, f, x, dtype(cfg.sigma), n_h, min(rows, n_h),
                      replace(rng, substream=h), dtype)

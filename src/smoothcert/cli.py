@@ -25,8 +25,7 @@ from .numerics import DomainError
 from .pipeline import (
     PointTask,
     RunConfig,
-    certificates_for,
-    certified_accuracy_curve,
+    accuracy_curves,
     load_run,
     persist_run,
     run_points,
@@ -93,8 +92,25 @@ def _section(cfg: dict, name: str) -> dict:
     return section
 
 
-_RUN_KEYS = ("sigma", "alpha", "samples", "seed", "threats", "linf_mode",
-             "clamp_infeasible", "radius_tol", "sample_dtype")
+def _yaml_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"clamp_infeasible must be true or false, got {value!r}")
+    return value
+
+
+# run key -> (RunConfig field, conversion); threats are read by _threats_from,
+# and a key left out takes RunConfig's default
+_RUN_FIELDS = {
+    "sigma": ("sigma", float),
+    "alpha": ("alpha_total", float),
+    "samples": ("n_samples", int),
+    "seed": ("seed", int),
+    "linf_mode": ("linf_mode", LinfMode),
+    "clamp_infeasible": ("clamp_infeasible", _yaml_bool),
+    "radius_tol": ("radius_tol", float),
+    "sample_dtype": ("sample_dtype", str),
+}
+_RUN_KEYS = (*_RUN_FIELDS, "threats")
 
 
 def _run_config(cfg: dict, args) -> RunConfig:
@@ -118,16 +134,9 @@ def _run_config(cfg: dict, args) -> RunConfig:
     if "sigma" not in run:
         raise ConfigError("sigma must be given (config run.sigma or --sigma)")
     try:
-        return RunConfig(
-            sigma=float(run["sigma"]),
-            alpha_total=float(run.get("alpha", 1e-3)),
-            n_samples=int(run.get("samples", 200_000)),
-            seed=int(run.get("seed", 0)),
-            linf_mode=LinfMode(str(run.get("linf_mode", "via_l2"))),
-            clamp_infeasible=bool(run.get("clamp_infeasible", False)),
-            radius_tol=float(run.get("radius_tol", 1e-4)),
-            sample_dtype=str(run.get("sample_dtype", "float32")),
-        )
+        return RunConfig(**{field: convert(run[key])
+                            for key, (field, convert) in _RUN_FIELDS.items()
+                            if key in run})
     except (ValueError, DomainError) as err:
         raise ConfigError(f"invalid run settings: {err}")
 
@@ -157,6 +166,12 @@ def _subspace_mask(cfg: dict, args) -> Optional[tuple[int, ...]]:
     return None
 
 
+# points.generate key -> conversion; a key left out takes
+# make_linear_workload's default
+_GENERATE_KEYS = {"dim": int, "count": int, "q_low": float, "q_high": float,
+                  "abstain_fraction": float, "mislabel_fraction": float}
+
+
 def _build_workload(cfg: dict, args, run: RunConfig
                     ) -> tuple[BlackBoxClassifier, list[PointTask]]:
     threats = _threats_from(cfg, args)
@@ -167,21 +182,28 @@ def _build_workload(cfg: dict, args, run: RunConfig
     if not points:
         raise ConfigError("config must define a points section")
     if "generate" in points:
+        if "explicit" in points:
+            raise ConfigError("points section takes 'generate' or 'explicit', not both")
+        if "classifier" in cfg:
+            raise ConfigError("generated points come with their own classifier; "
+                              "drop the classifier section")
         gen = points["generate"]
+        if not isinstance(gen, dict):
+            raise ConfigError("bad points.generate section: must be a mapping")
+        unknown = sorted(str(key) for key in gen if key not in _GENERATE_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown points.generate setting(s) {', '.join(unknown)}; "
+                              f"choose from {', '.join(_GENERATE_KEYS)}")
         try:
             classifier, tasks = make_linear_workload(
-                dim=int(gen["dim"]),
-                count=int(gen["count"]),
+                **{key: convert(gen[key]) for key, convert in _GENERATE_KEYS.items()
+                   if key in gen},
                 seed=run.seed,
                 sigma=run.sigma,
                 threats=threats,
                 subspace_mask=mask,
-                q_low=float(gen.get("q_low", 0.55)),
-                q_high=float(gen.get("q_high", 0.995)),
-                abstain_fraction=float(gen.get("abstain_fraction", 0.05)),
-                mislabel_fraction=float(gen.get("mislabel_fraction", 0.1)),
             )
-        except (KeyError, TypeError, DomainError, ValueError) as err:
+        except (TypeError, DomainError, ValueError) as err:
             raise ConfigError(f"bad points.generate section: {err}")
         return classifier, tasks
     if "explicit" not in points:
@@ -262,56 +284,34 @@ def cmd_curve(args) -> int:
         raise ConfigError("input contains no certificate rows")
     try:
         dim = int(meta["dim"])
-        alpha = float(meta["alpha_total"])
     except (KeyError, ValueError) as err:
         raise ConfigError(f"input is missing meta fields: {err}")
     subspace_threat = (ThreatModel(meta["subspace_threat"])
                        if "subspace_threat" in meta else None)
     subspace_dim = int(meta["subspace_dim"]) if "subspace_dim" in meta else None
 
-    candidates = [ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF]
-    if subspace_threat is not None:
-        candidates.append(subspace_threat)
-    threats = [t for t in candidates
-               if any(r.first_radius(t) is not None for r in results)]
-    if not threats:
+    radii = [r.radius_zeroth_l2 for r in results]
+    for threat in (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF, subspace_threat):
+        if threat is not None:
+            radii += [v for r in results if (v := r.first_radius(threat)) is not None]
+    hi = args.grid_max if args.grid_max is not None else 1.6 * max(radii)
+    grid = np.linspace(0.0, max(hi, 1e-9), args.grid_points)
+    curves = accuracy_curves(results, grid, dim, subspace_threat, subspace_dim)
+    if not curves:
         raise ConfigError("no first-order radii found in input")
-
-    max_radius = 0.0
-    for res in results:
-        max_radius = max(max_radius, res.radius_zeroth_l2)
-        for t in threats:
-            value = res.first_radius(t)
-            if value is not None:
-                max_radius = max(max_radius, value)
-    hi = args.grid_max if args.grid_max is not None else 1.6 * max_radius
-    hi = max(hi, 1e-9)
-    grid = np.linspace(0.0, hi, args.grid_points)
 
     out_prefix = args.out or "curves"
     columns: dict[str, list[float]] = {"radius": [float(g) for g in grid]}
-    for threat in threats:
-        pairs = []
-        for res in results:
-            pairs.extend(certificates_for(res, alpha, dim, subspace_threat,
-                                          subspace_dim))
-        zeroth = [(c, cert) for c, cert in pairs
-                  if cert.threat == threat and cert.method.value == "zeroth"]
-        first = [(c, cert) for c, cert in pairs
-                 if cert.threat == threat and cert.method.value == "first"]
-        z_curve = certified_accuracy_curve(zeroth, grid)
-        f_curve = certified_accuracy_curve(first, grid)
-        columns[f"{threat.value}_zeroth_acc"] = [p.certified_accuracy for p in z_curve]
-        columns[f"{threat.value}_first_acc"] = [p.certified_accuracy for p in f_curve]
+    for threat, (zeroth, first) in curves.items():
+        columns[f"{threat.value}_zeroth_acc"] = zeroth
+        columns[f"{threat.value}_first_acc"] = first
         svg = curve_svg(
             title=f"certified accuracy ({threat.value})",
             x_label="certified radius",
             y_label="certified accuracy",
             series=[
-                ("zeroth order", "#2c7fb8",
-                 list(zip(columns["radius"], columns[f"{threat.value}_zeroth_acc"]))),
-                ("first order", "#d95f0e",
-                 list(zip(columns["radius"], columns[f"{threat.value}_first_acc"]))),
+                ("zeroth order", "#2c7fb8", list(zip(columns["radius"], zeroth))),
+                ("first order", "#d95f0e", list(zip(columns["radius"], first))),
             ],
         )
         with open(f"{out_prefix}_{threat.value}.svg", "w", encoding="utf-8") as fh:
@@ -323,7 +323,7 @@ def cmd_curve(args) -> int:
         lines.append(",".join(repr(float(columns[name][i])) for name in names))
     with open(f"{out_prefix}.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {out_prefix}.csv and {len(threats)} SVG plot(s)")
+    print(f"wrote {out_prefix}.csv and {len(curves)} SVG plot(s)")
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import stats as _st
@@ -28,7 +27,6 @@ from .numerics import DomainError
 __all__ = [
     "SUBGAUSSIAN_COEFF",
     "GradientSampleBatch",
-    "ConfidenceBudget",
     "HypothesisError",
     "subgaussian_k",
     "estimate_q_lower",
@@ -43,8 +41,8 @@ __all__ = [
 # 1/4 + 3/sqrt(8 pi e)
 SUBGAUSSIAN_COEFF = 0.25 + 3.0 / math.sqrt(8.0 * math.pi * math.e)
 
-# The l1-norm bound needs Theta(d) samples to be non-vacuous; refuse large
-# dimensions unless the caller opts in.
+# The l1-norm bound needs Theta(d) samples to be non-vacuous; above this
+# dimension it warns.
 L1_DIM_LIMIT = 64
 
 
@@ -91,26 +89,6 @@ class GradientSampleBatch:
     @property
     def n_total(self) -> int:
         return self.n1 + self.n2
-
-
-@dataclass(frozen=True)
-class ConfidenceBudget:
-    """Bonferroni split of the total failure probability across estimates."""
-
-    alpha_total: float
-    alpha_q: float
-    alpha_l2: float
-    alpha_linf: float
-    alpha_l1: Optional[float] = None
-    alpha_subspace: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        parts = [self.alpha_q, self.alpha_l2, self.alpha_linf]
-        parts += [a for a in (self.alpha_l1, self.alpha_subspace) if a is not None]
-        if any(a <= 0.0 for a in parts) or self.alpha_total <= 0.0:
-            raise DomainError("all alpha components must be positive")
-        if sum(parts) > self.alpha_total * (1.0 + 1e-12):
-            raise DomainError("alpha components exceed the total budget")
 
 
 def subgaussian_k(sigma: float) -> float:
@@ -202,22 +180,16 @@ def linf_norm_bounds(batch: GradientSampleBatch, alpha: float) -> tuple[float, f
     return _pooled_interval(float(np.max(np.abs(gradient_mean(batch)))), t)
 
 
-def l1_norm_bounds(batch: GradientSampleBatch, alpha: float,
-                   allow_high_dim: bool = False) -> tuple[float, float]:
+def l1_norm_bounds(batch: GradientSampleBatch, alpha: float) -> tuple[float, float]:
     """Bounds on ||sigma^2 y1||_1: pooled-mean 1-norm +- t_1.
 
     t_1 = sqrt(2 k d (d log 2 - log alpha) / n) grows like d/sqrt(n), so a
     non-vacuous bound needs Theta(d) samples; dimensions above
-    ``L1_DIM_LIMIT`` are refused unless ``allow_high_dim`` is set.
+    ``L1_DIM_LIMIT`` draw a RuntimeWarning.
     """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if batch.dim > L1_DIM_LIMIT:
-        if not allow_high_dim:
-            raise DomainError(
-                f"l1-norm estimation at d = {batch.dim} needs Theta(d) samples "
-                f"to be informative; pass allow_high_dim=True to force it"
-            )
         warnings.warn(
             f"l1-norm bound at d = {batch.dim} is likely vacuous "
             f"(sample cost grows linearly with d)",
@@ -242,8 +214,7 @@ def _masked_batch(batch: GradientSampleBatch, mask: np.ndarray) -> GradientSampl
 
 
 def subspace_norm_bounds(batch: GradientSampleBatch, mask, p,
-                         alpha: float,
-                         allow_high_dim: bool = False) -> tuple[float, float]:
+                         alpha: float) -> tuple[float, float]:
     """Norm bounds for the projected statistic P_S z at effective dimension |S|.
 
     ``mask`` is a set/sequence of coordinate indices; ``p`` in {1, 2, inf}
@@ -261,24 +232,19 @@ def subspace_norm_bounds(batch: GradientSampleBatch, mask, p,
     if p == 2:
         return l2_norm_bounds(sub, alpha)
     if p == 1:
-        return l1_norm_bounds(sub, alpha, allow_high_dim=allow_high_dim)
+        return l1_norm_bounds(sub, alpha)
     if p == math.inf:
         return linf_norm_bounds(sub, alpha)
     raise DomainError(f"p must be 1, 2 or inf, got {p}")
 
 
 def split_alpha(alpha_total: float, needs_l1: bool = False,
-                needs_subspace: bool = False) -> ConfidenceBudget:
-    """Equal Bonferroni split over the estimates a run will consume."""
+                needs_subspace: bool = False) -> float:
+    """Each estimate's alpha under an equal Bonferroni split of ``alpha_total``.
+
+    A run consumes the q, l2 and linf estimates, plus the l1 and subspace
+    ones when asked for.
+    """
     if not (0.0 < alpha_total < 0.5):
         raise DomainError(f"alpha_total must lie in (0, 0.5), got {alpha_total}")
-    parts = 3 + int(needs_l1) + int(needs_subspace)
-    each = alpha_total / parts
-    return ConfidenceBudget(
-        alpha_total=alpha_total,
-        alpha_q=each,
-        alpha_l2=each,
-        alpha_linf=each,
-        alpha_l1=each if needs_l1 else None,
-        alpha_subspace=each if needs_subspace else None,
-    )
+    return alpha_total / (3 + int(needs_l1) + int(needs_subspace))

@@ -18,10 +18,8 @@ import numpy as np
 
 from . import certify as cz
 from .certify import (
-    Certificate,
     GradientNormBounds,
     LinfMode,
-    Method,
     RadiusResult,
     SmoothingConfig,
     ThreatModel,
@@ -46,13 +44,11 @@ from .numerics import DomainError
 __all__ = [
     "PointTask",
     "RunConfig",
-    "CurvePoint",
     "PointResult",
     "ParseError",
     "certify_point",
     "run_points",
-    "certificates_for",
-    "certified_accuracy_curve",
+    "accuracy_curves",
     "persist_run",
     "load_run",
     "CSV_SCHEMA",
@@ -71,6 +67,22 @@ _RADIUS_COLUMN = {
     ThreatModel.LINF: "radius_first_linf",
     **{t: "radius_first_subspace" for t in _SUBSPACE_P},
 }
+
+
+def _threat_scale(threat: ThreatModel, dim: int,
+                  subspace_dim: Optional[int]) -> float:
+    """Zeroth-order radius under ``threat`` per unit of the l2 radius.
+
+    The zeroth-order certified region is an l2 ball: the inscribed l1 ball
+    has the same radius and the inscribed linf ball is smaller by sqrt(d).
+    """
+    if threat is ThreatModel.LINF:
+        return 1.0 / math.sqrt(dim)
+    if threat is ThreatModel.SUBSPACE_LINF:
+        if subspace_dim is None:
+            raise DomainError("subspace threat requires subspace_dim")
+        return 1.0 / math.sqrt(subspace_dim)
+    return 1.0
 
 
 @dataclass(frozen=True)
@@ -122,13 +134,6 @@ class RunConfig:
             raise DomainError("sample_dtype must be float32 or float64, "
                               f"got {self.sample_dtype!r}")
         object.__setattr__(self, "linf_mode", LinfMode(self.linf_mode))
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    radius: float
-    certified_accuracy: float
-    method: Method
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ def _first_radius_for_threat(threat: ThreatModel, q: float,
 
 def certify_point(task: PointTask, f: BlackBoxClassifier,
                   config: RunConfig) -> PointResult:
-    """Sample once, estimate under the split budget, certify every threat.
+    """Sample once, estimate under the split alpha, certify every threat.
 
     Per-point estimator failures are recorded in the result's error field
     instead of aborting the run; an l2-bound hypothesis failure (dimension
@@ -211,33 +216,31 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         sums = sample_class_sums(f, task.x, cfg, config.n_samples, rng, dtype=dtype)
         predicted = sums.majority_class()
         batch = batch_for_class(sums, predicted)
-        budget = split_alpha(config.alpha_total, needs_l1=needs_l1,
-                             needs_subspace=bool(subspace_threats))
-        q_lb = estimate_q_lower(batch.success_count, batch.n_total, budget.alpha_q)
+        alpha = split_alpha(config.alpha_total, needs_l1=needs_l1,
+                            needs_subspace=bool(subspace_threats))
+        q_lb = estimate_q_lower(batch.success_count, batch.n_total, alpha)
 
         # estimators bound norms of sigma^2 * y1; the division below is the
         # single conversion into gradient units
         sig_sq = cfg.sigma * cfg.sigma
         try:
-            # both interval sides are consumed, so each gets half the budget
-            l2_lb, l2_ub = l2_norm_bounds(batch, budget.alpha_l2 / 2.0)
+            # both interval sides are consumed, so each gets half the alpha
+            l2_lb, l2_ub = l2_norm_bounds(batch, alpha / 2.0)
         except HypothesisError as err:
             error_notes.append(str(err))
             l2_lb, l2_ub = 0.0, math.inf
-        linf_ub = linf_norm_bounds(batch, budget.alpha_linf)[1]
+        linf_ub = linf_norm_bounds(batch, alpha)[1]
         l1_ub = None
         if needs_l1:
-            l1_ub = l1_norm_bounds(batch, budget.alpha_l1, allow_high_dim=True)[1]
+            l1_ub = l1_norm_bounds(batch, alpha)[1]
         subspace_ub = None
         subspace_dim = None
         if subspace_threats:
             subspace_dim = len(task.subspace_mask)
             order = cz.DUAL_EXPONENT[_SUBSPACE_P[subspace_threats[0]]]
             try:
-                subspace_ub = subspace_norm_bounds(
-                    batch, task.subspace_mask, order, budget.alpha_subspace,
-                    allow_high_dim=True,
-                )[1]
+                subspace_ub = subspace_norm_bounds(batch, task.subspace_mask,
+                                                   order, alpha)[1]
             except HypothesisError as err:
                 error_notes.append(str(err))
                 subspace_ub = math.inf
@@ -313,56 +316,35 @@ def run_points(tasks: Sequence[PointTask], f: BlackBoxClassifier,
         return list(pool.map(lambda t: certify_point(t, f, config), ordered))
 
 
-def certificates_for(result: PointResult, alpha: float,
-                     dim: int, subspace_threat: Optional[ThreatModel] = None,
-                     subspace_dim: Optional[int] = None
-                     ) -> list[tuple[bool, Certificate]]:
-    """Expand a flat result row into (correct, Certificate) pairs.
+def accuracy_curves(results: Sequence[PointResult], grid: Sequence[float],
+                    dim: int, subspace_threat: Optional[ThreatModel] = None,
+                    subspace_dim: Optional[int] = None
+                    ) -> dict[ThreatModel, tuple[list[float], list[float]]]:
+    """Zeroth- and first-order certified accuracy at each grid radius.
 
-    Zeroth-order radii for the other threat models derive from the l2 value
-    (the zeroth-order region is a ball): identical for l1, divided by
-    sqrt(d) for linf.
+    One entry per threat among l1, l2, linf and ``subspace_threat`` that
+    some row holds a first-order radius for.  A row counts at radius R when
+    it is correct, not abstained, and its radius is > 0 and >= R; every row
+    is in the denominator, so failed rows count as uncertified.
+    Zeroth-order radii are ``radius_zeroth_l2`` times the threat scale.
     """
-    cfg = SmoothingConfig(sigma=1.0, dim=dim)  # only used for threat scaling
-    pairs: list[tuple[bool, Certificate]] = []
-
-    def add(threat: ThreatModel, radius: Optional[float], method: Method) -> None:
-        if radius is None:
-            return
-        abstained = result.abstained or radius == 0.0
-        cert = Certificate(threat=threat, radius=0.0 if abstained else radius,
-                           method=method, alpha=alpha, abstained=abstained)
-        pairs.append((result.correct, cert))
-
-    for threat in _RADIUS_COLUMN:
-        first = result.first_radius(threat)
-        if first is None or (threat.is_subspace and threat is not subspace_threat):
-            continue
-        scale = cz._threat_scale(threat, cfg, subspace_dim)
-        add(threat, result.radius_zeroth_l2 * scale, Method.ZEROTH_ORDER)
-        add(threat, first, Method.FIRST_ORDER)
-    return pairs
-
-
-def certified_accuracy_curve(certs: Sequence[tuple[bool, Certificate]],
-                             radii_grid: Sequence[float]) -> list[CurvePoint]:
-    """Fraction of points correct, not abstained, with radius >= R at each R."""
-    grid = list(radii_grid)
+    grid = list(grid)
     if any(b > a for a, b in zip(grid[1:], grid[:-1])):
         raise DomainError("radius grid must be sorted ascending")
-    out: list[CurvePoint] = []
-    n = len(certs)
-    method = certs[0][1].method if certs else Method.ZEROTH_ORDER
-    for radius in grid:
-        if n == 0:
-            out.append(CurvePoint(radius, 0.0, method))
+    counted = [r for r in results if r.correct and not r.abstained]
+
+    def accuracy(radii: list[Optional[float]]) -> list[float]:
+        radii = [r for r in radii if r is not None and r > 0.0]
+        return [sum(1 for r in radii if r >= at) / len(results) for at in grid]
+
+    curves = {}
+    for threat in (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF, subspace_threat):
+        if threat is None or all(r.first_radius(threat) is None for r in results):
             continue
-        hits = sum(
-            1 for correct, cert in certs
-            if correct and not cert.abstained and cert.radius >= radius
-        )
-        out.append(CurvePoint(radius, hits / n, method))
-    return out
+        scale = _threat_scale(threat, dim, subspace_dim)
+        curves[threat] = (accuracy([r.radius_zeroth_l2 * scale for r in counted]),
+                          accuracy([r.first_radius(threat) for r in counted]))
+    return curves
 
 
 # ---------------------------------------------------------------------------

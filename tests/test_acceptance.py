@@ -19,7 +19,6 @@ import numpy as np
 from smoothcert.certify import (
     FirstOrderStats,
     GradientNormBounds,
-    Method,
     SmoothingConfig,
     ThreatModel,
     _reduced_dual,
@@ -47,8 +46,7 @@ from smoothcert.estimate import (
 )
 from smoothcert.pipeline import (
     RunConfig,
-    certificates_for,
-    certified_accuracy_curve,
+    accuracy_curves,
     persist_run,
     run_points,
 )
@@ -267,25 +265,15 @@ def test_criterion_9_end_to_end_determinism_and_dominance(tmp_path):
     identical = outputs[0] == outputs[1]
 
     # curve dominance on the last run
-    pairs_by_threat = {t: [] for t in threats}
-    for res in results:
-        for correct, cert in certificates_for(res, config.alpha_total, 152):
-            pairs_by_threat[cert.threat].append((correct, cert, cert.method))
-    max_radius = max(
-        max((c.radius for _, c, _ in pairs), default=0.0)
-        for pairs in pairs_by_threat.values()
-    )
+    max_radius = max(max(r.radius_zeroth_l2, *(r.first_radius(t) for t in threats))
+                     for r in results)
     grid = np.linspace(0.0, 1.6 * max(max_radius, 1e-9), 100)
-    dominance_ok = True
+    curves = accuracy_curves(results, grid, 152)
+    dominance_ok = set(curves) == set(threats) and all(
+        f >= z - 1e-12 for zeroth, first in curves.values()
+        for z, f in zip(zeroth, first)
+    )
     n_errors = sum(1 for r in results if r.error)
-    for threat, tagged in pairs_by_threat.items():
-        zeroth = [(c, cert) for c, cert, m in tagged if m is Method.ZEROTH_ORDER]
-        first = [(c, cert) for c, cert, m in tagged if m is Method.FIRST_ORDER]
-        z_curve = certified_accuracy_curve(zeroth, grid)
-        f_curve = certified_accuracy_curve(first, grid)
-        for z, f in zip(z_curve, f_curve):
-            if f.certified_accuracy < z.certified_accuracy - 1e-12:
-                dominance_ok = False
 
     # soundness: the smoothed linear classifier is the halfspace itself, so
     # each certified radius is at most the exact one except with probability

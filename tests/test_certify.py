@@ -5,19 +5,15 @@ import pytest
 
 from smoothcert import certify
 from smoothcert.certify import (
-    Certificate,
     DualSolution,
     DualVariant,
     FirstOrderStats,
     GradientNormBounds,
     InfeasibleStatsError,
-    Method,
     SmoothingConfig,
-    ThreatModel,
     check_feasible,
     ensure_feasible,
     max_gradient_magnitude,
-    zeroth_radius,
     zeroth_radius_l2,
 )
 from smoothcert.numerics import DomainError
@@ -38,13 +34,6 @@ class TestTypes:
             FirstOrderStats(q=1.2, m1=0.0, m2=0.0)
         with pytest.raises(DomainError):
             FirstOrderStats(q=0.9, m1=0.0, m2=-0.1)
-
-    def test_certificate_abstain_consistency(self):
-        with pytest.raises(DomainError):
-            Certificate(ThreatModel.L2, radius=0.3, method=Method.ZEROTH_ORDER,
-                        alpha=1e-3, abstained=True)
-        cert = Certificate(ThreatModel.L2, 0.0, Method.ZEROTH_ORDER, 1e-3, True)
-        assert cert.abstained
 
     def test_dual_solution_sign(self):
         with pytest.raises(DomainError):
@@ -89,14 +78,6 @@ class TestZerothRadius:
                             lambda q, cfg: math.nan if q == 0.75 else 0.0)
         res = _check_zeroth(sigmas=(1.0,), dim=5, qs=(0.5, 0.75, 0.99), limit=10.0)
         assert not res.passed and "nan" in res.detail
-
-    def test_threat_scaling(self):
-        cfg = SmoothingConfig(0.5, 16)
-        base = zeroth_radius_l2(0.9, cfg)
-        assert zeroth_radius(0.9, cfg, ThreatModel.L1) == base
-        assert zeroth_radius(0.9, cfg, ThreatModel.LINF) == pytest.approx(base / 4.0)
-        assert zeroth_radius(0.9, cfg, ThreatModel.SUBSPACE_LINF,
-                             subspace_dim=4) == pytest.approx(base / 2.0)
 
 
 class TestMaxGradient:

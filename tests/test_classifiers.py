@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from smoothcert import classifiers
 from smoothcert.certify import (
     DualVariant,
     FirstOrderStats,
@@ -77,15 +78,17 @@ class TestSampling:
         c = batch_for_class(sample_class_sums(f, [0.1, 0.0], cfg, 999, RngSpec(3, 15)), 0)
         assert not np.array_equal(a.x_sum, c.x_sum)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         # the draw sequence is chunk-independent; sums agree to rounding
         # (bitwise reproducibility is guaranteed for a fixed chunk size)
         f = make_synthetic("linear", {"w": [1.0, -1.0], "b": 0.0})
         cfg = SmoothingConfig(1.0, 2)
-        a = batch_for_class(
-            sample_class_sums(f, [0.3, 0.0], cfg, 5000, RngSpec(8, 0), chunk=64), 0)
-        b = batch_for_class(
-            sample_class_sums(f, [0.3, 0.0], cfg, 5000, RngSpec(8, 0), chunk=4096), 0)
+        batches = []
+        for rows in (64, 4096):
+            monkeypatch.setattr(classifiers, "_CHUNK_ELEMENTS", rows * cfg.dim)
+            batches.append(batch_for_class(
+                sample_class_sums(f, [0.3, 0.0], cfg, 5000, RngSpec(8, 0)), 0))
+        a, b = batches
         assert a.success_count == b.success_count
         assert np.allclose(a.x_sum, b.x_sum, rtol=1e-10)
         assert np.allclose(a.y_sum, b.y_sum, rtol=1e-10)
@@ -185,16 +188,18 @@ def naive_class_sums(f, x, sigma, n, rng, dtype):
 class TestChunkedSampler:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("chunk", [1, 7, 64, None])
-    def test_matches_row_by_row_reference(self, chunk, dtype):
+    def test_matches_row_by_row_reference(self, monkeypatch, chunk, dtype):
         # three classes exercise the one-hot sums beyond C = 2; n is odd so
-        # the halves differ (501, 500); chunk 7 and 64 leave a short last
-        # chunk in both sub-streams
+        # the halves differ (501, 500); chunks of 7 and 64 rows leave a short
+        # last chunk in both sub-streams; None keeps the default chunk
         gen = np.random.default_rng(5)
         f = ThreeClassLinear(gen.standard_normal((4, 3)))
         x = 0.3 * gen.standard_normal(4)
         n, sigma = 1001, 0.7
+        if chunk is not None:
+            monkeypatch.setattr(classifiers, "_CHUNK_ELEMENTS", chunk * x.size)
         sums = sample_class_sums(f, x, SmoothingConfig(sigma, 4), n, RngSpec(12, 3),
-                                 chunk=chunk, dtype=dtype)
+                                 dtype=dtype)
         counts, ref, scale = naive_class_sums(f, x, sigma, n, RngSpec(12, 3), dtype)
         assert (sums.n1, sums.n2) == (501, 500)
         assert np.array_equal(sums.counts, counts)

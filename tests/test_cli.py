@@ -2,7 +2,7 @@ import pytest
 import yaml
 
 from smoothcert.cli import main
-from smoothcert.pipeline import load_run
+from smoothcert.pipeline import PointResult, load_run, persist_run
 
 
 def write_config(path, **overrides):
@@ -72,6 +72,7 @@ class TestCertifyCommand:
     # a YAML key with no value loads as None; it must read as an empty section
     BODY = ("classifier: {kind: linear, params: {w: [1.0, -0.5], b: 0.0}}\n"
             "points: {explicit: [{id: p0, x: [1.2, 0.0], label: 0}]}\n")
+    GENERATE = "points: {generate: {dim: 160, count: 2}}\n"
 
     def test_empty_run_section_uses_flags(self, tmp_path):
         config = tmp_path / "run.yaml"
@@ -104,10 +105,22 @@ class TestCertifyCommand:
         ("run: {sigma: 1.0, threats: 5}\n" + BODY, "threats must be a list"),
         ("run: {sigma: 1.0}\nsubspace: {mask: 5}\n" + BODY, "bad subspace.mask"),
         ("run: {sigma: 1.0}\nsubspace: {mask: [a]}\n" + BODY, "bad subspace.mask"),
+        ("points: {generate: {dim: 160, count: 2},\n"
+         "         explicit: [{id: p0, x: [1.2, 0.0], label: 0}]}\n", "not both"),
+        ("classifier: {kind: linear, params: {w: [1.0, -0.5]}}\n" + GENERATE,
+         "drop the classifier section"),
+        ("points: {generate: {dim: 160, count: 2, q_hgh: 0.6}}\n",
+         "q_hgh; choose from dim, count, q_low, q_high, abstain_fraction, "
+         "mislabel_fraction"),
+        ("run: {clamp_infeasible: 'false'}\n" + GENERATE,
+         "clamp_infeasible must be true or false"),
     ], ids=["run-list", "subspace-int", "points-int", "classifier-int", "generate-int",
-            "params-int", "explicit-entry-int", "threats-int", "mask-int", "mask-entry-str"])
+            "params-int", "explicit-entry-int", "threats-int", "mask-int", "mask-entry-str",
+            "generate-and-explicit", "classifier-and-generate", "generate-typo",
+            "clamp-string"])
     def test_malformed_section_exits_1(self, tmp_path, capsys, text, message):
-        # a section of the wrong type is a config error, not a traceback
+        # a section of the wrong type, or a setting the run would drop or
+        # misread, is a config error, not a traceback or a silent default
         config = tmp_path / "run.yaml"
         config.write_text(text)
         out = tmp_path / "nope.csv"
@@ -185,13 +198,40 @@ class TestCurveCommand:
         values = [float(line.split(",")[col]) for line in lines[2:]]
         assert set(values) <= {0.0, 1.0}
 
+    def test_failed_rows_count_as_uncertified(self, tmp_path):
+        # a point whose certification raised certifies nothing: one failed
+        # row beside three scales every accuracy by 3/4
+        certs = self.certify(tmp_path, count=3)
+        results, meta = load_run(certs)
+        failed = PointResult(
+            point_id="p9999", predicted=-1, correct=False, q_lb=0.0,
+            grad_l2_lb=None, grad_l2_ub=None, grad_linf_ub=None,
+            radius_zeroth_l2=0.0, radius_first_l1=None, radius_first_l2=None,
+            radius_first_linf=None, radius_first_subspace=None, abstained=True,
+            capped=False, fallback_used=False, error="RuntimeError: down",
+        )
+        with_failure = tmp_path / "with_failure.csv"
+        persist_run(results + [failed], with_failure, meta=meta)
+        grid = ["--grid-max", "1.0", "--grid-points", "5"]
+        assert main(["curve", "--input", str(certs), "--out",
+                     str(tmp_path / "clean")] + grid) == 0
+        assert main(["curve", "--input", str(with_failure), "--out",
+                     str(tmp_path / "failed")] + grid) == 0
+        clean, scaled = ([line.split(",") for line in
+                          (tmp_path / f"{name}.csv").read_text().splitlines()[2:]]
+                         for name in ("clean", "failed"))
+        assert float(clean[0][1]) > 0.0
+        for a, b in zip(clean, scaled):
+            # the same rows are certified, out of 4 instead of 3
+            assert b[0] == a[0]
+            assert [round(4 * float(v)) for v in b[1:]] == \
+                [round(3 * float(v)) for v in a[1:]]
+
     def test_missing_input(self, tmp_path):
         assert main(["curve", "--input", str(tmp_path / "none.csv")]) == 1
 
     def test_empty_input(self, tmp_path):
         empty = tmp_path / "empty.csv"
-        from smoothcert.pipeline import persist_run
-
         persist_run([], empty, meta={"dim": "2", "alpha_total": "0.01"})
         assert main(["curve", "--input", str(empty)]) == 1
 

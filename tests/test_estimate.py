@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from smoothcert.estimate import (
-    ConfidenceBudget,
     GradientSampleBatch,
     HypothesisError,
     estimate_q_lower,
@@ -171,10 +170,8 @@ class TestLinfL1Bounds:
     def test_l1_high_dim_gate(self):
         batch = make_batch(np.zeros(3072), np.zeros(3072), 100_000, 100_000,
                            sigma=0.25)
-        with pytest.raises(DomainError, match="Theta"):
-            l1_norm_bounds(batch, 0.001)
         with pytest.warns(RuntimeWarning):
-            lo, hi = l1_norm_bounds(batch, 0.001, allow_high_dim=True)
+            lo, hi = l1_norm_bounds(batch, 0.001)
         # documents the impracticality: vacuous lower bound at unit scale
         assert lo == 0.0 and hi > 1.0
 
@@ -219,30 +216,25 @@ class TestSubspaceBounds:
 
 class TestSplitAlpha:
     def test_three_way(self):
-        budget = split_alpha(0.001)
-        assert budget.alpha_q == pytest.approx(0.001 / 3)
-        assert budget.alpha_l1 is None
-        total = budget.alpha_q + budget.alpha_l2 + budget.alpha_linf
-        assert total <= 0.001 * (1 + 1e-12)
+        alpha = split_alpha(0.001)
+        assert alpha == pytest.approx(0.001 / 3)
+        assert 3 * alpha <= 0.001 * (1 + 1e-12)
 
     def test_four_way_with_l1(self):
-        budget = split_alpha(0.001, needs_l1=True)
-        assert budget.alpha_l1 == pytest.approx(0.001 / 4)
+        alpha = split_alpha(0.001, needs_l1=True)
+        assert alpha == pytest.approx(0.001 / 4)
+        assert 4 * alpha <= 0.001 * (1 + 1e-12)
 
     def test_five_way(self):
-        budget = split_alpha(0.01, needs_l1=True, needs_subspace=True)
-        assert budget.alpha_subspace == pytest.approx(0.01 / 5)
+        alpha = split_alpha(0.01, needs_l1=True, needs_subspace=True)
+        assert alpha == pytest.approx(0.01 / 5)
+        assert 5 * alpha <= 0.01 * (1 + 1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             split_alpha(0.0)
         with pytest.raises(DomainError):
             split_alpha(0.7)
-
-    def test_budget_validation(self):
-        with pytest.raises(DomainError):
-            ConfidenceBudget(alpha_total=0.001, alpha_q=0.001, alpha_l2=0.001,
-                             alpha_linf=0.001)
 
 
 class TestBatch:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from smoothcert.certify import Certificate, Method, ThreatModel
+from smoothcert.certify import ThreatModel
 from smoothcert.classifiers import (
     LinearClassifier,
     LinearClassifierSpec,
@@ -20,8 +20,7 @@ from smoothcert.pipeline import (
     PointResult,
     PointTask,
     RunConfig,
-    certificates_for,
-    certified_accuracy_curve,
+    accuracy_curves,
     certify_point,
     load_run,
     persist_run,
@@ -198,57 +197,73 @@ class TestRunPoints:
             assert [results[0], results[2]] == [clean[0], clean[2]]
 
 
-class TestCurve:
-    def make_cert(self, radius, abstained=False, method=Method.FIRST_ORDER):
-        return Certificate(ThreatModel.L2, 0.0 if abstained else radius,
-                           method, 1e-3, abstained)
+def curve_row(radius, correct=True, abstained=False, **radii):
+    """A result row whose zeroth-order and l2 radii are both ``radius``."""
+    columns = dict(radius_zeroth_l2=radius, radius_first_l1=None,
+                   radius_first_l2=radius, radius_first_linf=None,
+                   radius_first_subspace=None)
+    columns.update(radii)
+    return PointResult(
+        point_id="p", predicted=0, correct=correct, q_lb=0.9, grad_l2_lb=0.0,
+        grad_l2_ub=0.5, grad_linf_ub=0.25, **columns, abstained=abstained,
+        capped=False, fallback_used=False,
+    )
 
+
+class TestCurve:
     def test_empty(self):
-        pts = certified_accuracy_curve([], [0.0, 0.5, 1.0])
-        assert [p.certified_accuracy for p in pts] == [0.0, 0.0, 0.0]
+        assert accuracy_curves([], [0.0, 0.5, 1.0], dim=4) == {}
 
     def test_step_function(self):
-        certs = [(True, self.make_cert(1.0)) for _ in range(4)]
-        pts = certified_accuracy_curve(certs, [0.0, 0.5, 1.0, 1.5])
-        assert [p.certified_accuracy for p in pts] == [1.0, 1.0, 1.0, 0.0]
+        rows = [curve_row(1.0) for _ in range(4)]
+        curves = accuracy_curves(rows, [0.0, 0.5, 1.0, 1.5], dim=4)
+        assert curves == {ThreatModel.L2: ([1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0])}
 
     def test_incorrect_and_abstained_excluded(self):
-        certs = [
-            (True, self.make_cert(1.0)),
-            (False, self.make_cert(2.0)),
-            (True, self.make_cert(0.0, abstained=True)),
+        rows = [
+            curve_row(1.0),
+            curve_row(2.0, correct=False),
+            curve_row(0.5, abstained=True),
+            curve_row(0.0),
+            # a point whose certification raised counts as uncertified
+            curve_row(0.0, correct=False, abstained=True, radius_first_l2=None),
         ]
-        pts = certified_accuracy_curve(certs, [0.0, 0.9])
-        assert pts[0].certified_accuracy == pytest.approx(1.0 / 3.0)
-        assert pts[1].certified_accuracy == pytest.approx(1.0 / 3.0)
+        zeroth, first = accuracy_curves(rows, [0.0, 0.9], dim=4)[ThreatModel.L2]
+        assert zeroth == first == [0.2, 0.2]
 
     def test_monotone_nonincreasing(self):
         gen = np.random.Generator(np.random.Philox(key=[6, 6]))
-        certs = [(bool(gen.random() < 0.8), self.make_cert(float(r)))
-                 for r in gen.uniform(0.0, 2.0, size=50)]
+        rows = [curve_row(float(r), correct=bool(gen.random() < 0.8))
+                for r in gen.uniform(0.0, 2.0, size=50)]
         grid = np.linspace(0.0, 2.5, 40)
-        pts = certified_accuracy_curve(certs, grid)
-        accs = [p.certified_accuracy for p in pts]
-        assert all(b <= a for a, b in zip(accs, accs[1:]))
+        for accs in accuracy_curves(rows, grid, dim=4)[ThreatModel.L2]:
+            assert all(b <= a for a, b in zip(accs, accs[1:]))
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(DomainError):
-            certified_accuracy_curve([], [1.0, 0.5])
+            accuracy_curves([], [1.0, 0.5], dim=4)
 
-    def test_certificates_for_expansion(self):
-        res = PointResult(
-            point_id="p0", predicted=1, correct=True, q_lb=0.9,
-            grad_l2_lb=0.1, grad_l2_ub=0.2, grad_linf_ub=0.15,
-            radius_zeroth_l2=0.64, radius_first_l1=1.0, radius_first_l2=0.7,
-            radius_first_linf=0.32, radius_first_subspace=None,
-            abstained=False, capped=False, fallback_used=False,
-        )
-        pairs = certificates_for(res, 1e-3, dim=4)
-        by_key = {(c.threat, c.method): c.radius for _, c in pairs}
-        assert by_key[(ThreatModel.L1, Method.ZEROTH_ORDER)] == 0.64
-        assert by_key[(ThreatModel.LINF, Method.ZEROTH_ORDER)] == pytest.approx(0.32)
-        assert by_key[(ThreatModel.L1, Method.FIRST_ORDER)] == 1.0
-        assert len(pairs) == 6
+    def test_zeroth_radii_scale_by_threat(self):
+        # the zeroth-order region is an l2 ball of radius 0.64: the l1 radius
+        # is the same, the linf one 0.64 / sqrt(16) and the subspace-linf
+        # one 0.64 / sqrt(4)
+        row = curve_row(0.64, radius_first_l1=1.0, radius_first_l2=0.7,
+                        radius_first_linf=0.32, radius_first_subspace=0.5)
+        grid = [0.16, 0.32, 0.64, 0.65]
+        curves = accuracy_curves([row], grid, dim=16)
+        assert curves == {
+            ThreatModel.L1: ([1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+            ThreatModel.L2: ([1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]),
+            ThreatModel.LINF: ([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]),
+        }
+        curves = accuracy_curves([row], grid, dim=16,
+                                 subspace_threat=ThreatModel.SUBSPACE_LINF,
+                                 subspace_dim=4)
+        assert curves[ThreatModel.SUBSPACE_LINF] == ([1.0, 1.0, 0.0, 0.0],
+                                                     [1.0, 1.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="subspace_dim"):
+            accuracy_curves([row], grid, dim=16,
+                            subspace_threat=ThreatModel.SUBSPACE_LINF)
 
 
 class TestPersistence:
