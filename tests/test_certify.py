@@ -11,12 +11,14 @@ from smoothcert.certify import (
     GradientNormBounds,
     InfeasibleStatsError,
     SmoothingConfig,
+    ThreatModel,
     check_feasible,
     ensure_feasible,
     max_gradient_magnitude,
     zeroth_radius_l2,
 )
 from smoothcert.numerics import DomainError
+from smoothcert.pipeline import _threat_scale
 from smoothcert.selftest import _check_zeroth
 
 from helpers import MAX_GRAD_09, PHI_0, PHI_1, QUANTILE_0841
@@ -78,6 +80,17 @@ class TestZerothRadius:
                             lambda q, cfg: math.nan if q == 0.75 else 0.0)
         res = _check_zeroth(sigmas=(1.0,), dim=5, qs=(0.5, 0.75, 0.99), limit=10.0)
         assert not res.passed and "nan" in res.detail
+
+    def test_threat_scaling(self):
+        cfg = SmoothingConfig(0.5, 16)
+        base = zeroth_radius_l2(0.9, cfg)
+        assert base * _threat_scale(ThreatModel.L1, cfg.dim, None) == base
+        assert base * _threat_scale(ThreatModel.LINF, cfg.dim, None) == \
+            pytest.approx(base / 4.0)
+        assert base * _threat_scale(ThreatModel.SUBSPACE_LINF, cfg.dim, 4) == \
+            pytest.approx(base / 2.0)
+        with pytest.raises(DomainError, match="subspace_dim"):
+            _threat_scale(ThreatModel.SUBSPACE_LINF, cfg.dim, None)
 
 
 class TestMaxGradient:

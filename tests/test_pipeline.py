@@ -243,6 +243,18 @@ class TestCurve:
         with pytest.raises(DomainError):
             accuracy_curves([], [1.0, 0.5], dim=4)
 
+    def test_certificates_for_expansion(self):
+        # one row gives a zeroth- and a first-order curve for each of l1, l2
+        # and linf; at d = 4 the zeroth-order linf radius is 0.64 / 2
+        row = curve_row(0.64, radius_first_l1=1.0, radius_first_l2=0.7,
+                        radius_first_linf=0.32)
+        curves = accuracy_curves([row], [0.32, 0.64, 0.7, 1.0, 1.01], dim=4)
+        assert curves == {
+            ThreatModel.L1: ([1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0]),
+            ThreatModel.L2: ([1.0, 1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0, 0.0]),
+            ThreatModel.LINF: ([1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]),
+        }
+
     def test_zeroth_radii_scale_by_threat(self):
         # the zeroth-order region is an l2 ball of radius 0.64: the l1 radius
         # is the same, the linf one 0.64 / sqrt(16) and the subspace-linf
