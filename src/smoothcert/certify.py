@@ -10,12 +10,14 @@ perpendicular-gradient bounds (m1, m2) and solves the worst-case problem
     integral x phi(x) Phi(c(x)) dx = m1,      c(x) = c0 + c1 x + c2 e^{r x}
 
 for the dual coefficients, then reads off the worst-case probability at
-scaled travel distance r as integral phi(x - r) Phi(c(x)) dx.  Either sign
-of the solved slope coefficient c1 is accepted.  Only when no start of the
-full system converges is it re-solved without the directional constraint
-(``REDUCED_NO_SLOPE``), which is always conservative.  When m2 = 0 the dual
-degenerates to an indicator of an interval [w2, w1]; that branch is solved
-directly:
+scaled travel distance r as p(r) = integral phi(x - r) Phi(c(x)) dx.  The
+constraints sit at r = 0, so by the envelope theorem its slope is
+dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx at the solved c, read off
+the same grid.  Either sign of the solved slope coefficient c1 is accepted.
+Only when no start of the full system converges is it re-solved without
+the directional constraint (``REDUCED_NO_SLOPE``), which is always
+conservative.  When m2 = 0 the dual degenerates to an indicator of an
+interval [w2, w1]; that branch is solved directly:
 
     Phi(w1) - Phi(w2)  = q
     phi(w2) - phi(w1)  = m1
@@ -24,6 +26,11 @@ directly:
 Endpoint labels follow the convention validated by the halfspace limit
 (w1 the upper endpoint, m1 the directional derivative bound along the
 travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
+
+A radius is the last point of bisection's grid of travel distances where
+p(r) >= 1/2.  A safeguarded Newton search with that slope finds it, in
+about 3 dual solves where bisection needed 15; the interval branch bisects
+its closed form.
 
 All quantities here are dimensionless (travel measured in units of sigma);
 entry points convert to input units exactly once on the way out.  The l2
@@ -47,6 +54,7 @@ from .numerics import (
     DomainError,
     NoConvergenceError,
     bisect_root,
+    bisection_steps,
     panel_nodes,
     solve_system,
     std_normal_cdf,
@@ -348,6 +356,15 @@ def _interval_probability(w2: float, w1: float, r: float) -> float:
     return float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r))
 
 
+def _interval_root(q: float, m1: float, tol: float) -> Optional[float]:
+    """Bisection's root of p(r) = 1/2 for the m2 = 0 interval; None past the cap."""
+    w2, w1 = _solve_interval(q, m1)
+    if _interval_probability(w2, w1, R_CAP_DEFAULT) >= 0.5:
+        return None
+    return bisect_root(lambda rr: _interval_probability(w2, w1, rr) - 0.5,
+                       0.0, R_CAP_DEFAULT, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # smooth dual system
 # ---------------------------------------------------------------------------
@@ -471,12 +488,22 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     return np.array([eq_q, eq_m2, eq_m1]), jac
 
 
-def _probability_from_coeffs(c0: float, c1: float, u: float, r: float) -> float:
+def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
+                             ) -> tuple[float, float]:
+    """p(r) = integral phi(x - r) Phi(c(x)) dx and dp/dr on one grid.
+
+    The constraints sit at r = 0, so by the envelope theorem only the
+    objective's density moves with r: dp/dr = integral (x - r) phi(x - r)
+    Phi(c(x)) dx at the solved c.
+    """
     lo, hi = r - _DOMAIN_HALF_WIDTH, r + _DOMAIN_HALF_WIDTH
     x, w = _dual_grid(c0, c1, u, r, lo, hi)
     c, _ = _c_values(x, c0, c1, u, r)
-    p = float((w * std_normal_pdf(x - r)) @ std_normal_cdf(c))
-    return min(max(p, 0.0), 1.0)
+    z = x - r
+    density = w * std_normal_pdf(z)
+    cdf_c = std_normal_cdf(c)
+    p = float(density @ cdf_c)
+    return min(max(p, 0.0), 1.0), float((density * z) @ cdf_c)
 
 
 def _reduced_init(stats: FirstOrderStats, r: float) -> tuple[float, float]:
@@ -580,7 +607,8 @@ def solve_dual(stats: FirstOrderStats, r: float,
     negative-slope branch is exactly the near-halfspace family required for
     the linear-classifier limit).  Damped Newton starts from, in order:
 
-    1. ``warm``, when it is a FULL solution (the previous bisection step's);
+    1. ``warm``, when it is a FULL solution (in a radius search, that of
+       the nearest travel distance already solved);
     2. the m2 = 0 interval with its edges softened to m2;
     3. the tilted-halfspace limit.
 
@@ -632,12 +660,17 @@ def solve_dual(stats: FirstOrderStats, r: float,
     return DualSolution(c0, c1, -math.exp(max(u, -745.0)), DualVariant.FULL, r)
 
 
-def probability_from_dual(dual: DualSolution) -> float:
-    """Worst-case smoothed probability at the dual's travel distance."""
+def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
+    """Worst-case probability p at the dual's travel distance r, and dp/dr.
+
+    The slope holds the worst-case set fixed (envelope theorem); for the
+    interval variant it is phi(w2 - r) - phi(w1 - r).
+    """
     r = dual.travel_scale
     if dual.variant is DualVariant.INTERVAL:
         w2, w1 = dual.interval
-        return _interval_probability(w2, w1, r)
+        slope = float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r))
+        return _interval_probability(w2, w1, r), slope
     u = math.log(-dual.c2)
     return _probability_from_coeffs(dual.c0, dual.c1, u, r)
 
@@ -661,7 +694,7 @@ def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
         # exponential basis degenerates as r -> 0; interpolate from p(0) = q
         p_floor = lower_bound_probability(stats, _R_SMOOTH_FLOOR)
         return stats.q + (p_floor - stats.q) * (r / _R_SMOOTH_FLOOR)
-    return probability_from_dual(solve_dual(stats, r))
+    return probability_from_dual(solve_dual(stats, r))[0]
 
 
 def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
@@ -674,6 +707,24 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     the capped flag when the worst-case probability never falls to 0.5
     before it.  The result is floored at the zeroth-order radius, which the
     first-order bound provably dominates.
+
+    The smooth branch searches bisection's own grid, k h with
+    h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma), and
+    returns k h once p(k h) >= 1/2 and p((k + 1) h) < 1/2 have both been
+    solved: for a monotone p the point ``bisect_root`` returns.  It starts
+    at the root of the m2 = 0 interval system on the same grid, a lower
+    bound on the root that is closer than Phi^-1(q), and takes Newton steps
+    on p(r) - 1/2 with the envelope-theorem slope
+    dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx, floored to the grid
+    and kept strictly inside the bracket.  It bisects the bracket where no
+    negative FULL-dual slope is known (below the smooth floor, after a
+    fallback), where Newton points outside the bracket, or when two Newton
+    probes have not halved it.  The cap is probed only when Newton points
+    past it or the bracket ends there.  Each solve is warm-started from the
+    nearest r already solved.
+    ``fallback_used`` is set when the solve at either end of the final
+    bracket (or at the cap, for a capped result) used the reduced dual;
+    an end below the smooth floor is interpolated and never sets it.
     """
     q = stats.q
     if q <= 0.5:
@@ -689,37 +740,64 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     scaled_tol = max(tol / cfg.sigma, 1e-12)
 
     if stats.m2 < M2_DEGENERATE:
-        w2, w1 = _solve_interval(q, stats.m1)
-        if _interval_probability(w2, w1, R_CAP_DEFAULT) >= 0.5:
+        r_star = _interval_root(q, stats.m1, min(scaled_tol, 1e-9))
+        if r_star is None:
             return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
-        r_star = bisect_root(
-            lambda rr: _interval_probability(w2, w1, rr) - 0.5,
-            0.0, R_CAP_DEFAULT, tol=min(scaled_tol, 1e-9),
-        )
         return RadiusResult(max(cfg.sigma * r_star, zeroth))
 
     if q <= 0.5 + _Q_SMOOTH_FLOOR:
         return RadiusResult(zeroth)
 
-    state = {"warm": None, "fallback": False}
+    top = 2 ** bisection_steps(R_CAP_DEFAULT, scaled_tol)  # index of the cap
+    h = R_CAP_DEFAULT / top
+    duals: dict[int, DualSolution] = {}  # grid index -> its solve
 
-    def gap(rr: float) -> float:
-        if rr == 0.0:
-            return q - 0.5
-        if rr < _R_SMOOTH_FLOOR:
-            return lower_bound_probability(stats, rr) - 0.5
-        dual = solve_dual(stats, rr, warm=state["warm"])
-        state["warm"] = dual
-        if dual.variant is not DualVariant.FULL:
-            state["fallback"] = True
-        return probability_from_dual(dual) - 0.5
+    def probe(k: int) -> tuple[float, Optional[float]]:
+        """p(k h), and dp/dr where it is negative and from a FULL dual."""
+        r = k * h
+        if r < _R_SMOOTH_FLOOR:
+            return lower_bound_probability(stats, r), None
+        near = min(duals, key=lambda j: (abs(j - k), j), default=None)
+        dual = duals[k] = solve_dual(stats, r, warm=duals.get(near))
+        p, slope = probability_from_dual(dual)
+        if dual.variant is not DualVariant.FULL or not slope < 0.0:
+            return p, None
+        return p, slope
 
-    if gap(R_CAP_DEFAULT) >= 0.0:
-        return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True,
-                            fallback_used=state["fallback"])
-    r_star = bisect_root(gap, 0.0, R_CAP_DEFAULT, tol=scaled_tol)
-    return RadiusResult(max(cfg.sigma * r_star, zeroth),
-                        fallback_used=state["fallback"])
+    def fell_back(k: int) -> bool:
+        return k in duals and duals[k].variant is not DualVariant.FULL
+
+    # p(lo h) >= 1/2 > p(hi h), where hi = top stands unproven until the
+    # cap is probed; widths[i] is hi - lo after probe i
+    lo, hi = 0, top
+    widths: list[int] = []
+    # dropping the m2 constraint can only lower p, so the search starts at
+    # the m2 = 0 root, a grid point below the root
+    start = _interval_root(q, stats.m1, scaled_tol)
+    k = top if start is None else min(max(round(start / h), 1), top - 1)
+    while True:
+        p, slope = probe(k)
+        if p < 0.5:
+            hi = k
+        elif k == top:
+            return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True,
+                                fallback_used=fell_back(top))
+        else:
+            lo = k
+        widths.append(hi - lo)
+        cap_open = hi == top and top not in duals
+        if hi - lo == 1 and not cap_open:
+            break
+        target = math.nan if slope is None else k * h + (0.5 - p) / slope
+        stalled = len(widths) > 2 and widths[-1] > widths[-3] / 2
+        if cap_open and (hi - lo == 1 or target >= R_CAP_DEFAULT):
+            k = top
+        elif lo * h <= target < hi * h and not stalled:
+            k = min(max(math.floor(target / h), lo + 1), hi - 1)
+        else:
+            k = (lo + hi) // 2
+    return RadiusResult(max(cfg.sigma * (lo * h), zeroth),
+                        fallback_used=fell_back(lo) or fell_back(hi))
 
 
 # ---------------------------------------------------------------------------

@@ -286,9 +286,14 @@ def cmd_curve(args) -> int:
         dim = int(meta["dim"])
     except (KeyError, ValueError) as err:
         raise ConfigError(f"input is missing meta fields: {err}")
-    subspace_threat = (ThreatModel(meta["subspace_threat"])
-                       if "subspace_threat" in meta else None)
-    subspace_dim = int(meta["subspace_dim"]) if "subspace_dim" in meta else None
+    try:
+        subspace_threat = (ThreatModel(meta["subspace_threat"])
+                           if "subspace_threat" in meta else None)
+        subspace_dim = int(meta["subspace_dim"]) if "subspace_dim" in meta else None
+    except ValueError as err:
+        raise ConfigError(f"bad subspace meta field: {err}")
+    if subspace_threat is ThreatModel.SUBSPACE_LINF and subspace_dim is None:
+        raise ConfigError("subspace_threat=subspace_linf needs a subspace_dim meta field")
 
     radii = [r.radius_zeroth_l2 for r in results]
     for threat in (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF, subspace_threat):

@@ -21,6 +21,7 @@ __all__ = [
     "std_normal_quantile",
     "panel_nodes",
     "solve_system",
+    "bisection_steps",
     "bisect_root",
     "CLAMP",
 ]
@@ -161,6 +162,16 @@ def solve_system(
     raise NoConvergenceError("iteration cap reached", norm)
 
 
+def bisection_steps(width: float, tol: float) -> int:
+    """Halvings ``bisect_root`` makes of a bracket ``width`` wide for ``tol``.
+
+    Its midpoints then lie on the grid lo + k * width / 2**steps.
+    """
+    if tol <= 0.0:
+        raise DomainError("tol must be positive")
+    return int(np.ceil(np.log2(max(width / tol, 1.0)))) + 1
+
+
 def bisect_root(
     f: Callable[[float], float],
     lo: float,
@@ -169,16 +180,17 @@ def bisect_root(
 ) -> float:
     """Bisection root of a scalar function on a sign-changing bracket.
 
-    Runs a fixed iteration count derived from tol, which keeps results
-    deterministic and monotone under pointwise-ordered objective families.
-    Returns the final bracket's end on the side of lo, within tol/2 of the
-    root, where f keeps the sign of f(lo): a radius search on p(r) - 1/2
-    therefore never reports an r past the root.
+    Runs a fixed iteration count derived from tol (``bisection_steps``),
+    which keeps results deterministic and monotone under pointwise-ordered
+    objective families.  Returns the final bracket's end on the side of lo,
+    within tol/2 of the root, where f keeps the sign of f(lo).  The smooth
+    radius search in ``certify.directional_radius`` returns the same grid
+    point from a Newton search on this grid; the interval branch calls this
+    function directly.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
+    steps = bisection_steps(hi - lo, tol)
     f_lo = f(lo)
     f_hi = f(hi)
     if f_lo == 0.0:
@@ -189,7 +201,6 @@ def bisect_root(
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
-    steps = int(np.ceil(np.log2(max((hi - lo) / tol, 1.0)))) + 1
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)

@@ -143,7 +143,7 @@ def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
     for i, (q, m1, m2, r, solve) in enumerate(cases):
         dual = solve(FirstOrderStats(q, m1, m2), r)
         reduced += dual.variant is DualVariant.REDUCED_NO_SLOPE
-        p = cz.probability_from_dual(dual)
+        p, _ = cz.probability_from_dual(dual)
         est, se = mc_worst_case_probability(dual, r, n, RngSpec(seed + i, 0))
         worst = np.maximum(worst, abs(p - est) / max(se, 1e-12))
     return CheckResult(worst <= limit, f"max |p - mc| = {worst:.2f} stderr",

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 import yaml
 
@@ -226,6 +228,27 @@ class TestCurveCommand:
             assert b[0] == a[0]
             assert [round(4 * float(v)) for v in b[1:]] == \
                 [round(3 * float(v)) for v in a[1:]]
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"subspace_threat": "subspace_lx", "subspace_dim": "7"},
+         "'subspace_lx' is not a valid ThreatModel"),
+        ({"subspace_threat": "subspace_linf"},
+         "subspace_threat=subspace_linf needs a subspace_dim meta field"),
+        ({"subspace_threat": "subspace_linf", "subspace_dim": "7.5"},
+         "bad subspace meta field"),
+    ], ids=["unknown-threat", "linf-without-dim", "dim-not-int"])
+    def test_malformed_subspace_meta_exits_1(self, tmp_path, capsys, edit, message):
+        # the subspace meta lines of a certificate CSV are read as config:
+        # a bad one is a config error, not a traceback
+        certs = self.certify(tmp_path, count=2)
+        results, meta = load_run(certs)
+        rows = [replace(r, radius_first_subspace=r.radius_first_l2) for r in results]
+        edited = tmp_path / "edited.csv"
+        persist_run(rows, edited, meta={**meta, **edit})
+        prefix = tmp_path / "nope"
+        assert main(["curve", "--input", str(edited), "--out", str(prefix)]) == 1
+        assert not (tmp_path / "nope.csv").exists()
+        assert message in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path):
         assert main(["curve", "--input", str(tmp_path / "none.csv")]) == 1

@@ -7,6 +7,7 @@ import pytest
 
 from smoothcert import certify
 from smoothcert.certify import (
+    R_CAP_DEFAULT,
     DualVariant,
     FirstOrderStats,
     InfeasibleStatsError,
@@ -20,7 +21,7 @@ from smoothcert.certify import (
     solve_dual,
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
-from smoothcert.numerics import DomainError
+from smoothcert.numerics import DomainError, bisection_steps
 from smoothcert.selftest import _check_angular
 
 from helpers import (
@@ -35,11 +36,32 @@ from helpers import (
 HALFSPACE_STATS = FirstOrderStats(CDF_1, -PHI_1 * (1.0 - 1e-6), 0.0)
 
 
+def _threat_path_stats(q: float, turn: float, frac: float) -> FirstOrderStats:
+    """Gradient of frac * M(q) at angle pi * turn from the travel direction."""
+    mag = frac * max_gradient_magnitude(q)
+    m2 = 0.0 if turn == 1.0 else mag * math.sin(math.pi * turn)
+    return FirstOrderStats(q, mag * math.cos(math.pi * turn), m2)
+
+
+# the stats of TestDirectionalRadius.test_reported_radius_is_safe: the
+# interval branch (m2 = 0), then two smooth threat-path angles, per q
+THREAT_PATH_STATS = [
+    _threat_path_stats(q, turn, frac)
+    for q in (0.6, 0.75, 0.9, 0.97)
+    for turn, frac in ((1.0, 0.5), (0.75, 0.6), (0.6, 0.9))
+]
+
+# no FULL start converges for these stats, so each r the slope test uses
+# solves the reduced dual (see test_start_chain_falls_back_to_reduced)
+REDUCED_STATS = FirstOrderStats(0.7710664422055722, -0.2922115017479008,
+                                0.07959514963886805)
+
+
 class TestSolveDual:
     def test_halfspace_interval_variant(self):
         dual = solve_dual(HALFSPACE_STATS, 0.5)
         assert dual.variant is DualVariant.INTERVAL
-        p = probability_from_dual(dual)
+        p, _ = probability_from_dual(dual)
         assert p == pytest.approx(float(cdf(0.5)), abs=2e-3)
 
     def test_interior_residuals_small(self):
@@ -115,16 +137,50 @@ class TestSolveDual:
     def test_reduced_is_conservative(self):
         # dropping the directional constraint can only lower the bound
         stats = FirstOrderStats(0.85, -0.08, 0.1)
-        full = probability_from_dual(solve_dual(stats, 0.8))
-        red = probability_from_dual(_reduced_dual(stats, 0.8))
+        full, _ = probability_from_dual(solve_dual(stats, 0.8))
+        red, _ = probability_from_dual(_reduced_dual(stats, 0.8))
         assert red <= full + 1e-9
 
     def test_warm_start_consistency(self):
         stats = FirstOrderStats(0.85, -0.05, 0.12)
         cold = solve_dual(stats, 1.0)
         warm = solve_dual(stats, 1.05, warm=cold)
-        p_cold = probability_from_dual(solve_dual(stats, 1.05))
-        assert probability_from_dual(warm) == pytest.approx(p_cold, abs=1e-8)
+        p_cold, _ = probability_from_dual(solve_dual(stats, 1.05))
+        assert probability_from_dual(warm)[0] == pytest.approx(p_cold, abs=1e-8)
+
+
+class TestProbabilitySlope:
+    # p(r) = integral phi(x - r) f(x) dx with 0 <= f <= 1, so the third
+    # derivative of p is at most integral |phi'''| = 1.51 in size, and a
+    # central difference at step DELTA is off by at most
+    # 1.51 DELTA^2 / 6 = 2.5e-7.  Each p carries solver and quadrature error
+    # below the residual tolerance 1e-10, which adds at most
+    # 1e-10 / DELTA = 1e-7.
+    DELTA = 1e-3
+    TOL = 1.51 * DELTA ** 2 / 6.0 + 1e-10 / DELTA
+
+    @pytest.mark.parametrize("stats, r, variant", [
+        (_threat_path_stats(0.6, 0.75, 0.6), 0.3, DualVariant.FULL),
+        (_threat_path_stats(0.6, 0.75, 0.6), 2.5, DualVariant.FULL),
+        (_threat_path_stats(0.75, 0.6, 0.9), 0.9375, DualVariant.FULL),
+        (_threat_path_stats(0.9, 0.75, 0.6), 1.5, DualVariant.FULL),
+        (_threat_path_stats(0.97, 0.6, 0.9), 2.5, DualVariant.FULL),
+        (REDUCED_STATS, 0.3, DualVariant.REDUCED_NO_SLOPE),
+        (REDUCED_STATS, 0.9375, DualVariant.REDUCED_NO_SLOPE),
+        (_threat_path_stats(0.6, 1.0, 0.5), 0.3, DualVariant.INTERVAL),
+        (_threat_path_stats(0.75, 1.0, 0.5), 1.5, DualVariant.INTERVAL),
+        (_threat_path_stats(0.97, 1.0, 0.5), 2.5, DualVariant.INTERVAL),
+    ])
+    def test_matches_central_differences(self, stats, r, variant):
+        # all three solves take one variant, so the difference runs along
+        # one branch of lower_bound_probability
+        for rr in (r - self.DELTA, r, r + self.DELTA):
+            assert solve_dual(stats, rr).variant is variant
+        _, slope = probability_from_dual(solve_dual(stats, r))
+        ref = (lower_bound_probability(stats, r + self.DELTA)
+               - lower_bound_probability(stats, r - self.DELTA)) / (2.0 * self.DELTA)
+        assert slope < 0.0
+        assert abs(slope - ref) <= self.TOL, (slope, ref)
 
 
 class TestLowerBoundProbability:
@@ -140,7 +196,7 @@ class TestLowerBoundProbability:
     def test_against_mc_oracle(self):
         stats = FirstOrderStats(0.8, 0.05, 0.1)
         dual = solve_dual(stats, 0.4)
-        p = probability_from_dual(dual)
+        p, _ = probability_from_dual(dual)
         est, se = mc_worst_case_probability(dual, 0.4, 1_000_000, RngSpec(7, 1))
         assert abs(p - est) <= 3.0 * se
 
@@ -169,20 +225,45 @@ class TestLowerBoundProbability:
 class TestDirectionalRadius:
     def test_residual_evaluation_count(self, monkeypatch):
         # each evaluation yields F and J from one grid, so a Newton step
-        # costs only its line-search trials (86 here; differencing the
-        # Jacobian column by column costs 428); the radius is pinned exactly
+        # costs only its line-search trials, and the Newton search over r
+        # needs a few dual solves here (bisection needed 15 solves and 86
+        # evaluations); the radius is pinned exactly
         calls = []
+        solves = []
         orig = certify._dual_residual
+        orig_solve = certify.solve_dual
 
         def counted(*args, **kwargs):
             calls.append(args[0])
             return orig(*args, **kwargs)
 
+        def counted_solve(*args, **kwargs):
+            solves.append(args[1])
+            return orig_solve(*args, **kwargs)
+
         monkeypatch.setattr(certify, "_dual_residual", counted)
+        monkeypatch.setattr(certify, "solve_dual", counted_solve)
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
-        assert len(calls) <= 150
+        assert len(calls) <= 40
+        assert len(solves) <= 5
         assert res.radius == 0.3076171875
+
+    def test_stops_at_last_grid_point_below_root(self):
+        # R / sigma is the largest point k h of bisection's grid with
+        # p >= 1/2: cold solves give p(R / sigma) >= 1/2 > p(R / sigma + h)
+        for s in THREAT_PATH_STATS:
+            for tol in (1e-3, 1e-4):
+                for sigma in (0.25, 1.0):
+                    res = directional_radius(s, SmoothingConfig(sigma, 152), tol=tol)
+                    assert not res.capped
+                    # the m2 = 0 interval branch bisects to at most 1e-9
+                    scaled = tol / sigma if s.m2 > 0.0 else min(tol / sigma, 1e-9)
+                    h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, scaled)
+                    r = res.radius / sigma
+                    assert (r / h).is_integer(), (s, tol, sigma, r)
+                    assert lower_bound_probability(s, r) >= 0.5, (s, tol, sigma)
+                    assert lower_bound_probability(s, r + h) < 0.5, (s, tol, sigma)
 
     def test_reported_radius_is_safe(self):
         # a radius is a safety claim: the worst-case probability at the
