@@ -518,17 +518,6 @@ def _reduced_init(stats: FirstOrderStats, r: float) -> tuple[float, float]:
     return math.log(c0), math.log(c0) - r * x_star
 
 
-def _tilted_init(stats: FirstOrderStats, r: float) -> tuple[float, float, float]:
-    """Start near the tilted-halfspace limit (c2 -> 0-) that matches (q, m1, m2)."""
-    big_m = max_gradient_magnitude(stats.q)
-    c1 = stats.m1 / max(stats.m2, 0.05 * big_m)
-    scale = math.sqrt(1.0 + c1 * c1)
-    c0 = float(std_normal_quantile(stats.q)) * scale
-    anchor = min(8.0, abs(c0 / c1) + 2.0) if c1 != 0.0 else 4.0
-    u = math.log(0.05 * (1.0 + abs(c0))) - r * anchor
-    return c0, c1, u
-
-
 def _log1mexp(t: float) -> float:
     """log(1 - e^{-t}) for t > 0."""
     if t > 36.0:
@@ -609,10 +598,9 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
     1. ``warm``, when it is a FULL solution (in a radius search, that of
        the nearest travel distance already solved);
-    2. the m2 = 0 interval with its edges softened to m2;
-    3. the tilted-halfspace limit.
+    2. the m2 = 0 interval with its edges softened to m2.
 
-    When none of them converges, the two-equation system is solved instead
+    When neither converges, the two-equation system is solved instead
     (``_reduced_dual``), which drops the directional constraint and is
     always conservative.  m2 below the degeneracy floor routes to the exact
     interval geometry.
@@ -650,8 +638,6 @@ def solve_dual(stats: FirstOrderStats, r: float,
         soft = _soft_interval_init(stats, r)
         if soft is not None:
             full_sol = try_full(soft)
-    if full_sol is None:
-        full_sol = try_full(_tilted_init(stats, r))
     if full_sol is None:
         # conservative fallback: the two-equation bound is valid regardless
         return _reduced_dual(stats, r, warm)

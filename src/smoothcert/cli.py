@@ -23,6 +23,7 @@ from .certify import LinfMode, ThreatModel
 from .classifiers import BlackBoxClassifier, make_synthetic
 from .numerics import DomainError
 from .pipeline import (
+    ParseError,
     PointTask,
     RunConfig,
     accuracy_curves,
@@ -277,9 +278,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
     if not os.path.exists(args.input):
         raise ConfigError(f"input file not found: {args.input}")
-    results, meta = load_run(args.input)
+    try:
+        results, meta = load_run(args.input)
+    except ParseError as err:
+        raise ConfigError(f"malformed certificates file {args.input}: {err}")
     if not results:
         raise ConfigError("input contains no certificate rows")
     try:

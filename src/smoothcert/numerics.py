@@ -112,8 +112,9 @@ def solve_system(
     return floats.  The step is halved until the residual 2-norm decreases,
     down to DAMPING_FLOOR.  The accepted trial's J is the next step's
     Jacobian, so a Newton step costs one evaluation per line-search trial.
-    Raises NoConvergenceError unless the residual max-norm reaches
-    RESIDUAL_TOLERANCE within MAX_ITERATIONS steps.
+    Raises NoConvergenceError at a singular Jacobian, at a line search that
+    reaches DAMPING_FLOOR without lowering the 2-norm, and unless the
+    residual max-norm reaches RESIDUAL_TOLERANCE within MAX_ITERATIONS steps.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     f, jac = _evaluate(residual, x)
@@ -121,7 +122,6 @@ def solve_system(
         raise DomainError(f"residual dimension {f.size} != unknown dimension {x.size}")
     norm = float(np.max(np.abs(f)))
     merit = float(np.linalg.norm(f))
-    stagnant = 0
     for _ in range(MAX_ITERATIONS):
         if not np.isfinite(norm):
             raise NoConvergenceError("residual became non-finite", norm)
@@ -130,33 +130,22 @@ def solve_system(
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+            raise NoConvergenceError("singular Jacobian", norm) from None
         if not np.all(np.isfinite(step)):
             raise NoConvergenceError("Newton step became non-finite", norm)
         alpha = 1.0
-        improved = False
         while alpha >= DAMPING_FLOOR:
             trial = x + alpha * step
             f_trial, jac_trial = _evaluate(residual, trial)
             trial_merit = float(np.linalg.norm(f_trial))
             if np.isfinite(trial_merit) and trial_merit < merit:
-                x, f, jac = trial, f_trial, jac_trial
-                norm = float(np.max(np.abs(f_trial)))
-                merit = trial_merit
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
-            stagnant += 1
-            if stagnant >= 3:
-                raise NoConvergenceError("damped Newton stalled", norm)
-            # accept the floored step; a fresh Jacobian often recovers
-            x = x + DAMPING_FLOOR * step
-            f, jac = _evaluate(residual, x)
-            norm = float(np.max(np.abs(f)))
-            merit = float(np.linalg.norm(f))
         else:
-            stagnant = 0
+            raise NoConvergenceError("damped Newton stalled", norm)
+        x, f, jac = trial, f_trial, jac_trial
+        norm = float(np.max(np.abs(f)))
+        merit = trial_merit
     if norm <= RESIDUAL_TOLERANCE:
         return x
     raise NoConvergenceError("iteration cap reached", norm)

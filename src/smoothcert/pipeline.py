@@ -97,6 +97,12 @@ class PointTask:
     stream_id: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # the id is a CSV cell that load_run must read back as this row's id
+        if (not self.point_id or self.point_id.startswith("#")
+                or any(ch in self.point_id for ch in ",\n\r")):
+            raise DomainError(f"point id must be non-empty, must not start with "
+                              f"'#' and must not hold ',' or a line break, "
+                              f"got {self.point_id!r}")
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(
             self, "requested_threats",

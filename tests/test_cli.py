@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 import yaml
 
+from smoothcert import cli, pipeline
 from smoothcert.cli import main
 from smoothcert.pipeline import PointResult, load_run, persist_run
 
@@ -131,6 +132,65 @@ class TestCertifyCommand:
         assert not out.exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point_id", ["a,1", "a\nb", "#p0", ""],
+                             ids=["comma", "line-break", "hash", "empty"])
+    def test_unusable_point_id_exits_1_before_sampling(self, tmp_path, capsys,
+                                                       monkeypatch, point_id):
+        # the id is a CSV cell: one that the CSV cannot hold, or that
+        # load_run would read as a comment or not at all, is a config error
+        sampled = []
+        orig = pipeline.sample_class_sums
+        monkeypatch.setattr(pipeline, "sample_class_sums",
+                            lambda *a, **k: sampled.append(a) or orig(*a, **k))
+        config = write_config(tmp_path / "run.yaml", points={"explicit": [
+            {"id": point_id, "x": [1.2, 0.0], "label": 0}]})
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert sampled == []
+        assert "point id" in capsys.readouterr().err
+
+    def test_failed_point_exits_2_with_summary(self, tmp_path, capsys):
+        # a point whose certification raises is recorded in its row, and
+        # the run still writes every row but exits 2
+        config = write_config(tmp_path / "run.yaml", points={"explicit": [
+            {"id": "good", "x": [1.2, 0.0], "label": 0},
+            {"id": "wide", "x": [1.2, 0.0, 0.5], "label": 0}]})
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 2
+        summary = capsys.readouterr().out
+        assert "certified 2 points" in summary and "(1 failed point(s))" in summary
+        rows = {r.point_id: r for r in load_run(out)[0]}
+        assert rows["good"].predicted == 0 and rows["good"].radius_zeroth_l2 > 0.0
+        assert rows["wide"].predicted == -1
+        assert rows["wide"].error.startswith("ValueError: matmul")
+
+    def test_subspace_flags_round_trip_through_curve(self, tmp_path, monkeypatch):
+        # --subspace-mask and --clamp-infeasible reach the run; the subspace
+        # meta lines are written and read back by curve
+        configs = []
+        orig = cli.run_points
+        monkeypatch.setattr(cli, "run_points", lambda tasks, f, run, **kw:
+                            configs.append(run) or orig(tasks, f, run, **kw))
+        config = tmp_path / "gen.yaml"
+        config.write_text("run: {sigma: 0.5, alpha: 0.01, samples: 4000, seed: 4}\n"
+                          "points: {generate: {dim: 160, count: 3}}\n")
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--threats", "l2,subspace_linf", "--subspace-mask", "5,0,3,0",
+                     "--clamp-infeasible"]) == 0
+        assert [run.clamp_infeasible for run in configs] == [True]
+        results, meta = load_run(out)
+        assert (meta["subspace_threat"], meta["subspace_dim"]) == ("subspace_linf", "3")
+        assert all(r.radius_first_subspace is not None for r in results)
+        prefix = tmp_path / "curves"
+        assert main(["curve", "--input", str(out), "--out", str(prefix),
+                     "--grid-points", "5"]) == 0
+        header = (tmp_path / "curves.csv").read_text().splitlines()[1].split(",")
+        assert header == ["radius", "l2_zeroth_acc", "l2_first_acc",
+                          "subspace_linf_zeroth_acc", "subspace_linf_first_acc"]
+        assert (tmp_path / "curves_subspace_linf.svg").exists()
+
     def test_flag_overrides(self, tmp_path):
         config = write_config(tmp_path / "run.yaml")
         out = tmp_path / "c.csv"
@@ -249,6 +309,27 @@ class TestCurveCommand:
         assert main(["curve", "--input", str(edited), "--out", str(prefix)]) == 1
         assert not (tmp_path / "nope.csv").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_grid_points_below_1_exits_1(self, tmp_path, capsys, points):
+        certs = self.certify(tmp_path, count=1)
+        prefix = tmp_path / "nope"
+        assert main(["curve", "--input", str(certs), "--out", str(prefix),
+                     "--grid-points", points]) == 1
+        assert not (tmp_path / "nope.csv").exists()
+        assert "--grid-points must be at least 1" in capsys.readouterr().err
+
+    def test_malformed_certificates_exit_1(self, tmp_path, capsys):
+        certs = self.certify(tmp_path, count=1)
+        lines = certs.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        lines[header] = lines[header].replace("q_lb", "q_low")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        prefix = tmp_path / "nope"
+        assert main(["curve", "--input", str(bad), "--out", str(prefix)]) == 1
+        assert not (tmp_path / "nope.csv").exists()
+        assert "malformed certificates file" in capsys.readouterr().err
 
     def test_missing_input(self, tmp_path):
         assert main(["curve", "--input", str(tmp_path / "none.csv")]) == 1

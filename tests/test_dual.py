@@ -11,6 +11,7 @@ from smoothcert.certify import (
     DualVariant,
     FirstOrderStats,
     InfeasibleStatsError,
+    RadiusResult,
     SmoothingConfig,
     _dual_residual,
     _reduced_dual,
@@ -19,6 +20,7 @@ from smoothcert.certify import (
     max_gradient_magnitude,
     probability_from_dual,
     solve_dual,
+    zeroth_radius_l2,
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
 from smoothcert.numerics import DomainError, bisection_steps
@@ -99,8 +101,8 @@ class TestSolveDual:
                                    atol=1e-6 * np.max(np.abs(ref)))
 
     def test_start_chain_falls_back_to_reduced(self, monkeypatch):
-        # no full start converges here: the soft-interval and tilted starts
-        # fail, and the third solve is the conservative reduced system
+        # no full start converges here: the soft-interval start fails, and
+        # the second solve is the conservative reduced system
         calls = []
         orig = certify.solve_system
 
@@ -113,7 +115,7 @@ class TestSolveDual:
                                 0.07959514963886805)
         dual = solve_dual(stats, 0.9375)
         assert dual.variant is DualVariant.REDUCED_NO_SLOPE
-        assert len(calls) == 3
+        assert len(calls) == 2
         assert (dual.c0, dual.c1, dual.c2) == (4.348574752892094, 0.0,
                                                -2.0591584841381723)
 
@@ -285,6 +287,81 @@ class TestDirectionalRadius:
                     assert not res.capped
                     p = lower_bound_probability(s, res.radius / sigma)
                     assert p >= 0.5, (s, tol, sigma, p)
+
+    @staticmethod
+    def _record_travel(monkeypatch, name):
+        """Record the travel distance of every call to ``certify.<name>``."""
+        seen = []
+        orig = getattr(certify, name)
+
+        def recorded(stats, r, *args, **kwargs):
+            seen.append(r)
+            return orig(stats, r, *args, **kwargs)
+
+        monkeypatch.setattr(certify, name, recorded)
+        return seen
+
+    def test_smooth_branch_caps(self, monkeypatch):
+        # m1 just inside the feasible magnitude with a small smooth m2: the
+        # m2 = 0 root lies past the cap, so the search solves the dual there
+        # first, and p at the cap is still >= 1/2
+        solved = self._record_travel(monkeypatch, "solve_dual")
+        cfg = SmoothingConfig(1.0, 4)
+        big_m = max_gradient_magnitude(0.9)
+        stats = FirstOrderStats(0.9, big_m * (1 - 1e-13), 1e-7)
+        assert stats.m2 > certify.M2_DEGENERATE
+        res = directional_radius(stats, cfg, tol=1e-3)
+        assert res == RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
+        assert solved == [R_CAP_DEFAULT]
+        assert lower_bound_probability(stats, R_CAP_DEFAULT) >= 0.5
+
+    def test_newton_past_cap_probes_it(self, monkeypatch):
+        # a near-boundary gradient turned toward the travel direction: Newton
+        # from the first probe points past the cap, the cap's p is < 1/2,
+        # and the search goes on below it to bisection's grid point
+        solved = self._record_travel(monkeypatch, "solve_dual")
+        cfg = SmoothingConfig(1.0, 4)
+        q, tol = 0.6, 1e-3
+        mag = 0.999 * max_gradient_magnitude(q)
+        stats = FirstOrderStats(q, mag * math.cos(0.6), mag * math.sin(0.6))
+        res = directional_radius(stats, cfg, tol=tol)
+        assert solved[1] == R_CAP_DEFAULT
+        assert not res.capped
+        h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, tol)
+        assert (res.radius / h).is_integer()
+        assert lower_bound_probability(stats, res.radius) >= 0.5
+        assert lower_bound_probability(stats, res.radius + h) < 0.5
+
+    def test_q_near_half_returns_zeroth(self, monkeypatch):
+        # within _Q_SMOOTH_FLOOR of 1/2 the exponential basis degenerates;
+        # the smooth branch returns the zeroth-order radius unsolved
+        def down(*args, **kwargs):
+            raise AssertionError("no dual solve expected")
+
+        monkeypatch.setattr(certify, "solve_dual", down)
+        cfg = SmoothingConfig(1.0, 4)
+        q = 0.5003
+        mag = 0.6 * max_gradient_magnitude(q)
+        stats = FirstOrderStats(q, mag * math.cos(2.0), mag * math.sin(2.0))
+        assert directional_radius(stats, cfg, tol=1e-4) == \
+            RadiusResult(zeroth_radius_l2(q, cfg))
+
+    def test_interpolates_below_smooth_floor(self, monkeypatch):
+        # q just above the q floor: the root lies below _R_SMOOTH_FLOOR,
+        # where p is interpolated from p(0) = q to p at the floor
+        probed = self._record_travel(monkeypatch, "lower_bound_probability")
+        cfg = SmoothingConfig(1.0, 4)
+        q, tol = 0.501, 1e-4
+        mag = 0.5 * max_gradient_magnitude(q)
+        stats = FirstOrderStats(q, mag * math.cos(2.5), mag * math.sin(2.5))
+        res = directional_radius(stats, cfg, tol=tol)
+        assert any(r < certify._R_SMOOTH_FLOOR for r in probed)
+        assert res.radius == 0.002593994140625
+        h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, tol)
+        assert (res.radius / h).is_integer()
+        # cold, as a user would re-check it (0.5000126)
+        assert lower_bound_probability(stats, res.radius) >= 0.5
+        assert res.radius >= zeroth_radius_l2(q, cfg)
 
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothcert.numerics import (
+    DAMPING_FLOOR,
     BracketError,
     DomainError,
     NoConvergenceError,
@@ -132,6 +133,34 @@ class TestSolveSystem:
             solve_system(lambda x: (np.tanh(x) + 2.0, 1.0 - np.tanh(x) ** 2),
                          [0.0])
         assert err.value.residual_norm > 0.5
+
+    def test_singular_jacobian_fails_at_once(self):
+        # no least-squares step: the first Newton step's Jacobian is singular
+        evaluated = []
+
+        def residual(v):
+            evaluated.append(float(v[0]))
+            return [v[0] - 3.0, v[1] - 1.0], [[0.0, 0.0], [0.0, 1.0]]
+
+        with pytest.raises(NoConvergenceError, match="singular Jacobian"):
+            solve_system(residual, [0.0, 0.0])
+        assert evaluated == [0.0]
+
+    def test_line_search_without_progress_fails_at_once(self):
+        # the Jacobian's sign is wrong, so every trial raises the merit: the
+        # line search halves 1, 1/2, ..., DAMPING_FLOOR and then gives up,
+        # with no floored step taken
+        evaluated = []
+
+        def residual(v):
+            evaluated.append(float(v[0]))
+            return v[0] - 3.0, -1.0
+
+        with pytest.raises(NoConvergenceError, match="stalled"):
+            solve_system(residual, [0.0])
+        halvings = round(math.log2(1.0 / DAMPING_FLOOR))
+        assert len(evaluated) == 1 + halvings + 1
+        assert evaluated == [0.0] + [-3.0 * 0.5 ** k for k in range(halvings + 1)]
 
 
 class TestBisect:

@@ -7,11 +7,19 @@ import time
 import numpy as np
 import pytest
 
-from smoothcert.certify import ThreatModel
+from smoothcert import certify, pipeline
+from smoothcert.certify import (
+    GradientNormBounds,
+    LinfMode,
+    SmoothingConfig,
+    ThreatModel,
+    radius_linf_first,
+)
 from smoothcert.classifiers import (
     LinearClassifier,
     LinearClassifierSpec,
     RngSpec,
+    analytic_linear_radius,
     make_synthetic,
 )
 from smoothcert.numerics import DomainError
@@ -106,6 +114,71 @@ class TestCertifyPoint:
         assert res.error == ""
         assert res.radius_first_subspace is not None
         assert res.radius_first_subspace >= res.radius_zeroth_l2 - 1e-9
+
+    def test_linf_via_l1_consumes_the_l1_bound(self, monkeypatch):
+        # one-hot weights at d = 4: the l2 bound's hypothesis fails, but the
+        # l1 bound is tight, so linf via l1 beats l2 scaling; q, l2, linf
+        # and l1 split alpha four ways
+        seen = {}
+        orig_q, orig_l1 = pipeline.estimate_q_lower, pipeline.l1_norm_bounds
+
+        def q_lower(successes, n, alpha):
+            seen["q_alpha"] = alpha
+            return orig_q(successes, n, alpha)
+
+        def l1_bounds(batch, alpha):
+            seen["l1_alpha"] = alpha
+            seen["l1"] = orig_l1(batch, alpha)
+            return seen["l1"]
+
+        monkeypatch.setattr(pipeline, "estimate_q_lower", q_lower)
+        monkeypatch.setattr(pipeline, "l1_norm_bounds", l1_bounds)
+        dim = 4
+        spec = LinearClassifierSpec(w=np.eye(dim)[0], b=0.0)
+        f = LinearClassifier(spec)
+        x = 0.25 * spec.w
+        task = PointTask("p0", x, f.classify(x), THREATS)
+        config = RunConfig(sigma=0.25, alpha_total=1e-3, n_samples=1_000_000,
+                           seed=11, radius_tol=1e-3,
+                           linf_mode=LinfMode.VIA_L1_BOUND)
+        res = certify_point(task, f, config)
+        assert "l2 bound requires" in res.error
+        assert seen["q_alpha"] == seen["l1_alpha"] == config.alpha_total / 4
+        cfg = SmoothingConfig(config.sigma, dim)
+        bounds = GradientNormBounds(res.grad_l2_lb, res.grad_l2_ub, res.grad_linf_ub,
+                                    l1_upper=seen["l1"][1] / (cfg.sigma * cfg.sigma))
+        expected = radius_linf_first(res.q_lb, bounds, cfg, config.radius_tol,
+                                     mode=LinfMode.VIA_L1_BOUND)
+        assert res.radius_first_linf == expected.radius
+        assert res.radius_first_linf > 1.1 * res.radius_zeroth_l2 / math.sqrt(dim)
+        assert res.radius_first_linf <= analytic_linear_radius(spec, x, math.inf)
+
+    def test_subspace_hypothesis_failure_degrades_to_zeroth(self, monkeypatch):
+        # a 3-coordinate mask is too small for the l2 bound's hypothesis:
+        # the subspace bound degrades to infinity, the note lands in the
+        # row, and the subspace radius falls back to the zeroth-order one
+        seen = []
+        orig = certify.radius_subspace
+
+        def recorded(q, bounds, *args, **kwargs):
+            seen.append(bounds.subspace_dual_upper)
+            return orig(q, bounds, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "radius_subspace", recorded)
+        dim = 160
+        gen = np.random.Generator(np.random.Philox(key=[2, 2]))
+        w = gen.standard_normal(dim)
+        f = LinearClassifier(LinearClassifierSpec(w=w, b=0.0))
+        x = 0.6 * w / np.linalg.norm(w)
+        task = PointTask("p0", x, f.classify(x),
+                         (ThreatModel.L2, ThreatModel.SUBSPACE_L2), subspace_mask=(0, 1, 2))
+        res = certify_point(task, f, small_config())
+        assert res.error.startswith("l2 bound requires") and "at d = 3;" in res.error
+        assert "; l2" not in res.error  # the full-space l2 bound held at d = 160
+        assert seen == [math.inf]
+        assert res.radius_zeroth_l2 > 0.0
+        assert res.radius_first_subspace == pytest.approx(res.radius_zeroth_l2,
+                                                          rel=1e-12)
 
     def test_mask_required_for_subspace(self):
         with pytest.raises(DomainError):
