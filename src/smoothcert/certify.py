@@ -17,7 +17,8 @@ the same grid.  Either sign of the solved slope coefficient c1 is accepted.
 Only when no start of the full system converges is it re-solved without
 the directional constraint (``REDUCED_NO_SLOPE``), which is always
 conservative.  When m2 = 0 the dual degenerates to an indicator of an
-interval [w2, w1]; that branch is solved directly:
+interval [w2, w1], which ``solve_dual`` refuses; that branch is solved
+directly, and its slope is dp/dr = phi(w2 - r) - phi(w1 - r):
 
     Phi(w1) - Phi(w2)  = q
     phi(w2) - phi(w1)  = m1
@@ -28,9 +29,10 @@ Endpoint labels follow the convention validated by the halfspace limit
 travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
 
 A radius is the last point of bisection's grid of travel distances where
-p(r) >= 1/2.  A safeguarded Newton search with that slope finds it, in
-about 3 dual solves where bisection needed 15; the interval branch bisects
-its closed form.
+p(r) >= 1/2.  One safeguarded Newton search with that slope finds every
+radius (``_grid_search``): on the closed-form p of the interval when
+m2 = 0, and otherwise on the dual's p, started at the interval's root, in
+about 3 dual solves where bisection needed 15.
 
 All quantities here are dimensionless (travel measured in units of sigma);
 entry points convert to input units exactly once on the way out.  The l2
@@ -45,7 +47,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,7 +140,6 @@ class ThreatModel(str, enum.Enum):
 class DualVariant(str, enum.Enum):
     FULL = "full"
     REDUCED_NO_SLOPE = "reduced_no_slope"
-    INTERVAL = "interval"
 
 
 class LinfMode(str, enum.Enum):
@@ -194,31 +195,22 @@ class FirstOrderStats:
 class DualSolution:
     """Worst-case classifier coefficients at one travel distance.
 
-    For the smooth variants the worst-case set is
-    {(z1, z2): e^{r z1} <= a1 z1 + a2 z2 + b} with c0 = b/a2, c1 = a1/a2,
-    c2 = -1/a2 (hence c2 < 0).  The degenerate ``INTERVAL`` variant stores
-    the endpoints [w2, w1] of the a2 -> 0 limit instead and leaves the
-    coefficients unset.
+    The worst-case set is {(z1, z2): e^{r z1} <= a1 z1 + a2 z2 + b} with
+    c0 = b/a2, c1 = a1/a2, c2 = -1/a2 (hence c2 < 0).  Its a2 -> 0 limit,
+    the m2 = 0 interval, has no coefficients and is never a solution.
     """
 
-    c0: Optional[float]
-    c1: Optional[float]
-    c2: Optional[float]
+    c0: float
+    c1: float
+    c2: float
     variant: DualVariant
     travel_scale: float
-    interval: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        if self.variant is DualVariant.INTERVAL:
-            if self.interval is None:
-                raise DomainError("interval variant requires endpoints")
-        else:
-            if self.c0 is None or self.c2 is None:
-                raise DomainError("smooth variants require coefficients")
-            if self.c2 >= 0.0:
-                raise DomainError(f"c2 must be negative, got {self.c2}")
-            if self.variant is DualVariant.REDUCED_NO_SLOPE and self.c1 != 0.0:
-                raise DomainError("reduced variant must have c1 = 0")
+        if self.c2 >= 0.0:
+            raise DomainError(f"c2 must be negative, got {self.c2}")
+        if self.variant is DualVariant.REDUCED_NO_SLOPE and self.c1 != 0.0:
+            raise DomainError("reduced variant must have c1 = 0")
 
 
 class RadiusResult(NamedTuple):
@@ -352,17 +344,10 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
     return w2, _upper_endpoint(q, w2)
 
 
-def _interval_probability(w2: float, w1: float, r: float) -> float:
-    return float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r))
-
-
-def _interval_root(q: float, m1: float, tol: float) -> Optional[float]:
-    """Bisection's root of p(r) = 1/2 for the m2 = 0 interval; None past the cap."""
-    w2, w1 = _solve_interval(q, m1)
-    if _interval_probability(w2, w1, R_CAP_DEFAULT) >= 0.5:
-        return None
-    return bisect_root(lambda rr: _interval_probability(w2, w1, rr) - 0.5,
-                       0.0, R_CAP_DEFAULT, tol=tol)
+def _interval_probability(w2: float, w1: float, r: float) -> tuple[float, float]:
+    """p(r) = Phi(w1 - r) - Phi(w2 - r) for the interval [w2, w1], and dp/dr."""
+    return (float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r)),
+            float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r)))
 
 
 # ---------------------------------------------------------------------------
@@ -602,22 +587,20 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
     When neither converges, the two-equation system is solved instead
     (``_reduced_dual``), which drops the directional constraint and is
-    always conservative.  m2 below the degeneracy floor routes to the exact
-    interval geometry.
+    always conservative.  m2 below the degeneracy floor ``M2_DEGENERATE``
+    raises ``DomainError``: that dual is the m2 = 0 interval, which its
+    callers solve in closed form (``_solve_interval``).
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"travel distance must be positive and finite, got {r}")
     if not (0.5 < stats.q < 1.0):
         raise DomainError(f"solve_dual requires q in (0.5, 1), got {stats.q}")
+    if stats.m2 < M2_DEGENERATE:
+        raise DomainError(f"solve_dual requires m2 >= {M2_DEGENERATE}, got {stats.m2}")
     stats, _ = ensure_feasible(stats, clamp=False)
     m2_cap = max_gradient_magnitude(stats.q) * (1.0 - _M2_PERP_MARGIN)
     if stats.m2 > m2_cap:
         stats = replace(stats, m2=m2_cap)
-
-    if stats.m2 < M2_DEGENERATE:
-        w2, w1 = _solve_interval(stats.q, stats.m1)
-        return DualSolution(None, None, None, DualVariant.INTERVAL, r,
-                            interval=(w2, w1))
 
     warm_full: Optional[tuple[float, float, float]] = None
     if warm is not None and warm.variant is DualVariant.FULL:
@@ -649,16 +632,10 @@ def solve_dual(stats: FirstOrderStats, r: float,
 def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
     """Worst-case probability p at the dual's travel distance r, and dp/dr.
 
-    The slope holds the worst-case set fixed (envelope theorem); for the
-    interval variant it is phi(w2 - r) - phi(w1 - r).
+    The slope holds the worst-case set fixed (envelope theorem).
     """
-    r = dual.travel_scale
-    if dual.variant is DualVariant.INTERVAL:
-        w2, w1 = dual.interval
-        slope = float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r))
-        return _interval_probability(w2, w1, r), slope
-    u = math.log(-dual.c2)
-    return _probability_from_coeffs(dual.c0, dual.c1, u, r)
+    return _probability_from_coeffs(dual.c0, dual.c1, math.log(-dual.c2),
+                                    dual.travel_scale)
 
 
 def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
@@ -674,13 +651,53 @@ def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
         # no usable gradient information: zeroth-order worst case (halfspace)
         return float(std_normal_cdf(std_normal_quantile(stats.q) - r))
     if stats.m2 < M2_DEGENERATE:
-        w2, w1 = _solve_interval(stats.q, stats.m1)
-        return _interval_probability(w2, w1, r)
+        return _interval_probability(*_solve_interval(stats.q, stats.m1), r)[0]
     if r < _R_SMOOTH_FLOOR:
         # exponential basis degenerates as r -> 0; interpolate from p(0) = q
         p_floor = lower_bound_probability(stats, _R_SMOOTH_FLOOR)
         return stats.q + (p_floor - stats.q) * (r / _R_SMOOTH_FLOOR)
     return probability_from_dual(solve_dual(stats, r))[0]
+
+
+def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
+                 k: int) -> Optional[int]:
+    """Last grid index lo with p(lo h) >= 1/2, where h = R_CAP_DEFAULT / top.
+
+    Returns None when p at the cap (index top) is >= 1/2.  ``probe(k)``
+    gives p(k h) and the exact dp/dr there, nan where no slope is known.
+    The search returns lo once p(lo h) >= 1/2 and p((lo + 1) h) < 1/2 have
+    both been probed: for a p that falls once through 1/2, the point
+    ``bisect_root`` returns on the same grid.  It probes k first, then takes
+    Newton steps on p(r) - 1/2, floored to the grid and kept strictly inside
+    the bracket.  It bisects the bracket where the slope is nan or not
+    negative, where Newton points outside the bracket, or when two Newton
+    probes have not halved it.  The cap is probed only when Newton points
+    past it or the bracket ends there.
+    """
+    h = R_CAP_DEFAULT / top
+    # p(lo h) >= 1/2 > p(hi h), where hi = top stands unproven until a
+    # probe falls below 1/2; widths[i] is hi - lo after probe i
+    lo, hi, proven = 0, top, False
+    widths: list[int] = []
+    while True:
+        p, slope = probe(k)
+        if p < 0.5:
+            hi, proven = k, True
+        elif k == top:
+            return None
+        else:
+            lo = k
+        widths.append(hi - lo)
+        if hi - lo == 1 and proven:
+            return lo
+        target = k * h + (0.5 - p) / slope if slope < 0.0 else math.nan
+        stalled = len(widths) > 2 and widths[-1] > widths[-3] / 2
+        if not proven and (hi - lo == 1 or target >= R_CAP_DEFAULT):
+            k = top
+        elif lo * h <= target < hi * h and not stalled:
+            k = min(max(math.floor(target / h), lo + 1), hi - 1)
+        else:
+            k = (lo + hi) // 2
 
 
 def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
@@ -694,20 +711,16 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     before it.  The result is floored at the zeroth-order radius, which the
     first-order bound provably dominates.
 
-    The smooth branch searches bisection's own grid, k h with
-    h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma), and
-    returns k h once p(k h) >= 1/2 and p((k + 1) h) < 1/2 have both been
-    solved: for a monotone p the point ``bisect_root`` returns.  It starts
-    at the root of the m2 = 0 interval system on the same grid, a lower
-    bound on the root that is closer than Phi^-1(q), and takes Newton steps
-    on p(r) - 1/2 with the envelope-theorem slope
-    dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx, floored to the grid
-    and kept strictly inside the bracket.  It bisects the bracket where no
-    negative FULL-dual slope is known (below the smooth floor, after a
-    fallback), where Newton points outside the bracket, or when two Newton
-    probes have not halved it.  The cap is probed only when Newton points
-    past it or the bracket ends there.  Each solve is warm-started from the
-    nearest r already solved.
+    r* is the ``_grid_search`` result on bisection's grid k h, with
+    h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma),
+    a grid at most 1e-9 wide when m2 = 0.  That search runs first over the
+    closed-form p of the m2 = 0 interval, from Phi^-1(q).  For m2 > 0 it
+    runs again over the dual's p, from the interval's root: dropping the m2
+    constraint can only lower p, so that root lies below the dual's and
+    closer than Phi^-1(q).  There the slope is the envelope-theorem
+    dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx of a FULL dual; below
+    the smooth floor and after a fallback none is known.  Each solve is
+    warm-started from the nearest r already solved.
     ``fallback_used`` is set when the solve at either end of the final
     bracket (or at the cap, for a capped result) used the reduced dual;
     an end below the smooth floor is interpolated and never sets it.
@@ -723,67 +736,41 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         # exact perpendicular-boundary stats: the worst case is the
         # perpendicular halfspace itself, unbounded along the travel ray
         return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
-    scaled_tol = max(tol / cfg.sigma, 1e-12)
-
-    if stats.m2 < M2_DEGENERATE:
-        r_star = _interval_root(q, stats.m1, min(scaled_tol, 1e-9))
-        if r_star is None:
-            return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
-        return RadiusResult(max(cfg.sigma * r_star, zeroth))
-
-    if q <= 0.5 + _Q_SMOOTH_FLOOR:
+    degenerate = stats.m2 < M2_DEGENERATE
+    if not degenerate and q <= 0.5 + _Q_SMOOTH_FLOOR:
         return RadiusResult(zeroth)
-
-    top = 2 ** bisection_steps(R_CAP_DEFAULT, scaled_tol)  # index of the cap
+    scaled_tol = max(tol / cfg.sigma, 1e-12)
+    top = 2 ** bisection_steps(  # index of the cap
+        R_CAP_DEFAULT, min(scaled_tol, 1e-9) if degenerate else scaled_tol)
     h = R_CAP_DEFAULT / top
+    w2, w1 = _solve_interval(q, stats.m1)
+    k = min(max(math.floor(float(std_normal_quantile(q)) / h), 1), top - 1)
+    lo = _grid_search(lambda j: _interval_probability(w2, w1, j * h), top, k)
+    if degenerate:
+        if lo is None:
+            return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
+        return RadiusResult(max(cfg.sigma * (lo * h), zeroth))
+
     duals: dict[int, DualSolution] = {}  # grid index -> its solve
 
-    def probe(k: int) -> tuple[float, Optional[float]]:
-        """p(k h), and dp/dr where it is negative and from a FULL dual."""
+    def probe(k: int) -> tuple[float, float]:
         r = k * h
         if r < _R_SMOOTH_FLOOR:
-            return lower_bound_probability(stats, r), None
+            return lower_bound_probability(stats, r), math.nan
         near = min(duals, key=lambda j: (abs(j - k), j), default=None)
         dual = duals[k] = solve_dual(stats, r, warm=duals.get(near))
         p, slope = probability_from_dual(dual)
-        if dual.variant is not DualVariant.FULL or not slope < 0.0:
-            return p, None
-        return p, slope
+        return p, slope if dual.variant is DualVariant.FULL else math.nan
 
     def fell_back(k: int) -> bool:
         return k in duals and duals[k].variant is not DualVariant.FULL
 
-    # p(lo h) >= 1/2 > p(hi h), where hi = top stands unproven until the
-    # cap is probed; widths[i] is hi - lo after probe i
-    lo, hi = 0, top
-    widths: list[int] = []
-    # dropping the m2 constraint can only lower p, so the search starts at
-    # the m2 = 0 root, a grid point below the root
-    start = _interval_root(q, stats.m1, scaled_tol)
-    k = top if start is None else min(max(round(start / h), 1), top - 1)
-    while True:
-        p, slope = probe(k)
-        if p < 0.5:
-            hi = k
-        elif k == top:
-            return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True,
-                                fallback_used=fell_back(top))
-        else:
-            lo = k
-        widths.append(hi - lo)
-        cap_open = hi == top and top not in duals
-        if hi - lo == 1 and not cap_open:
-            break
-        target = math.nan if slope is None else k * h + (0.5 - p) / slope
-        stalled = len(widths) > 2 and widths[-1] > widths[-3] / 2
-        if cap_open and (hi - lo == 1 or target >= R_CAP_DEFAULT):
-            k = top
-        elif lo * h <= target < hi * h and not stalled:
-            k = min(max(math.floor(target / h), lo + 1), hi - 1)
-        else:
-            k = (lo + hi) // 2
+    lo = _grid_search(probe, top, top if lo is None else min(max(lo, 1), top - 1))
+    if lo is None:
+        return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True,
+                            fallback_used=fell_back(top))
     return RadiusResult(max(cfg.sigma * (lo * h), zeroth),
-                        fallback_used=fell_back(lo) or fell_back(hi))
+                        fallback_used=fell_back(lo) or fell_back(lo + 1))
 
 
 # ---------------------------------------------------------------------------

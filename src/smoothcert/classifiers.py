@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .certify import DUAL_EXPONENT, DualSolution, DualVariant, SmoothingConfig
+from .certify import DUAL_EXPONENT, DualSolution, SmoothingConfig
 from .estimate import GradientSampleBatch
 from .numerics import DomainError, std_normal_cdf, std_normal_pdf
 
@@ -368,24 +368,17 @@ def mc_worst_case_probability(dual: DualSolution, r: float, n: int,
                               rng: RngSpec) -> tuple[float, float]:
     """Monte-Carlo estimate of the worst-case set's mass at center (r, 0).
 
-    The smooth worst-case set {e^{r z1} <= a1 z1 + a2 z2 + b} is, since
-    a2 > 0, exactly {z2 >= -c(z1)}, which stays finite in the a2 -> infinity
-    (c2 -> 0) limit; the degenerate interval variant is a 1-D membership
-    test on z1 alone.
+    The worst-case set {e^{r z1} <= a1 z1 + a2 z2 + b} is, since a2 > 0,
+    exactly {z2 >= -c(z1)}, which stays finite in the a2 -> infinity
+    (c2 -> 0) limit.
     """
     if n < 1:
         raise DomainError(f"need at least one draw, got {n}")
-    gen = rng.generator()
-    if dual.variant is DualVariant.INTERVAL:
-        w2, w1 = dual.interval
-        z1 = gen.standard_normal(n) + r
-        hits = (z1 >= w2) & (z1 <= w1)
-    else:
-        z = gen.standard_normal((n, 2))
-        z1 = z[:, 0] + r
-        t = np.minimum(math.log(-dual.c2) + dual.travel_scale * z1, 700.0)
-        c_z1 = np.clip(dual.c0 + dual.c1 * z1 - np.exp(t), -1e300, 1e300)
-        hits = z[:, 1] >= -c_z1
+    z = rng.generator().standard_normal((n, 2))
+    z1 = z[:, 0] + r
+    t = np.minimum(math.log(-dual.c2) + dual.travel_scale * z1, 700.0)
+    c_z1 = np.clip(dual.c0 + dual.c1 * z1 - np.exp(t), -1e300, 1e300)
+    hits = z[:, 1] >= -c_z1
     estimate = float(np.mean(hits))
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / n)
     return estimate, stderr

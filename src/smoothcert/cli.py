@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 partial per-point failures
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Optional
@@ -74,7 +75,7 @@ def _load_config(path: Optional[str]) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = yaml.safe_load(handle)
-        except yaml.YAMLError as err:
+        except (yaml.YAMLError, UnicodeDecodeError) as err:
             raise ConfigError(f"config parse error: {err}")
     if data is None:
         return {}
@@ -177,8 +178,12 @@ def _build_workload(cfg: dict, args, run: RunConfig
                     ) -> tuple[BlackBoxClassifier, list[PointTask]]:
     threats = _threats_from(cfg, args)
     mask = _subspace_mask(cfg, args)
-    if any(t.is_subspace for t in threats) and mask is None:
+    subspace = any(t.is_subspace for t in threats)
+    if subspace and mask is None:
         raise ConfigError("subspace threats need subspace.mask or --subspace-mask")
+    if mask is not None and not subspace:
+        raise ConfigError("a subspace mask needs a subspace threat "
+                          "(subspace_l1, subspace_l2 or subspace_linf)")
     points = _section(cfg, "points")
     if not points:
         raise ConfigError("config must define a points section")
@@ -280,11 +285,14 @@ def cmd_certify(args) -> int:
 def cmd_curve(args) -> int:
     if args.grid_points < 1:
         raise ConfigError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_max is not None and not (math.isfinite(args.grid_max)
+                                          and args.grid_max > 0.0):
+        raise ConfigError(f"--grid-max must be finite and positive, got {args.grid_max}")
     if not os.path.exists(args.input):
         raise ConfigError(f"input file not found: {args.input}")
     try:
         results, meta = load_run(args.input)
-    except ParseError as err:
+    except (ParseError, UnicodeDecodeError) as err:
         raise ConfigError(f"malformed certificates file {args.input}: {err}")
     if not results:
         raise ConfigError("input contains no certificate rows")
@@ -305,8 +313,8 @@ def cmd_curve(args) -> int:
     for threat in (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF, subspace_threat):
         if threat is not None:
             radii += [v for r in results if (v := r.first_radius(threat)) is not None]
-    hi = args.grid_max if args.grid_max is not None else 1.6 * max(radii)
-    grid = np.linspace(0.0, max(hi, 1e-9), args.grid_points)
+    hi = args.grid_max if args.grid_max is not None else max(1.6 * max(radii), 1e-9)
+    grid = np.linspace(0.0, hi, args.grid_points)
     curves = accuracy_curves(results, grid, dim, subspace_threat, subspace_dim)
     if not curves:
         raise ConfigError("no first-order radii found in input")

@@ -172,10 +172,9 @@ def bisect_root(
     Runs a fixed iteration count derived from tol (``bisection_steps``),
     which keeps results deterministic and monotone under pointwise-ordered
     objective families.  Returns the final bracket's end on the side of lo,
-    within tol/2 of the root, where f keeps the sign of f(lo).  The smooth
-    radius search in ``certify.directional_radius`` returns the same grid
-    point from a Newton search on this grid; the interval branch calls this
-    function directly.
+    within tol/2 of the root, where f keeps the sign of f(lo).  Radii are
+    found on this grid by a Newton search (``certify._grid_search``); this
+    function solves the m2 = 0 interval's endpoints.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")

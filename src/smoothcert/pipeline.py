@@ -109,8 +109,12 @@ class PointTask:
             tuple(ThreatModel(t) for t in self.requested_threats),
         )
         if self.subspace_mask is not None:
-            object.__setattr__(self, "subspace_mask",
-                               tuple(sorted(set(int(i) for i in self.subspace_mask))))
+            mask = tuple(sorted(set(int(i) for i in self.subspace_mask)))
+            if not mask or mask[0] < 0 or mask[-1] >= self.x.size:
+                raise DomainError(f"point {self.point_id}: subspace mask must be a "
+                                  f"non-empty set of indices in [0, {self.x.size}), "
+                                  f"got {list(mask)}")
+            object.__setattr__(self, "subspace_mask", mask)
         subspace = sum(t.is_subspace for t in self.requested_threats)
         if subspace and self.subspace_mask is None:
             raise DomainError(f"point {self.point_id}: subspace threat needs a mask")

@@ -238,7 +238,6 @@ def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
         (0.8, 0.05, 0.1, 0.4, cz.solve_dual),
         (0.75, -0.1, 0.15, 0.6, cz.solve_dual),
         (0.9, 0.0, 0.08, 0.3, cz._reduced_dual),
-        (0.9, -0.12, 0.0, 0.7, cz.solve_dual),  # interval variant
     ]
     checks: list[tuple[str, Callable[[], CheckResult]]] = [
         ("zeroth_closed_form", lambda: _check_zeroth(

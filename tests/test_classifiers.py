@@ -349,13 +349,13 @@ class TestAnalyticRadius:
 
 class TestMcOracle:
     def test_halfspace_reference(self):
-        # interval variant encoding z1 <= 1, evaluated at shift 0.5
+        # in the c2 -> 0 limit the set {z2 >= -c(z1)} is the halfspace
+        # z2 >= -c0, whose mass Phi(c0) no shift along z1 changes
         from smoothcert.certify import DualSolution
 
-        dual = DualSolution(None, None, None, DualVariant.INTERVAL, 0.5,
-                            interval=(-38.0, 1.0))
+        dual = DualSolution(1.0, 0.0, -1e-300, DualVariant.REDUCED_NO_SLOPE, 0.5)
         est, se = mc_worst_case_probability(dual, 0.5, 1_000_000, RngSpec(1, 2))
-        assert abs(est - float(cdf(0.5))) <= 3.0 * se
+        assert abs(est - float(cdf(1.0))) <= 3.0 * se
 
     def test_centering(self):
         stats = FirstOrderStats(0.9, 0.0, 0.08)

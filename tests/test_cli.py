@@ -150,6 +150,34 @@ class TestCertifyCommand:
         assert sampled == []
         assert "point id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threats, mask, message", [
+        ("l2,subspace_l2", [], "subspace mask must be a non-empty set"),
+        ("l2,subspace_l2", [1, 2], "indices in [0, 2), got [1, 2]"),
+        ("l2,subspace_l2", [-1, 0], "indices in [0, 2), got [-1, 0]"),
+        ("l2", [0], "a subspace mask needs a subspace threat"),
+    ], ids=["empty", "out-of-range", "negative", "without-threat"])
+    def test_unusable_subspace_mask_exits_1_before_sampling(
+            self, tmp_path, capsys, monkeypatch, threats, mask, message):
+        # a mask no point can use, or one no threat would read, is a
+        # config error, not a run of failed rows or a silently dropped key
+        sampled = []
+        orig = pipeline.sample_class_sums
+        monkeypatch.setattr(pipeline, "sample_class_sums",
+                            lambda *a, **k: sampled.append(a) or orig(*a, **k))
+        config = write_config(tmp_path / "run.yaml", subspace={"mask": mask})
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--threats", threats]) == 1
+        assert not out.exists()
+        assert sampled == []
+        assert message in capsys.readouterr().err
+
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "run.yaml"
+        config.write_bytes(b"\xff\xfe\x00r\x00u")
+        assert main(["certify", "--config", str(config)]) == 1
+        assert "config parse error" in capsys.readouterr().err
+
     def test_failed_point_exits_2_with_summary(self, tmp_path, capsys):
         # a point whose certification raises is recorded in its row, and
         # the run still writes every row but exits 2
@@ -318,6 +346,23 @@ class TestCurveCommand:
                      "--grid-points", points]) == 1
         assert not (tmp_path / "nope.csv").exists()
         assert "--grid-points must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid_max", ["nan", "inf", "-2", "0"])
+    def test_grid_max_not_positive_exits_1(self, tmp_path, capsys, grid_max):
+        certs = self.certify(tmp_path, count=1)
+        prefix = tmp_path / "nope"
+        assert main(["curve", "--input", str(certs), "--out", str(prefix),
+                     "--grid-max", grid_max]) == 1
+        assert not (tmp_path / "nope.csv").exists()
+        assert "--grid-max must be finite and positive" in capsys.readouterr().err
+
+    def test_input_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff\xfe\x00#\x00s")
+        prefix = tmp_path / "nope"
+        assert main(["curve", "--input", str(bad), "--out", str(prefix)]) == 1
+        assert not (tmp_path / "nope.csv").exists()
+        assert "malformed certificates file" in capsys.readouterr().err
 
     def test_malformed_certificates_exit_1(self, tmp_path, capsys):
         certs = self.certify(tmp_path, count=1)

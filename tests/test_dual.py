@@ -7,6 +7,7 @@ import pytest
 
 from smoothcert import certify
 from smoothcert.certify import (
+    M2_DEGENERATE,
     R_CAP_DEFAULT,
     DualVariant,
     FirstOrderStats,
@@ -14,7 +15,9 @@ from smoothcert.certify import (
     RadiusResult,
     SmoothingConfig,
     _dual_residual,
+    _interval_probability,
     _reduced_dual,
+    _solve_interval,
     directional_radius,
     lower_bound_probability,
     max_gradient_magnitude,
@@ -23,7 +26,7 @@ from smoothcert.certify import (
     zeroth_radius_l2,
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
-from smoothcert.numerics import DomainError, bisection_steps
+from smoothcert.numerics import BracketError, DomainError, bisect_root, bisection_steps
 from smoothcert.selftest import _check_angular
 
 from helpers import (
@@ -61,10 +64,17 @@ REDUCED_STATS = FirstOrderStats(0.7710664422055722, -0.2922115017479008,
 
 class TestSolveDual:
     def test_halfspace_interval_variant(self):
-        dual = solve_dual(HALFSPACE_STATS, 0.5)
-        assert dual.variant is DualVariant.INTERVAL
-        p, _ = probability_from_dual(dual)
+        # m2 = 0 has no smooth dual: its worst case is the interval, which
+        # lower_bound_probability evaluates in closed form
+        with pytest.raises(DomainError, match="m2"):
+            solve_dual(HALFSPACE_STATS, 0.5)
+        p = lower_bound_probability(HALFSPACE_STATS, 0.5)
         assert p == pytest.approx(float(cdf(0.5)), abs=2e-3)
+
+    @pytest.mark.parametrize("m2", [0.0, M2_DEGENERATE * (1.0 - 1e-9)])
+    def test_degenerate_m2_raises(self, m2):
+        with pytest.raises(DomainError, match="m2"):
+            solve_dual(FirstOrderStats(0.8, -0.1, m2), 0.5)
 
     def test_interior_residuals_small(self):
         stats = FirstOrderStats(0.9, 0.0, 0.08)
@@ -169,16 +179,21 @@ class TestProbabilitySlope:
         (_threat_path_stats(0.97, 0.6, 0.9), 2.5, DualVariant.FULL),
         (REDUCED_STATS, 0.3, DualVariant.REDUCED_NO_SLOPE),
         (REDUCED_STATS, 0.9375, DualVariant.REDUCED_NO_SLOPE),
-        (_threat_path_stats(0.6, 1.0, 0.5), 0.3, DualVariant.INTERVAL),
-        (_threat_path_stats(0.75, 1.0, 0.5), 1.5, DualVariant.INTERVAL),
-        (_threat_path_stats(0.97, 1.0, 0.5), 2.5, DualVariant.INTERVAL),
+        # m2 = 0: the closed-form interval, which solve_dual refuses
+        (_threat_path_stats(0.6, 1.0, 0.5), 0.3, "interval"),
+        (_threat_path_stats(0.75, 1.0, 0.5), 1.5, "interval"),
+        (_threat_path_stats(0.97, 1.0, 0.5), 2.5, "interval"),
     ])
     def test_matches_central_differences(self, stats, r, variant):
-        # all three solves take one variant, so the difference runs along
+        # all three points take one variant, so the difference runs along
         # one branch of lower_bound_probability
-        for rr in (r - self.DELTA, r, r + self.DELTA):
-            assert solve_dual(stats, rr).variant is variant
-        _, slope = probability_from_dual(solve_dual(stats, r))
+        if variant == "interval":
+            assert stats.m2 == 0.0
+            _, slope = _interval_probability(*_solve_interval(stats.q, stats.m1), r)
+        else:
+            for rr in (r - self.DELTA, r, r + self.DELTA):
+                assert solve_dual(stats, rr).variant is variant
+            _, slope = probability_from_dual(solve_dual(stats, r))
         ref = (lower_bound_probability(stats, r + self.DELTA)
                - lower_bound_probability(stats, r - self.DELTA)) / (2.0 * self.DELTA)
         assert slope < 0.0
@@ -379,6 +394,42 @@ class TestDirectionalRadius:
         res = directional_radius(FirstOrderStats(0.9, 0.0, 0.0), cfg)
         from helpers import QUANTILE_09
         assert res.radius == pytest.approx(0.5 * QUANTILE_09, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
+    def test_interval_search_is_bisection(self, tol):
+        # the m2 = 0 radius and its capped flag are those of bisect_root
+        # over the same closed-form p, on the same grid, for q up to 1e-12
+        # from 1/2, m1 of either sign and magnitudes up to the cap.  Much
+        # finer grids are left out: at q = 1/2 + 1e-12 and tol = 1e-12, p
+        # moves less than its rounding error per grid step, so its computed
+        # values cross 1/2 more than once and either search may stop at
+        # another crossing
+        cfg = SmoothingConfig(0.37, 4)
+        grid = min(max(tol / cfg.sigma, 1e-12), 1e-9)
+        for q in (0.5 + 1e-12, 0.5 + 1e-7, 0.5 + 1e-4, 0.6, 0.9, 0.999, 1 - 1e-9):
+            zeroth = zeroth_radius_l2(q, cfg)
+            big_m = max_gradient_magnitude(q)
+            for frac in (-1.0, -(1 - 1e-12), -0.999, -0.5, -1e-6, 0.3, 0.999,
+                         1 - 1e-7, 1.0):
+                stats = FirstOrderStats(q, frac * big_m, 0.0)
+                try:
+                    w2, w1 = _solve_interval(q, stats.m1)
+                except BracketError:
+                    # the endpoints lose their bracket this close to q = 1
+                    # (q = 1 - 1e-9, m1 = (1 - 1e-7) M); so must the radius
+                    with pytest.raises(BracketError):
+                        directional_radius(stats, cfg, tol=tol)
+                    continue
+
+                def excess(r):
+                    return _interval_probability(w2, w1, r)[0] - 0.5
+
+                if excess(R_CAP_DEFAULT) >= 0.0:
+                    want = RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
+                else:
+                    r = bisect_root(excess, 0.0, R_CAP_DEFAULT, tol=grid)
+                    want = RadiusResult(max(cfg.sigma * r, zeroth))
+                assert directional_radius(stats, cfg, tol=tol) == want, (q, frac)
 
     def test_interval_path_matches_oracle(self):
         cfg = SmoothingConfig(1.0, 4)
