@@ -290,24 +290,17 @@ def check_feasible(stats: FirstOrderStats) -> bool:
     return stats.gradient_norm <= limit
 
 
-def ensure_feasible(stats: FirstOrderStats, clamp: bool = False
-                    ) -> tuple[FirstOrderStats, bool]:
-    """Validate stats, optionally rescaling (m1, m2) onto the boundary.
+def ensure_feasible(stats: FirstOrderStats) -> None:
+    """Raise ``InfeasibleStatsError`` when (m1, m2) lies outside the disk.
 
-    Radially shrinking (m1, m2) only weakens both one-sided constraints, so
-    the clamped certificate stays valid; by default infeasibility raises
-    since it signals a bug or a violated confidence event.
+    Under the estimators' joint confidence event the stats lie inside it,
+    so stats outside mean that event failed (or a bug): no certificate.
     """
-    if check_feasible(stats):
-        return stats, False
-    if not clamp:
+    if not check_feasible(stats):
         raise InfeasibleStatsError(
             f"gradient stats |(m1, m2)| = {stats.gradient_norm:.6g} exceed the "
             f"feasible magnitude {max_gradient_magnitude(stats.q):.6g} at q = {stats.q}"
         )
-    norm = stats.gradient_norm
-    scale = max_gradient_magnitude(stats.q) / norm if norm > 0.0 else 0.0
-    return replace(stats, m1=stats.m1 * scale, m2=stats.m2 * scale), True
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +319,16 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
 
     Parametrizing w1 = Phi^-1(q + Phi(w2)) satisfies the mass equation
     identically; the remaining equation phi(w2) - phi(w1) = m1 is strictly
-    increasing in w2, so bisection finds the unique root.
+    increasing in w2, so bisection finds the unique root.  m1 is never
+    rounded up: m1 >= M takes the closed form [Phi^-1(1 - q), CLAMP], and
+    where rounding leaves no root below the bracket end (m1 within about
+    1e-11 M of M), that end is returned, whose moment lies below m1 and so
+    is the weaker constraint.
     """
     big_m = max_gradient_magnitude(q)
     if m1 <= -big_m * (1.0 - 1e-12):
         return -CLAMP, _upper_endpoint(q, -CLAMP)
-    if m1 >= big_m * (1.0 - 1e-12):
+    if m1 >= big_m:
         return float(std_normal_quantile(1.0 - q)), CLAMP
 
     def gap(w2: float) -> float:
@@ -339,8 +336,10 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
         diff = float(std_normal_pdf(w2) - std_normal_pdf(w1))
         return diff - m1
 
-    w2_max = float(std_normal_quantile(1.0 - q))
-    w2 = bisect_root(gap, -CLAMP, w2_max - 1e-12, tol=1e-13)
+    w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
+    if gap(w2_max) <= 0.0:
+        return w2_max, _upper_endpoint(q, w2_max)
+    w2 = bisect_root(gap, -CLAMP, w2_max, tol=1e-13)
     return w2, _upper_endpoint(q, w2)
 
 
@@ -519,14 +518,7 @@ def _soft_interval_init(stats: FirstOrderStats, r: float
     is exact in the sharp-edge limit.  All intermediate quantities are kept
     in log space since e^{r w1} overflows for wide intervals.
     """
-    try:
-        w2, w1 = _solve_interval(stats.q, stats.m1)
-    except (DomainError, NoConvergenceError):
-        return None
-    w2 = max(w2, -CLAMP)
-    w1 = min(w1, CLAMP)
-    if w1 - w2 < 1e-9:
-        return None
+    w2, w1 = _solve_interval(stats.q, stats.m1)
     # chord slope of e^{rx} over [w2, w1]: K = (e^{r w1} - e^{r w2}) / (w1 - w2)
     ln_k = r * w1 + _log1mexp(r * (w1 - w2)) - math.log(w1 - w2)
     log_r = math.log(r)
@@ -597,7 +589,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
         raise DomainError(f"solve_dual requires q in (0.5, 1), got {stats.q}")
     if stats.m2 < M2_DEGENERATE:
         raise DomainError(f"solve_dual requires m2 >= {M2_DEGENERATE}, got {stats.m2}")
-    stats, _ = ensure_feasible(stats, clamp=False)
+    ensure_feasible(stats)
     m2_cap = max_gradient_magnitude(stats.q) * (1.0 - _M2_PERP_MARGIN)
     if stats.m2 > m2_cap:
         stats = replace(stats, m2=m2_cap)
@@ -646,7 +638,7 @@ def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
         return stats.q
     if not (0.5 < stats.q < 1.0):
         raise DomainError(f"first-order bound requires q in (0.5, 1), got {stats.q}")
-    stats, _ = ensure_feasible(stats, clamp=False)
+    ensure_feasible(stats)
     if stats.m1 == 0.0 and stats.m2 == 0.0:
         # no usable gradient information: zeroth-order worst case (halfspace)
         return float(std_normal_cdf(std_normal_quantile(stats.q) - r))
@@ -731,7 +723,7 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     zeroth = zeroth_radius_l2(q, cfg)
     if stats.m1 == 0.0 and stats.m2 == 0.0:
         return RadiusResult(zeroth)
-    stats, _ = ensure_feasible(stats, clamp=False)
+    ensure_feasible(stats)
     if stats.m2 >= max_gradient_magnitude(q) * (1.0 - _M2_SINGLETON):
         # exact perpendicular-boundary stats: the worst case is the
         # perpendicular halfspace itself, unbounded along the travel ray
@@ -804,33 +796,25 @@ def _perp_component(lower_sq: float, parallel_sq: float) -> float:
     return math.sqrt(max(0.0, lower_sq - parallel_sq))
 
 
-def _threat_stats(q: float, m1: float, m2: float,
-                  clamp_infeasible: bool) -> tuple[FirstOrderStats, bool]:
-    """Repair threat-path stats (m1 <= 0) into the feasibility disk.
+def _threat_stats(q: float, m1: float, m2: float) -> tuple[FirstOrderStats, bool]:
+    """Floor threat-path stats (m1 <= 0) into the feasibility disk.
 
-    Two moves are always valid because they only weaken one-sided bounds:
-    flooring m1 at -sqrt(M^2 - m2^2) (the directional derivative of any
-    classifier with value q and perpendicular norm >= m2 cannot be steeper),
-    and never strengthening m2.  m2 > M itself cannot happen under the
-    confidence event (m2 lower-bounds a quantity capped by M), so that case
-    keeps the raise-by-default / opt-in clamp policy.
+    Flooring m1 at -sqrt(M'^2 - m2^2), M' = M (1 - 1e-12), is always valid
+    because it only weakens a one-sided bound: the directional derivative
+    of any classifier with value q and perpendicular norm >= m2 cannot be
+    steeper.  The flag says whether m1 was floored.  m2 is never changed:
+    it lower-bounds a quantity capped by M, so m2 > M (1 + FEASIBILITY_SLACK)
+    means the confidence event failed and raises ``InfeasibleStatsError``.
     """
     big_m = max_gradient_magnitude(q) * (1.0 - 1e-12)
-    clamped = False
-    if m2 > big_m:
-        stats, clamped = ensure_feasible(FirstOrderStats(q, m1, m2),
-                                         clamp_infeasible)
-        m1, m2 = stats.m1, stats.m2
     floor = -_perp_component(big_m * big_m, m2 * m2)
-    if m1 < floor:
-        m1 = floor
-        clamped = True
-    return FirstOrderStats(q, m1, m2), clamped
+    stats = FirstOrderStats(q, max(m1, floor), m2)
+    ensure_feasible(stats)
+    return stats, m1 < floor
 
 
 def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
-                      cfg: SmoothingConfig, tol: float,
-                      clamp: bool) -> RadiusResult:
+                      cfg: SmoothingConfig, tol: float) -> RadiusResult:
     """First-order radius from ``dual``, a bound on the threat's dual norm of y1.
 
     The worst travel direction is a unit l2 vector of threat norm 1/sqrt(k)
@@ -844,22 +828,20 @@ def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
     step = cfg.sigma / root_k
     m1 = -step * dual
     m2 = step * _perp_component(k * l2_lower ** 2, dual ** 2)
-    stats, clamped = _threat_stats(q, m1, m2, clamp)
+    stats, clamped = _threat_stats(q, m1, m2)
     res = directional_radius(stats, cfg, tol)
     return res._replace(radius=res.radius / root_k, clamped=clamped)
 
 
 def radius_l1_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,
-                    tol: float = 1e-4, clamp_infeasible: bool = False) -> RadiusResult:
+                    tol: float = 1e-4) -> RadiusResult:
     """First-order l1 radius (worst basis direction; m1 from the linf bound)."""
-    return _dual_norm_radius(q, bounds.linf_upper, bounds.l2_lower, 1, cfg, tol,
-                             clamp_infeasible)
+    return _dual_norm_radius(q, bounds.linf_upper, bounds.l2_lower, 1, cfg, tol)
 
 
 def radius_linf_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,
                       tol: float = 1e-4,
-                      mode: LinfMode = LinfMode.VIA_L2_SCALING,
-                      clamp_infeasible: bool = False) -> RadiusResult:
+                      mode: LinfMode = LinfMode.VIA_L2_SCALING) -> RadiusResult:
     """First-order linf radius.
 
     VIA_L2_SCALING divides the l2 radius by sqrt(d).  VIA_L1_BOUND travels
@@ -874,13 +856,11 @@ def radius_linf_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig
         return res._replace(radius=res.radius / math.sqrt(cfg.dim))
     if bounds.l1_upper is None:
         raise DomainError("linf via the l1 bound requires l1_upper")
-    return _dual_norm_radius(q, bounds.l1_upper, bounds.l2_lower, cfg.dim, cfg,
-                             tol, clamp_infeasible)
+    return _dual_norm_radius(q, bounds.l1_upper, bounds.l2_lower, cfg.dim, cfg, tol)
 
 
 def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
-                    cfg: SmoothingConfig, tol: float = 1e-4,
-                    clamp_infeasible: bool = False) -> RadiusResult:
+                    cfg: SmoothingConfig, tol: float = 1e-4) -> RadiusResult:
     """First-order lp radius restricted to a subspace of dimension subspace_dim.
 
     ``bounds.subspace_dual_upper`` must bound the dual norm ||P_S y1||_{p'};
@@ -897,4 +877,4 @@ def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
         raise DomainError(f"p must be 1, 2 or inf, got {p}")
     k = subspace_dim if p == math.inf else 1
     return _dual_norm_radius(q, bounds.subspace_dual_upper, bounds.l2_lower, k,
-                             cfg, tol, clamp_infeasible)
+                             cfg, tol)

@@ -94,12 +94,6 @@ def _section(cfg: dict, name: str) -> dict:
     return section
 
 
-def _yaml_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"clamp_infeasible must be true or false, got {value!r}")
-    return value
-
-
 # run key -> (RunConfig field, conversion); threats are read by _threats_from,
 # and a key left out takes RunConfig's default
 _RUN_FIELDS = {
@@ -108,7 +102,6 @@ _RUN_FIELDS = {
     "samples": ("n_samples", int),
     "seed": ("seed", int),
     "linf_mode": ("linf_mode", LinfMode),
-    "clamp_infeasible": ("clamp_infeasible", _yaml_bool),
     "radius_tol": ("radius_tol", float),
     "sample_dtype": ("sample_dtype", str),
 }
@@ -131,8 +124,6 @@ def _run_config(cfg: dict, args) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             run[key] = value
-    if getattr(args, "clamp_infeasible", False):
-        run["clamp_infeasible"] = True
     if "sigma" not in run:
         raise ConfigError("sigma must be given (config run.sigma or --sigma)")
     try:
@@ -360,8 +351,16 @@ def cmd_selftest(args) -> int:
     return 0 if all_ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on a config error; 2 means failed points."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="smoothcert",
         description="Certified radii for Gaussian-smoothed classifiers",
     )
@@ -378,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list of coordinate indices")
     p_cert.add_argument("--linf-mode", dest="linf_mode",
                         choices=[m.value for m in LinfMode])
-    p_cert.add_argument("--clamp-infeasible", dest="clamp_infeasible",
-                        action="store_true",
-                        help="rescale infeasible gradient stats onto the boundary")
     p_cert.add_argument("--out", help="output CSV path")
     p_cert.add_argument("--jobs", type=int, default=1,
                         help="parallel point workers")

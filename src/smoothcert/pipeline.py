@@ -103,7 +103,11 @@ class PointTask:
             raise DomainError(f"point id must be non-empty, must not start with "
                               f"'#' and must not hold ',' or a line break, "
                               f"got {self.point_id!r}")
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
+        x = np.asarray(self.x, dtype=float)
+        if x.ndim != 1 or x.size == 0 or not np.all(np.isfinite(x)):
+            raise DomainError(f"point {self.point_id}: x must be a non-empty 1-D "
+                              f"vector of finite numbers, got shape {x.shape}")
+        object.__setattr__(self, "x", x)
         object.__setattr__(
             self, "requested_threats",
             tuple(ThreatModel(t) for t in self.requested_threats),
@@ -131,11 +135,14 @@ class RunConfig:
     n_samples: int = 200_000
     seed: int = 0
     linf_mode: LinfMode = LinfMode.VIA_L2_SCALING
-    clamp_infeasible: bool = False
     radius_tol: float = 1e-4
     sample_dtype: str = "float32"
 
     def __post_init__(self) -> None:
+        for name in ("sigma", "radius_tol"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.alpha_total < 0.5):
             raise DomainError(f"alpha_total must lie in (0, 0.5), got {self.alpha_total}")
         if self.n_samples < 2:
@@ -192,16 +199,14 @@ def _first_radius_for_threat(threat: ThreatModel, q: float,
                              config: RunConfig,
                              subspace_dim: Optional[int]) -> RadiusResult:
     tol = config.radius_tol
-    clamp = config.clamp_infeasible
     if threat is ThreatModel.L2:
         return cz.radius_l2_first(q, bounds.l2_upper, cfg, tol)
     if threat is ThreatModel.L1:
-        return cz.radius_l1_first(q, bounds, cfg, tol, clamp_infeasible=clamp)
+        return cz.radius_l1_first(q, bounds, cfg, tol)
     if threat is ThreatModel.LINF:
-        return cz.radius_linf_first(q, bounds, cfg, tol, mode=config.linf_mode,
-                                    clamp_infeasible=clamp)
+        return cz.radius_linf_first(q, bounds, cfg, tol, mode=config.linf_mode)
     return cz.radius_subspace(q, bounds, _SUBSPACE_P[threat], subspace_dim,
-                              cfg, tol, clamp_infeasible=clamp)
+                              cfg, tol)
 
 
 def certify_point(task: PointTask, f: BlackBoxClassifier,

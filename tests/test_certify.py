@@ -12,16 +12,21 @@ from smoothcert.certify import (
     InfeasibleStatsError,
     SmoothingConfig,
     ThreatModel,
+    LinfMode,
     check_feasible,
+    directional_radius,
     ensure_feasible,
     max_gradient_magnitude,
+    radius_l1_first,
+    radius_linf_first,
+    radius_subspace,
     zeroth_radius_l2,
 )
 from smoothcert.numerics import DomainError
 from smoothcert.pipeline import _threat_scale
 from smoothcert.selftest import _check_zeroth
 
-from helpers import MAX_GRAD_09, PHI_0, PHI_1, QUANTILE_0841
+from helpers import PHI_0, PHI_1, QUANTILE_0841
 
 
 class TestTypes:
@@ -123,10 +128,56 @@ class TestFeasibility:
         with pytest.raises(InfeasibleStatsError):
             ensure_feasible(bad)
 
-    def test_clamp_rescales_onto_boundary(self):
-        bad = FirstOrderStats(0.9, -0.3, 0.4)
-        fixed, clamped = ensure_feasible(bad, clamp=True)
-        assert clamped
-        assert fixed.gradient_norm == pytest.approx(MAX_GRAD_09, rel=1e-9)
-        # direction preserved
-        assert fixed.m1 / fixed.m2 == pytest.approx(-0.3 / 0.4, rel=1e-12)
+
+
+# threat-path stats are repaired at q = 0.8, sigma = 1, d = 16, where the
+# feasible magnitude is M = phi(Phi^-1(0.8))
+Q_08 = 0.8
+M_08 = max_gradient_magnitude(Q_08)
+CFG_16 = SmoothingConfig(1.0, 16)
+
+
+def _threat_radius(threat: str, slope: float, perp: float):
+    """The radius of ``threat`` from bounds whose threat-path stats are
+    m1 = -slope and m2 = perp (up to rounding); needs slope > 0."""
+    h = math.hypot(slope, perp)
+    bounds = GradientNormBounds(l2_lower=h, l2_upper=h, linf_upper=slope,
+                                l1_upper=slope * math.sqrt(CFG_16.dim),
+                                subspace_dual_upper=slope)
+    if threat == "l1":
+        return radius_l1_first(Q_08, bounds, CFG_16)
+    if threat == "linf_via_l1":
+        return radius_linf_first(Q_08, bounds, CFG_16, mode=LinfMode.VIA_L1_BOUND)
+    return radius_subspace(Q_08, bounds, 2, 4, CFG_16)
+
+
+class TestThreatStats:
+    THREATS = ["l1", "linf_via_l1", "subspace_l2"]
+
+    @pytest.mark.parametrize("threat", THREATS)
+    def test_m2_past_the_bound_raises(self, threat):
+        # m2 lower-bounds a perpendicular norm capped by M, so m2 above
+        # M (1 + FEASIBILITY_SLACK) means the confidence event failed: no
+        # certificate, and no rescaled stats either
+        with pytest.raises(InfeasibleStatsError):
+            _threat_radius(threat, 0.5 * M_08, (1 + 2e-9) * M_08)
+
+    @pytest.mark.parametrize("frac", [1 - 5e-13, 1.0])
+    @pytest.mark.parametrize("threat", THREATS)
+    def test_m2_at_the_bound_floors_m1_and_caps(self, threat, frac):
+        # m2 inside the feasibility slack with a steep m1: m1 is floored
+        # (to 0) before the stats are checked, so they are feasible; they
+        # lie on the perpendicular boundary, whose radius is the cap
+        res = _threat_radius(threat, 0.5 * M_08, frac * M_08)
+        assert res.capped and res.clamped
+
+    def test_steep_m1_is_floored(self):
+        # |(m1, m2)| > M with m2 < M: m1 is floored at -sqrt(M'^2 - m2^2),
+        # M' = M (1 - 1e-12), and the radius is that of the floored stats
+        slope, perp = 0.99 * M_08, 0.5 * M_08
+        res = _threat_radius("l1", slope, perp)
+        m2 = math.sqrt(math.hypot(slope, perp) ** 2 - slope ** 2)
+        big_m = M_08 * (1.0 - 1e-12)
+        floored = FirstOrderStats(Q_08, -math.sqrt(big_m * big_m - m2 * m2), m2)
+        assert res.clamped
+        assert res == directional_radius(floored, CFG_16)._replace(clamped=True)

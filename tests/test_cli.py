@@ -115,8 +115,8 @@ class TestCertifyCommand:
         ("points: {generate: {dim: 160, count: 2, q_hgh: 0.6}}\n",
          "q_hgh; choose from dim, count, q_low, q_high, abstain_fraction, "
          "mislabel_fraction"),
-        ("run: {clamp_infeasible: 'false'}\n" + GENERATE,
-         "clamp_infeasible must be true or false"),
+        ("run: {clamp_infeasible: true}\n" + GENERATE,
+         "unknown run setting(s) clamp_infeasible"),
     ], ids=["run-list", "subspace-int", "points-int", "classifier-int", "generate-int",
             "params-int", "explicit-entry-int", "threats-int", "mask-int", "mask-entry-str",
             "generate-and-explicit", "classifier-and-generate", "generate-typo",
@@ -172,6 +172,39 @@ class TestCertifyCommand:
         assert sampled == []
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, run, x, message", [
+        (["--sigma", "-1"], {}, [1.2, 0.0], "sigma must be positive and finite"),
+        (["--sigma", "nan"], {}, [1.2, 0.0], "sigma must be positive and finite"),
+        (["--sigma", "inf"], {}, [1.2, 0.0], "sigma must be positive and finite"),
+        ([], {"radius_tol": 0.0}, [1.2, 0.0], "radius_tol must be positive"),
+        ([], {"radius_tol": -1.0}, [1.2, 0.0], "radius_tol must be positive"),
+        ([], {"radius_tol": float("inf")}, [1.2, 0.0], "radius_tol must be positive"),
+        ([], {"radius_tol": float("nan")}, [1.2, 0.0], "radius_tol must be positive"),
+        ([], {}, [], "x must be a non-empty 1-D vector"),
+        ([], {}, [float("nan"), 0.0], "x must be a non-empty 1-D vector"),
+        ([], {}, [[1.0, 0.0]], "x must be a non-empty 1-D vector"),
+    ], ids=["sigma-negative", "sigma-nan", "sigma-inf", "tol-zero", "tol-negative",
+            "tol-inf", "tol-nan", "x-empty", "x-nan", "x-2d"])
+    def test_unusable_setting_or_point_exits_1_before_sampling(
+            self, tmp_path, capsys, monkeypatch, flags, run, x, message):
+        # a noise level or radius grid no certificate can use, or a point
+        # that is not a finite vector, is a config error: not a traceback,
+        # a silently replaced grid, or a run of failed or bogus rows
+        sampled = []
+        orig = pipeline.sample_class_sums
+        monkeypatch.setattr(pipeline, "sample_class_sums",
+                            lambda *a, **k: sampled.append(a) or orig(*a, **k))
+        config = write_config(
+            tmp_path / "run.yaml",
+            run={"sigma": 1.0, "samples": 2000, "seed": 5, "threats": ["l1"], **run},
+            points={"explicit": [{"id": "p0", "x": x, "label": 0}]})
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     *flags]) == 1
+        assert not out.exists()
+        assert sampled == []
+        assert message in capsys.readouterr().err
+
     def test_config_not_utf8_exits_1(self, tmp_path, capsys):
         config = tmp_path / "run.yaml"
         config.write_bytes(b"\xff\xfe\x00r\x00u")
@@ -193,21 +226,15 @@ class TestCertifyCommand:
         assert rows["wide"].predicted == -1
         assert rows["wide"].error.startswith("ValueError: matmul")
 
-    def test_subspace_flags_round_trip_through_curve(self, tmp_path, monkeypatch):
-        # --subspace-mask and --clamp-infeasible reach the run; the subspace
-        # meta lines are written and read back by curve
-        configs = []
-        orig = cli.run_points
-        monkeypatch.setattr(cli, "run_points", lambda tasks, f, run, **kw:
-                            configs.append(run) or orig(tasks, f, run, **kw))
+    def test_subspace_flags_round_trip_through_curve(self, tmp_path):
+        # --subspace-mask reaches the run; the subspace meta lines are
+        # written and read back by curve
         config = tmp_path / "gen.yaml"
         config.write_text("run: {sigma: 0.5, alpha: 0.01, samples: 4000, seed: 4}\n"
                           "points: {generate: {dim: 160, count: 3}}\n")
         out = tmp_path / "c.csv"
         assert main(["certify", "--config", str(config), "--out", str(out),
-                     "--threats", "l2,subspace_linf", "--subspace-mask", "5,0,3,0",
-                     "--clamp-infeasible"]) == 0
-        assert [run.clamp_infeasible for run in configs] == [True]
+                     "--threats", "l2,subspace_linf", "--subspace-mask", "5,0,3,0"]) == 0
         results, meta = load_run(out)
         assert (meta["subspace_threat"], meta["subspace_dim"]) == ("subspace_linf", "3")
         assert all(r.radius_first_subspace is not None for r in results)
@@ -445,6 +472,29 @@ class TestSelftestCommand:
         line = next(row for row in out.splitlines()
                     if row.startswith("halfspace_l2_exactness"))
         assert "FAIL" in line
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["--bogus"],
+        ["curve"],
+        ["certify", "--samples", "x"],
+        ["certify", "--clamp-infeasible"],
+    ], ids=["unknown-flag", "curve-without-input", "samples-not-int",
+            "removed-clamp-flag"])
+    def test_parse_error_exits_1(self, capsys, argv):
+        # exit 2 means some points failed; a usage error is a 1, as a
+        # config error is
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--help"])
+        assert exc.value.code == 0
+        assert "--clamp-infeasible" not in capsys.readouterr().out
 
 
 class TestThreatParsing:

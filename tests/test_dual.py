@@ -26,7 +26,12 @@ from smoothcert.certify import (
     zeroth_radius_l2,
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
-from smoothcert.numerics import BracketError, DomainError, bisect_root, bisection_steps
+from smoothcert.numerics import (
+    RESIDUAL_TOLERANCE,
+    DomainError,
+    bisect_root,
+    bisection_steps,
+)
 from smoothcert.selftest import _check_angular
 
 from helpers import (
@@ -35,6 +40,8 @@ from helpers import (
     cdf,
     central_difference_jacobian,
     interval_radius_oracle,
+    phi,
+    quantile,
 )
 
 
@@ -75,6 +82,41 @@ class TestSolveDual:
     def test_degenerate_m2_raises(self, m2):
         with pytest.raises(DomainError, match="m2"):
             solve_dual(FirstOrderStats(0.8, -0.1, m2), 0.5)
+
+    @pytest.mark.parametrize("q", [0.6, 0.75, 0.9, 0.99])
+    def test_meets_the_interval_as_m2_vanishes(self, q):
+        # an independent check of the dual: as m2 -> 0 its p meets the
+        # closed-form interval's.  A solve leaves residuals up to
+        # eps = RESIDUAL_TOLERANCE, so its set is the exact worst case (by
+        # the Neyman-Pearson form of c) for stats (q', m1', m2') within eps.
+        # Below: one more constraint can only raise the minimum, so p_dual is
+        # at least the interval's p at (q', m1'), within slack = eps (|lam0|
+        # + |lam1|) of its p at (q, m1).  lam0 + lam1 x = e^{r x - r^2 / 2} at
+        # both endpoints are the interval's multipliers, the slopes of its p
+        # in q and m1.  Above: mixing the interval (weight 1 - t) with the
+        # halfspace whose moments are (m1, G), G = sqrt(M^2 - m1^2), meets
+        # m2' at weight t = (m2 + eps) / G, so p_dual exceeds p_interval by
+        # at most t (p_halfspace - p_interval) + slack, when t < 1
+        big_m = max_gradient_magnitude(q)
+        eps = RESIDUAL_TOLERANCE
+        for frac in (-0.9, -0.5, -0.1, 0.0, 0.3, 0.9, 1 - 1e-12):
+            m1 = frac * big_m
+            w2, w1 = _solve_interval(q, m1)
+            for m2 in (1e-7, 1e-6):
+                for r in (0.05, 0.2, 0.5, 1.0, 3.0, 10.0):
+                    dual = solve_dual(FirstOrderStats(q, m1, m2), r)
+                    assert dual.variant is DualVariant.FULL, (frac, m2, r)
+                    p_dual = probability_from_dual(dual)[0]
+                    p_interval = _interval_probability(w2, w1, r)[0]
+                    ratio = [math.exp(r * w - r * r / 2.0) for w in (w2, w1)]
+                    lam1 = (ratio[1] - ratio[0]) / (w1 - w2)
+                    slack = eps * (abs(ratio[0] - lam1 * w2) + abs(lam1))
+                    assert p_dual >= p_interval - slack, (frac, m2, r)
+                    t = (m2 + eps) / math.sqrt(big_m ** 2 - m1 ** 2)
+                    if t < 1.0:
+                        p_halfspace = float(cdf(quantile(q) + r * m1 / big_m))
+                        rise = t * (p_halfspace - p_interval) + slack
+                        assert p_dual <= p_interval + rise, (frac, m2, r)
 
     def test_interior_residuals_small(self):
         stats = FirstOrderStats(0.9, 0.0, 0.08)
@@ -317,13 +359,14 @@ class TestDirectionalRadius:
         return seen
 
     def test_smooth_branch_caps(self, monkeypatch):
-        # m1 just inside the feasible magnitude with a small smooth m2: the
-        # m2 = 0 root lies past the cap, so the search solves the dual there
-        # first, and p at the cap is still >= 1/2
+        # m1 at the feasible magnitude with a small smooth m2: the m2 = 0
+        # interval is [Phi^-1(1 - q), CLAMP] and its root lies past the
+        # cap, so the search solves the dual there first, and p at the cap
+        # is still >= 1/2
         solved = self._record_travel(monkeypatch, "solve_dual")
         cfg = SmoothingConfig(1.0, 4)
         big_m = max_gradient_magnitude(0.9)
-        stats = FirstOrderStats(0.9, big_m * (1 - 1e-13), 1e-7)
+        stats = FirstOrderStats(0.9, big_m, 1e-7)
         assert stats.m2 > certify.M2_DEGENERATE
         res = directional_radius(stats, cfg, tol=1e-3)
         assert res == RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
@@ -412,14 +455,8 @@ class TestDirectionalRadius:
             for frac in (-1.0, -(1 - 1e-12), -0.999, -0.5, -1e-6, 0.3, 0.999,
                          1 - 1e-7, 1.0):
                 stats = FirstOrderStats(q, frac * big_m, 0.0)
-                try:
-                    w2, w1 = _solve_interval(q, stats.m1)
-                except BracketError:
-                    # the endpoints lose their bracket this close to q = 1
-                    # (q = 1 - 1e-9, m1 = (1 - 1e-7) M); so must the radius
-                    with pytest.raises(BracketError):
-                        directional_radius(stats, cfg, tol=tol)
-                    continue
+                # every m1 has endpoints, up to m1 = (1 - 1e-7) M at q = 1 - 1e-9
+                w2, w1 = _solve_interval(q, stats.m1)
 
                 def excess(r):
                     return _interval_probability(w2, w1, r)[0] - 0.5
@@ -463,6 +500,21 @@ class TestDirectionalRadius:
         near = directional_radius(FirstOrderStats(q, big_m * (1 - 1e-6), 0.0), cfg)
         assert not near.capped
         assert near.radius > 5.0
+
+    @pytest.mark.parametrize("frac", [1 - 5e-12, 1 - 5e-13])
+    def test_interval_never_rounds_m1_up(self, frac):
+        # m1 within rounding of M: the endpoints keep the mass q and a
+        # moment phi(w2) - phi(w1) no larger than m1, a weaker constraint,
+        # instead of failing to bracket or taking the m1 = M closed form
+        q = 0.8
+        m1 = frac * max_gradient_magnitude(q)
+        w2, w1 = _solve_interval(q, m1)
+        assert float(cdf(w1) - cdf(w2)) == pytest.approx(q, abs=1e-12)
+        assert float(phi(w2) - phi(w1)) <= m1
+        res = directional_radius(FirstOrderStats(q, m1, 0.0), SmoothingConfig(1.0, 4),
+                                 tol=1e-6)
+        assert not res.capped
+        assert res.radius == pytest.approx(7.2099, abs=1e-4)
 
     def test_angular_monotonicity_interior(self):
         res = _check_angular(0.85, mag_frac=0.75, angles=9)

@@ -269,6 +269,31 @@ class TestRunPoints:
             assert results[1].abstained and results[1].predicted == -1
             assert [results[0], results[2]] == [clean[0], clean[2]]
 
+    def test_infeasible_stats_fail_their_row_only(self, monkeypatch):
+        # an l2 lower bound whose perpendicular part exceeds the feasible
+        # magnitude M <= phi(0) means the confidence event failed for that
+        # point: its row records the error, and the other rows still certify
+        classifier, tasks = make_linear_workload(
+            dim=160, count=3, seed=9, sigma=0.5, threats=THREATS,
+        )
+        config = small_config()
+        clean = run_points(tasks, classifier, config)
+        assert clean[1].q_lb > 0.5
+        calls = []
+        orig = pipeline.l2_norm_bounds
+
+        def inflated(batch, alpha):
+            calls.append(alpha)
+            # sigma^2-scaled: l2_lower = 10 / sigma^2 = 40, so m2 is about 20
+            return (10.0, 10.0) if len(calls) == 2 else orig(batch, alpha)
+
+        monkeypatch.setattr(pipeline, "l2_norm_bounds", inflated)
+        results = run_points(tasks, classifier, config)
+        assert len(calls) == 3
+        assert results[1].predicted == -1
+        assert results[1].error.startswith("InfeasibleStatsError: ")
+        assert [results[0], results[2]] == [clean[0], clean[2]]
+
 
 def curve_row(radius, correct=True, abstained=False, **radii):
     """A result row whose zeroth-order and l2 radii are both ``radius``."""
@@ -432,3 +457,8 @@ class TestRunConfig:
             RunConfig(sigma=0.25, n_samples=1)
         with pytest.raises(DomainError, match="float16"):
             RunConfig(sigma=0.25, sample_dtype="float16")
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="sigma"):
+                RunConfig(sigma=bad)
+            with pytest.raises(DomainError, match="radius_tol"):
+                RunConfig(sigma=0.25, radius_tol=bad)
