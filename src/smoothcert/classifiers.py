@@ -6,15 +6,10 @@ smoothed statistics and its certified radii have closed forms (the
 certified region of a smoothed linear classifier is the halfspace itself,
 so every lp radius is margin over the dual norm of the weights).
 
-Sampling uses a counter-based generator keyed by (seed, stream_id): any
-worker that owns a stream reproduces the identical draw sequence.  A pass
-draws each of its two halves from its own sub-stream of that key, each
-starting at its own Philox counter offset, and samples both on one shared
-thread pool of ``os.cpu_count()`` threads; each half's counts and sums come
-from one sub-stream, so the output does not depend on the thread count.
-Each sub-stream draws in chunks of a fixed element budget into buffers
-reused across chunks and adds each chunk's noise to its class sums with
-one one-hot matmul; the draws and labels do not depend on the chunk size.
+Sampling uses a counter-based Philox generator keyed by (seed, stream_id),
+so a key gives the same draws on any thread; the pipeline keys a point by a
+hash of its id alone.  ``sample_class_sums`` splits a pass into two
+sub-streams of that key, sampled in fixed-size chunks on one shared pool.
 """
 
 from __future__ import annotations
@@ -199,13 +194,9 @@ class ClassConditionalSums:
     def n2(self) -> int:
         return int(self.counts[1].sum())
 
-    @property
-    def total_counts(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
     def majority_class(self) -> int:
         # ties break toward the smaller class index
-        return int(np.argmax(self.total_counts))
+        return int(np.argmax(self.counts.sum(axis=0)))
 
 
 # Elements per sampling chunk: a chunk holds max(1, budget // d) rows, so its

@@ -114,16 +114,9 @@ def _run_config(cfg: dict, args) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown run setting(s) {', '.join(unknown)}; "
                           f"choose from {', '.join(_RUN_KEYS)}")
-    overrides = {
-        "sigma": args.sigma,
-        "alpha": args.alpha,
-        "samples": args.samples,
-        "seed": args.seed,
-        "linf_mode": args.linf_mode,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            run[key] = value
+    for key in ("sigma", "alpha", "samples", "seed", "linf_mode"):  # flag overrides
+        if getattr(args, key) is not None:
+            run[key] = getattr(args, key)
     if "sigma" not in run:
         raise ConfigError("sigma must be given (config run.sigma or --sigma)")
     try:
@@ -215,10 +208,14 @@ def _build_workload(cfg: dict, args, run: RunConfig
     tasks = []
     try:
         for entry in points["explicit"]:
+            label = int(entry["label"])
+            if not 0 <= label < classifier.num_classes:
+                raise DomainError(f"label must lie in [0, {classifier.num_classes}), "
+                                  f"got {label}")
             tasks.append(PointTask(
                 point_id=str(entry["id"]),
                 x=np.asarray(entry["x"], dtype=float),
-                true_label=int(entry["label"]),
+                true_label=label,
                 requested_threats=threats,
                 subspace_mask=mask,
             ))
@@ -258,7 +255,10 @@ def cmd_certify(args) -> int:
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory does not exist: {out_dir}")
-    results = run_points(tasks, classifier, run, jobs=args.jobs)
+    try:
+        results = run_points(tasks, classifier, run, jobs=args.jobs)
+    except DomainError as err:  # jobs or ids, checked before any sampling
+        raise ConfigError(str(err))
     persist_run(results, out, meta=_meta_for(run, tasks, threats))
     # degraded estimates are surfaced in-row but still certify; hard
     # per-point failures (no certificates at all) drive the exit code

@@ -8,10 +8,10 @@ the joint confidence statement holds regardless of dependence between them.
 
 from __future__ import annotations
 
+import hashlib
 import math
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,7 +87,12 @@ def _threat_scale(threat: ThreatModel, dim: int,
 
 @dataclass(frozen=True)
 class PointTask:
-    """One input point to certify."""
+    """One input point to certify.
+
+    Its noise stream is a 64-bit blake2b hash of ``point_id`` alone.
+    ``stream_id`` overrides it; only the benchmark suite sets it, until the
+    suite drops its copy of the old rank-in-run rule.
+    """
 
     point_id: str
     x: np.ndarray
@@ -191,7 +196,9 @@ class ParseError(ValueError):
 def _stream_for(task: PointTask) -> int:
     if task.stream_id is not None:
         return task.stream_id
-    return zlib.crc32(task.point_id.encode("utf-8"))
+    # not hash(): Python salts it per process
+    digest = hashlib.blake2b(task.point_id.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 def _first_radius_for_threat(threat: ThreatModel, q: float,
@@ -313,19 +320,17 @@ def run_points(tasks: Sequence[PointTask], f: BlackBoxClassifier,
                config: RunConfig, jobs: int = 1) -> list[PointResult]:
     """Certify points independently; results canonically ordered by point_id.
 
-    Stream ids are assigned by sorted rank before any work starts, so the
-    output is identical for any worker count.  The ``jobs`` threads hand
-    their sampling to the classifiers' shared pool of ``os.cpu_count()``
-    threads, so sampling never runs on more threads than that.
+    Each row equals ``certify_point`` on its task alone, whatever the other
+    points or ``jobs``: a point's noise stream comes from its id.  The ``jobs``
+    threads hand their sampling to the classifiers' shared pool of
+    ``os.cpu_count()`` threads, so sampling never runs on more threads than that.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     ordered = sorted(tasks, key=lambda t: t.point_id)
     if len({t.point_id for t in ordered}) != len(ordered):
-        raise DomainError("point_id values must be unique within a run")
-    ordered = [
-        t if t.stream_id is not None else replace(t, stream_id=i)
-        for i, t in enumerate(ordered)
-    ]
-    if jobs <= 1:
+        raise DomainError("point ids must be unique: an id keys its noise and its row")
+    if jobs == 1:
         return [certify_point(t, f, config) for t in ordered]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(lambda t: certify_point(t, f, config), ordered))

@@ -13,7 +13,8 @@ from .pipeline import PointTask
 
 __all__ = ["make_linear_workload", "WORKLOAD_STREAM"]
 
-# stream id reserved for workload construction, clear of per-point streams
+# stream id reserved for workload construction; a point's hashed stream id
+# equals it with probability 2^-64
 WORKLOAD_STREAM = 0xFFFF_FFFF
 
 

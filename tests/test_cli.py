@@ -205,6 +205,32 @@ class TestCertifyCommand:
         assert sampled == []
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, points, message", [
+        (["--jobs", "0"], [("p0", 0)], "jobs must be at least 1, got 0"),
+        (["--jobs", "-4"], [("p0", 0)], "jobs must be at least 1, got -4"),
+        ([], [("p0", 7)], "label must lie in [0, 2), got 7"),
+        ([], [("p0", -3)], "label must lie in [0, 2), got -3"),
+        ([], [("p0", 0), ("p0", 1)], "point ids must be unique"),
+    ], ids=["jobs-0", "jobs-negative", "label-7", "label-negative", "duplicate-id"])
+    def test_unusable_jobs_label_or_id_exits_1_before_sampling(
+            self, tmp_path, capsys, monkeypatch, flags, points, message):
+        # a worker count below 1 or a label the classifier can never predict
+        # is a config error, not a serial run or a row of correct=false;
+        # two points with one id would share their noise and their CSV row
+        sampled = []
+        orig = pipeline.sample_class_sums
+        monkeypatch.setattr(pipeline, "sample_class_sums",
+                            lambda *a, **k: sampled.append(a) or orig(*a, **k))
+        config = write_config(tmp_path / "run.yaml", points={"explicit": [
+            {"id": point_id, "x": [1.2, 0.0], "label": label}
+            for point_id, label in points]})
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     *flags]) == 1
+        assert not out.exists()
+        assert sampled == []
+        assert message in capsys.readouterr().err
+
     def test_config_not_utf8_exits_1(self, tmp_path, capsys):
         config = tmp_path / "run.yaml"
         config.write_bytes(b"\xff\xfe\x00r\x00u")

@@ -199,6 +199,28 @@ class TestRunPoints:
         with pytest.raises(DomainError):
             run_points(tasks, f, small_config())
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_1_rejected(self, jobs):
+        classifier, tasks = make_linear_workload(
+            dim=160, count=2, seed=9, sigma=0.5, threats=THREATS,
+        )
+        with pytest.raises(DomainError, match=f"jobs must be at least 1, got {jobs}"):
+            run_points(tasks, classifier, small_config(), jobs=jobs)
+
+    def test_row_depends_only_on_its_point(self):
+        # a point's noise stream comes from its id alone, so its row is the
+        # same certified alone, in a run without another point, or on more
+        # threads
+        classifier, tasks = make_linear_workload(
+            dim=160, count=4, seed=9, sigma=0.5, threats=THREATS,
+        )
+        config = small_config(n_samples=2000)
+        rows = run_points(tasks, classifier, config)
+        assert [r.point_id for r in rows] == [t.point_id for t in tasks]
+        assert rows == [certify_point(t, classifier, config) for t in tasks]
+        assert rows[1:] == run_points(tasks[1:], classifier, config)
+        assert rows == run_points(tasks, classifier, config, jobs=2)
+
     def test_parallel_matches_serial(self):
         classifier, tasks = make_linear_workload(
             dim=160, count=6, seed=9, sigma=0.5, threats=THREATS,
@@ -253,7 +275,8 @@ class TestRunPoints:
         )
         config = small_config(sample_dtype="float64")
         target = tasks[1].x + config.sigma * RngSpec(
-            config.seed, 1, substream=1).generator().standard_normal(160)
+            config.seed, pipeline._stream_for(tasks[1]),
+            substream=1).generator().standard_normal(160)
 
         class FailingLinear(LinearClassifier):
             def classify_batch(self, points):
