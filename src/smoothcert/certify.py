@@ -50,6 +50,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import special as _sp
 
 from .numerics import (
     CLAMP,
@@ -308,10 +309,38 @@ def ensure_feasible(stats: FirstOrderStats) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The interval's math runs on one float at a time.  Each helper calls the
+# ufunc behind its numerics counterpart (std_normal_cdf, std_normal_pdf,
+# std_normal_quantile) with the same +-CLAMP clip, so results are equal bit
+# for bit, without the array path's cost on every scalar.  math.exp and
+# math.erfc are not used: their last bits can differ from numpy's and scipy's.
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _clip(x: float) -> float:
+    return min(max(x, -CLAMP), CLAMP)  # nan stays nan, as in np.clip
+
+
+def _cdf(x: float) -> float:
+    return float(_sp.ndtr(_clip(x)))
+
+
+def _pdf(x: float) -> float:
+    x = _clip(x)
+    return float(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
 def _upper_endpoint(q: float, w2: float) -> float:
-    mass = q + float(std_normal_cdf(w2))
-    mass = min(mass, np.nextafter(1.0, 0.0))
-    return float(np.clip(std_normal_quantile(mass), -CLAMP, CLAMP))
+    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP.
+
+    A scalar form of ``std_normal_quantile(q + std_normal_cdf(w2))``, equal
+    to it bit for bit, with the same domain check on the mass.
+    """
+    mass = min(q + _cdf(w2), _BELOW_ONE)
+    if not 0.0 < mass < 1.0:
+        raise DomainError(f"quantile argument must lie in (0, 1), got {mass!r}")
+    return _clip(float(_sp.ndtri(mass)))
 
 
 def _solve_interval(q: float, m1: float) -> tuple[float, float]:
@@ -332,9 +361,7 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
         return float(std_normal_quantile(1.0 - q)), CLAMP
 
     def gap(w2: float) -> float:
-        w1 = _upper_endpoint(q, w2)
-        diff = float(std_normal_pdf(w2) - std_normal_pdf(w1))
-        return diff - m1
+        return _pdf(w2) - _pdf(_upper_endpoint(q, w2)) - m1
 
     w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
     if gap(w2_max) <= 0.0:
@@ -345,8 +372,7 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
 
 def _interval_probability(w2: float, w1: float, r: float) -> tuple[float, float]:
     """p(r) = Phi(w1 - r) - Phi(w2 - r) for the interval [w2, w1], and dp/dr."""
-    return (float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r)),
-            float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r)))
+    return _cdf(w1 - r) - _cdf(w2 - r), _pdf(w2 - r) - _pdf(w1 - r)
 
 
 # ---------------------------------------------------------------------------
@@ -509,16 +535,19 @@ def _log1mexp(t: float) -> float:
     return math.log1p(-math.exp(-t)) if t > 1e-30 else -700.0
 
 
-def _soft_interval_init(stats: FirstOrderStats, r: float
+def _soft_interval_init(stats: FirstOrderStats, r: float,
+                        interval: tuple[float, float]
                         ) -> Optional[tuple[float, float, float]]:
     """Start from the m2 = 0 interval [w2, w1], softening its edges to m2.
 
-    c crosses zero at both endpoints by construction; the scale u is set so
-    the edge-width model phi(w2)/|c'(w2)| + phi(w1)/|c'(w1)| equals m2, which
-    is exact in the sharp-edge limit.  All intermediate quantities are kept
-    in log space since e^{r w1} overflows for wide intervals.
+    ``interval`` is ``_solve_interval(stats.q, stats.m1)``, which the caller
+    solves once.  c crosses zero at both endpoints by construction; the
+    scale u is set so the edge-width model phi(w2)/|c'(w2)| + phi(w1)/|c'(w1)|
+    equals m2, which is exact in the sharp-edge limit.  All intermediate
+    quantities are kept in log space since e^{r w1} overflows for wide
+    intervals.
     """
-    w2, w1 = _solve_interval(stats.q, stats.m1)
+    w2, w1 = interval
     # chord slope of e^{rx} over [w2, w1]: K = (e^{r w1} - e^{r w2}) / (w1 - w2)
     ln_k = r * w1 + _log1mexp(r * (w1 - w2)) - math.log(w1 - w2)
     log_r = math.log(r)
@@ -565,7 +594,8 @@ def _reduced_dual(stats: FirstOrderStats, r: float,
 
 
 def solve_dual(stats: FirstOrderStats, r: float,
-               warm: Optional[DualSolution] = None) -> DualSolution:
+               warm: Optional[DualSolution] = None, *,
+               interval: Optional[tuple[float, float]] = None) -> DualSolution:
     """Worst-case dual coefficients at scaled travel distance r > 0.
 
     Solves the full three-equation system; both slope signs are accepted,
@@ -575,7 +605,12 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
     1. ``warm``, when it is a FULL solution (in a radius search, that of
        the nearest travel distance already solved);
-    2. the m2 = 0 interval with its edges softened to m2.
+    2. the m2 = 0 interval with its edges softened to m2.  ``interval``
+       must be that interval of (stats.q, stats.m1), as
+       ``_solve_interval`` returns it; a radius search solves it once and
+       passes it to each solve.  Without it, it is solved here when the
+       warm start fails.  The perpendicular cap below changes only m2, so
+       the interval stays valid.
 
     When neither converges, the two-equation system is solved instead
     (``_reduced_dual``), which drops the directional constraint and is
@@ -610,7 +645,9 @@ def solve_dual(stats: FirstOrderStats, r: float,
     if warm_full is not None:
         full_sol = try_full(warm_full)
     if full_sol is None:
-        soft = _soft_interval_init(stats, r)
+        if interval is None:
+            interval = _solve_interval(stats.q, stats.m1)
+        soft = _soft_interval_init(stats, r, interval)
         if soft is not None:
             full_sol = try_full(soft)
     if full_sol is None:
@@ -750,7 +787,8 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         if r < _R_SMOOTH_FLOOR:
             return lower_bound_probability(stats, r), math.nan
         near = min(duals, key=lambda j: (abs(j - k), j), default=None)
-        dual = duals[k] = solve_dual(stats, r, warm=duals.get(near))
+        dual = duals[k] = solve_dual(stats, r, warm=duals.get(near),
+                                     interval=(w2, w1))
         p, slope = probability_from_dual(dual)
         return p, slope if dual.variant is DualVariant.FULL else math.nan
 

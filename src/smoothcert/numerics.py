@@ -74,9 +74,9 @@ def std_normal_pdf(x):
 
 
 def std_normal_quantile(p):
-    """Inverse standard normal CDF on (0, 1)."""
+    """Inverse standard normal CDF on (0, 1); DomainError outside it, nan included."""
     p_arr = np.asarray(p, dtype=float)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):  # nan fails too
         raise DomainError(f"quantile argument must lie in (0, 1), got {p!r}")
     return _sp.ndtri(p)
 
@@ -174,7 +174,7 @@ def bisect_root(
     objective families.  Returns the final bracket's end on the side of lo,
     within tol/2 of the root, where f keeps the sign of f(lo).  Radii are
     found on this grid by a Newton search (``certify._grid_search``); this
-    function solves the m2 = 0 interval's endpoints.
+    function solves the m2 = 0 interval's endpoints, once per radius.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")

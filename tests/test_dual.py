@@ -27,10 +27,14 @@ from smoothcert.certify import (
 )
 from smoothcert.classifiers import RngSpec, mc_worst_case_probability
 from smoothcert.numerics import (
+    CLAMP,
     RESIDUAL_TOLERANCE,
     DomainError,
     bisect_root,
     bisection_steps,
+    std_normal_cdf,
+    std_normal_pdf,
+    std_normal_quantile,
 )
 from smoothcert.selftest import _check_angular
 
@@ -203,6 +207,65 @@ class TestSolveDual:
         assert probability_from_dual(warm)[0] == pytest.approx(p_cold, abs=1e-8)
 
 
+class TestIntervalScalarPath:
+    # the interval's scalar helpers against the vectorised numerics forms
+    # they replace, compared with ==: they must agree bit for bit, beyond
+    # +-CLAMP, at w2 = -CLAMP and where q + Phi(w2) is capped below 1
+    W = np.concatenate([
+        np.linspace(-45.0, 45.0, 241),
+        [-CLAMP, CLAMP, -39.0, 39.0, -0.0, 1e-300, 8.2, 8.3, 37.9999],
+    ]).tolist()
+    QS = (0.5000001, 0.6, 0.8, 0.97, 0.9999, 1.0 - 1e-12)
+
+    @staticmethod
+    def vector_upper_endpoint(q, w2):
+        mass = min(q + float(std_normal_cdf(w2)), np.nextafter(1.0, 0.0))
+        return float(np.clip(std_normal_quantile(mass), -CLAMP, CLAMP))
+
+    def test_upper_endpoint(self):
+        capped = 0
+        for q in self.QS:
+            for w2 in self.W:
+                capped += q + float(std_normal_cdf(w2)) >= 1.0
+                assert certify._upper_endpoint(q, w2) == \
+                    self.vector_upper_endpoint(q, w2), (q, w2)
+        assert capped > 100
+
+    def test_cdf_and_pdf(self):
+        for w in self.W:
+            assert certify._cdf(w) == float(std_normal_cdf(w)), w
+            assert certify._pdf(w) == float(std_normal_pdf(w)), w
+
+    @pytest.mark.parametrize("q", QS)
+    def test_interval_gap(self, q):
+        # _solve_interval bisects the scalar gap; bisecting the vectorised
+        # gap must land on the same endpoints
+        def vector_gap(w2, m1):
+            w1 = self.vector_upper_endpoint(q, w2)
+            return float(std_normal_pdf(w2) - std_normal_pdf(w1)) - m1
+
+        w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
+        for frac in (-1.0, -0.9, -0.3, 0.0, 0.4, 0.99):
+            m1 = frac * max_gradient_magnitude(q)
+            w2, w1 = _solve_interval(q, m1)
+            if frac == -1.0:
+                assert (w2, w1) == (-CLAMP, self.vector_upper_endpoint(q, -CLAMP))
+                continue
+            if vector_gap(w2_max, m1) > 0.0:
+                assert w2 == bisect_root(lambda w: vector_gap(w, m1), -CLAMP,
+                                         w2_max, tol=1e-13), (q, frac)
+            else:
+                assert w2 == w2_max, (q, frac)
+            assert w1 == self.vector_upper_endpoint(q, w2), (q, frac)
+
+    def test_interval_probability(self):
+        for w2, w1 in ((-CLAMP, 0.3), (-2.0, 1.5), (-40.0, 40.0), (0.25, 8.3)):
+            for r in self.W:
+                want = (float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r)),
+                        float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r)))
+                assert _interval_probability(w2, w1, r) == want, (w2, w1, r)
+
+
 class TestProbabilitySlope:
     # p(r) = integral phi(x - r) f(x) dx with 0 <= f <= 1, so the third
     # derivative of p is at most integral |phi'''| = 1.51 in size, and a
@@ -307,6 +370,46 @@ class TestDirectionalRadius:
         assert len(calls) <= 40
         assert len(solves) <= 5
         assert res.radius == 0.3076171875
+
+    def test_one_interval_solve_per_radius(self, monkeypatch):
+        # the search solves the m2 = 0 interval once and hands it to the
+        # dual's cold start, which would otherwise bisect it again
+        intervals = []
+        bisections = []
+        orig_interval = certify._solve_interval
+        orig_bisect = certify.bisect_root
+
+        def counted_interval(*args):
+            intervals.append(args)
+            return orig_interval(*args)
+
+        def counted_bisect(*args, **kwargs):
+            bisections.append(args)
+            return orig_bisect(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "_solve_interval", counted_interval)
+        monkeypatch.setattr(certify, "bisect_root", counted_bisect)
+        cfg = SmoothingConfig(0.25, 152)
+        res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2), cfg, tol=1e-3)
+        assert res.radius == 0.3076171875
+        assert len(intervals) == 1 and len(bisections) == 1
+        for s in THREAT_PATH_STATS:
+            if s.m2 == 0.0:
+                continue
+            intervals.clear()
+            bisections.clear()
+            directional_radius(s, cfg, tol=1e-3)
+            assert intervals == [(s.q, s.m1)], s
+            assert len(bisections) == 1, s
+
+    def test_handed_interval_gives_the_same_dual(self):
+        # solve_dual solves the interval itself when it is not handed one
+        for s in THREAT_PATH_STATS:
+            if s.m2 == 0.0:
+                continue
+            interval = _solve_interval(s.q, s.m1)
+            for r in (0.05, 0.4, 1.2):
+                assert solve_dual(s, r) == solve_dual(s, r, interval=interval), (s, r)
 
     def test_stops_at_last_grid_point_below_root(self):
         # R / sigma is the largest point k h of bisection's grid with

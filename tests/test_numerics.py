@@ -67,6 +67,12 @@ class TestNormalQuantile:
         with pytest.raises(DomainError):
             std_normal_quantile(bad)
 
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError):
+            std_normal_quantile(math.nan)
+        with pytest.raises(DomainError):
+            std_normal_quantile(np.array([0.2, math.nan, 0.7]))
+
 
 class TestSolveSystem:
     # each residual returns (F, J): J analytic, or central differences

@@ -245,3 +245,56 @@ class TestNormOrdering:
         assert r_l1 >= r_l2 - 1e-9
         assert r_l2 >= r_linf - 1e-9
         assert r_linf >= r_l2 / math.sqrt(dim) - 1e-9
+
+
+class TestPinnedRadii:
+    # exact radii, so that a change meant to keep them bit for bit is
+    # checked across commits.  The stats are the first 12 threat-path draws
+    # of np.random.default_rng(15): q ~ U(0.55, 0.99), magnitude
+    # U(0.1, 0.95) M(q) at angle pi U(0.5, 1) from the travel direction,
+    # every third one along it (m2 = 0).  At each radius R the worst-case p
+    # at R and at the next grid point lies at least 4e-6 from 1/2 for
+    # m2 > 0, and at least 1.5e-12 for m2 = 0 and for the l2 radii (whose
+    # grid is below 1e-9 wide), so the pins do not hang on a platform's
+    # last bits.  A change that moves radii on purpose updates them.
+    DIRECTIONAL = [
+        ((0.854807081904667, -0.08959576783541637, 0.0), 0.3151558113313513),
+        ((0.5697287973037843, -0.06890626542317678, 0.05492104965015745),
+         0.10986328125),
+        ((0.8662594058252073, -0.054400430039880134, 0.09024440809089024),
+         0.3564453125),
+        ((0.9794126704516771, -0.040551211210456045, 0.0), 0.5194305130135035),
+        ((0.7942503289929386, -0.03277136816810725, 0.0030136175417346638),
+         0.29510498046875),
+        ((0.9412409185924189, -0.020000601862088525, 0.028480939446288652),
+         0.458984375),
+        ((0.7851334599914788, -0.11138614182956032, 0.0), 0.25366929432493635),
+        ((0.9497933196790245, -0.06392545345001721, 0.07084745370476893),
+         0.49407958984375),
+        ((0.8862598726956414, -0.07394162163231094, 0.026181420062703215),
+         0.3521728515625),
+        ((0.8086267156939395, -0.21263470018819391, 0.0), 0.23427621119481046),
+        ((0.6637517095253621, -0.05210895488003631, 0.029439974297142065),
+         0.19500732421875),
+        ((0.6586227088125483, -0.048195448831795114, 0.07644179615779514),
+         0.19439697265625),
+    ]
+    # (q, gradient l2 bound, radius) at the default tol
+    L2 = [
+        (0.6, 0.3, 0.13524558977223933),
+        (0.75, 1.0, 0.18442136606608983),
+        (0.8, 0.5, 0.2586931451514829),
+        (0.9, 0.3, 0.363932854597806),
+    ]
+
+    def test_directional_radius(self):
+        cfg = SmoothingConfig(0.25, 152)
+        for stats, radius in self.DIRECTIONAL:
+            res = directional_radius(FirstOrderStats(*stats), cfg, tol=1e-3)
+            assert not (res.capped or res.fallback_used), stats
+            assert res.radius == radius, stats
+
+    def test_radius_l2_first(self):
+        cfg = SmoothingConfig(0.25, 152)
+        for q, bound, radius in self.L2:
+            assert radius_l2_first(q, bound, cfg).radius == radius, (q, bound)
