@@ -56,6 +56,7 @@ from .numerics import (
     CLAMP,
     DomainError,
     NoConvergenceError,
+    NumericalError,
     bisect_root,
     bisection_steps,
     panel_nodes,
@@ -701,7 +702,8 @@ def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
     the bracket.  It bisects the bracket where the slope is nan or not
     negative, where Newton points outside the bracket, or when two Newton
     probes have not halved it.  The cap is probed only when Newton points
-    past it or the bracket ends there.
+    past it or the bracket ends there.  A p that is not finite raises
+    ``NumericalError``: a nan would otherwise read as p >= 1/2 and certify.
     """
     h = R_CAP_DEFAULT / top
     # p(lo h) >= 1/2 > p(hi h), where hi = top stands unproven until a
@@ -710,6 +712,8 @@ def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
     widths: list[int] = []
     while True:
         p, slope = probe(k)
+        if not math.isfinite(p):
+            raise NumericalError(f"worst-case probability {p} at grid index {k}")
         if p < 0.5:
             hi, proven = k, True
         elif k == top:

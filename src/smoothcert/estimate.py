@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _st
+from scipy import special as _sp
 
 from .numerics import DomainError
 
@@ -102,6 +102,10 @@ def estimate_q_lower(successes: int, n: int, alpha: float) -> float:
     """One-sided Clopper-Pearson lower bound on a binomial proportion.
 
     The true probability is >= the returned value with probability >= 1-alpha.
+    This is the alpha quantile of Beta(s, n - s + 1), computed by
+    ``scipy.special.betaincinv``: it wraps Boost's ``ibeta_inv``, the same
+    routine behind ``scipy.stats.beta.ppf``, so the value is bit-identical
+    without importing ``scipy.stats``.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -111,7 +115,7 @@ def estimate_q_lower(successes: int, n: int, alpha: float) -> float:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if successes == 0:
         return 0.0
-    return float(_st.beta.ppf(alpha, successes, n - successes + 1))
+    return float(_sp.betaincinv(successes, n - successes + 1, alpha))
 
 
 def gradient_mean(batch: GradientSampleBatch) -> np.ndarray:

@@ -161,6 +161,13 @@ def bisection_steps(width: float, tol: float) -> int:
     return int(np.ceil(np.log2(max(width / tol, 1.0)))) + 1
 
 
+def _finite_value(f: Callable[[float], float], x: float) -> float:
+    value = f(x)
+    if not np.isfinite(value):
+        raise NumericalError(f"f({x!r}) = {value} is not finite")
+    return value
+
+
 def bisect_root(
     f: Callable[[float], float],
     lo: float,
@@ -175,12 +182,14 @@ def bisect_root(
     within tol/2 of the root, where f keeps the sign of f(lo).  Radii are
     found on this grid by a Newton search (``certify._grid_search``); this
     function solves the m2 = 0 interval's endpoints, once per radius.
+    Raises ``NumericalError`` where f is not finite at an end or a midpoint,
+    since a nan has no sign to steer by.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
     steps = bisection_steps(hi - lo, tol)
-    f_lo = f(lo)
-    f_hi = f(hi)
+    f_lo = _finite_value(f, lo)
+    f_hi = _finite_value(f, hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -191,7 +200,7 @@ def bisect_root(
         )
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
+        f_mid = _finite_value(f, mid)
         if f_mid == 0.0:
             return mid
         if np.sign(f_mid) == np.sign(f_lo):

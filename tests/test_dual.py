@@ -15,6 +15,7 @@ from smoothcert.certify import (
     RadiusResult,
     SmoothingConfig,
     _dual_residual,
+    _grid_search,
     _interval_probability,
     _reduced_dual,
     _solve_interval,
@@ -30,6 +31,7 @@ from smoothcert.numerics import (
     CLAMP,
     RESIDUAL_TOLERANCE,
     DomainError,
+    NumericalError,
     bisect_root,
     bisection_steps,
     std_normal_cdf,
@@ -342,6 +344,37 @@ class TestLowerBoundProbability:
         got = lower_bound_probability(stats, 1.0)
         from helpers import QUANTILE_09
         assert got == pytest.approx(float(cdf(QUANTILE_09 - 1.0)), abs=1e-12)
+
+
+class TestGridSearch:
+    # synthetic probes on a 1,024-point grid: p falls linearly through 1/2
+    # between indices 409 and 410
+    TOP = 1024
+
+    @classmethod
+    def linear(cls, k):
+        h = R_CAP_DEFAULT / cls.TOP
+        return 0.9 - k / cls.TOP, -1.0 / (cls.TOP * h)
+
+    def test_finite_probe_finds_the_root(self):
+        assert _grid_search(self.linear, self.TOP, 512) == 409
+
+    def test_nan_probability_raises(self):
+        # a nan p used to read as p >= 1/2, so the search ran on to the cap
+        # and returned None, the capped 10 sigma radius
+        def nan_above_root(k):
+            return (math.nan, math.nan) if k >= 600 else self.linear(k)
+
+        for probe in (lambda k: (math.nan, math.nan), nan_above_root):
+            with pytest.raises(NumericalError):
+                _grid_search(probe, self.TOP, 700)
+
+    def test_nan_interval_probability_fails_the_radius(self, monkeypatch):
+        monkeypatch.setattr(certify, "_interval_probability",
+                            lambda w2, w1, r: (math.nan, math.nan))
+        with pytest.raises(NumericalError):
+            directional_radius(FirstOrderStats(0.8, -0.1, 0.0),
+                               SmoothingConfig(0.25, 152), tol=1e-3)
 
 
 class TestDirectionalRadius:

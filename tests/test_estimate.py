@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from smoothcert.estimate import (
     GradientSampleBatch,
@@ -58,6 +59,20 @@ class TestClopperPearson:
                               (3, 10, 0.2), (190000, 200000, 1e-3)):
             got = estimate_q_lower(s, n, alpha)
             assert got == pytest.approx(beta_lower_oracle(s, n, alpha), abs=1e-9)
+
+    def test_equals_beta_ppf_bit_for_bit(self):
+        # betaincinv and beta.ppf share Boost's ibeta_inv, so swapping one
+        # for the other leaves every certificate byte-identical
+        rng = np.random.default_rng(16)
+        ns = [1, 2, 3, 7, 10, 100, 1000, 12345, 200000, 1000000]
+        ns += [int(n) for n in rng.integers(1, 1000001, size=6)]
+        for n in ns:
+            successes = {1, n // 2, n - 1, n}
+            successes |= {int(s) for s in rng.integers(1, n + 1, size=3)}
+            for s in sorted(successes - {0}):
+                for alpha in (1e-6, 1e-3 / 6, 1e-3 / 3, 1e-3, 0.05, 0.5):
+                    want = float(stats.beta.ppf(alpha, s, n - s + 1))
+                    assert estimate_q_lower(s, n, alpha) == want, (s, n, alpha)
 
     def test_spec_window(self):
         assert 0.86 < estimate_q_lower(900, 1000, 0.001) < 0.90

@@ -8,6 +8,7 @@ from smoothcert.numerics import (
     BracketError,
     DomainError,
     NoConvergenceError,
+    NumericalError,
     bisect_root,
     solve_system,
     std_normal_cdf,
@@ -186,3 +187,12 @@ class TestBisect:
     def test_bad_bracket(self):
         with pytest.raises(DomainError):
             bisect_root(lambda x: x, 2.0, 1.0, 1e-6)
+
+    def test_non_finite_value_raises(self):
+        # a nan has no sign: it used to steer the bracket as if negative
+        # (all-nan f returned lo) instead of failing
+        for f in (lambda x: math.nan,
+                  lambda x: math.inf if x == 1.0 else 1.0 - 2.0 * x,
+                  lambda x: math.nan if 0.4 < x < 0.6 else 1.0 - 2.0 * x):
+            with pytest.raises(NumericalError, match="not finite"):
+                bisect_root(f, 0.0, 1.0, 1e-3)

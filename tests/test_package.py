@@ -1,7 +1,11 @@
-"""Every name the package and its modules export resolves."""
+"""Every name the package and its modules export resolves, and importing
+the entry points leaves the heavy scipy subpackages unloaded."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import smoothcert
@@ -22,3 +26,18 @@ def test_exports_resolve():
     }
     assert reexported, "the package re-exports nothing"
     assert reexported <= exported, sorted(reexported - exported)
+
+
+def test_entry_points_import_no_heavy_scipy():
+    # scipy.stats drags in linalg, optimize, spatial, interpolate and
+    # ndimage: about half a second and 45 MB on every run and CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(smoothcert.__file__)))
+    code = (
+        "import sys\n"
+        "import smoothcert, smoothcert.pipeline, smoothcert.selftest, smoothcert.cli\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", out
