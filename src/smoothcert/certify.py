@@ -28,11 +28,17 @@ Endpoint labels follow the convention validated by the halfspace limit
 (w1 the upper endpoint, m1 the directional derivative bound along the
 travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
 
+Dropping the m2 constraint can only lower the minimum, so the interval's
+closed-form p_int(r) is a proven lower bound at every r.  One rule gives
+the worst-case probability wherever it is needed (``_worst_case``):
+p = max(p_int, p_dual), and p_int alone below the smooth floor, for
+m2 = 0, and where no dual converges.
+
 A radius is the last point of bisection's grid of travel distances where
 p(r) >= 1/2.  One safeguarded Newton search with that slope finds every
-radius (``_grid_search``): on the closed-form p of the interval when
-m2 = 0, and otherwise on the dual's p, started at the interval's root, in
-about 3 dual solves where bisection needed 15.
+radius (``_grid_search``): on p_int first, and for m2 > 0 then on
+max(p_int, p_dual), started at p_int's root, in about 3 dual solves where
+bisection needed 15.
 
 All quantities here are dimensionless (travel measured in units of sigma);
 entry points convert to input units exactly once on the way out.  The l2
@@ -107,8 +113,8 @@ M2_DEGENERATE = 1e-8
 FEASIBILITY_SLACK = 1e-9
 
 # Smooth dual solves are skipped for q this close to 0.5 or travel this
-# small: the exponential basis degenerates there, and the zeroth-order
-# answer / linear interpolation from p(0) = q is valid and conservative.
+# small, where the exponential basis degenerates: the m2 = 0 interval's
+# closed-form p, a proven lower bound, stands in for the dual's there.
 _Q_SMOOTH_FLOOR = 5e-4
 _R_SMOOTH_FLOOR = 5e-3
 
@@ -222,7 +228,6 @@ class RadiusResult(NamedTuple):
     capped: bool = False
     fallback_used: bool = False
     abstained: bool = False
-    clamped: bool = False
 
 
 @dataclass(frozen=True)
@@ -668,8 +673,40 @@ def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
                                     dual.travel_scale)
 
 
+def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
+                warm: Optional[DualSolution] = None
+                ) -> tuple[float, float, Optional[DualSolution]]:
+    """Worst-case probability p(r), its slope dp/dr, and the dual solved.
+
+    ``interval`` is ``_solve_interval(stats.q, stats.m1)``.  Dropping the m2
+    constraint can only lower the minimum, so the interval's closed-form
+    p_int(r) = Phi(w1 - r) - Phi(w2 - r) is a lower bound at every r > 0.
+    Below ``_R_SMOOTH_FLOOR``, where the exponential basis degenerates, or
+    for m2 below ``M2_DEGENERATE``, p_int is returned with its exact slope.
+    Otherwise p is the larger of p_int and the p of ``solve_dual`` (started
+    from ``warm``), with the larger one's slope; a slope that would come from
+    a reduced dual, which has none, is nan.  A dual that does not converge
+    at all leaves p_int, still a proven bound, and no dual.  The dual is
+    returned whenever one was solved, for warm starts, even where p_int won.
+    """
+    p_int, slope_int = _interval_probability(*interval, r)
+    if r < _R_SMOOTH_FLOOR or stats.m2 < M2_DEGENERATE:
+        return p_int, slope_int, None
+    try:
+        dual = solve_dual(stats, r, warm=warm, interval=interval)
+    except NoConvergenceError:
+        return p_int, slope_int, None
+    p, slope = probability_from_dual(dual)
+    if p < p_int:
+        return p_int, slope_int, dual
+    return p, slope if dual.variant is DualVariant.FULL else math.nan, dual
+
+
 def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
-    """Worst-case smoothed probability at scaled distance r (r = 0 gives q)."""
+    """Worst-case smoothed probability at scaled distance r (r = 0 gives q).
+
+    The radius search's p (``_worst_case``), solved cold.
+    """
     if r < 0.0 or not math.isfinite(r):
         raise DomainError(f"travel distance must be nonnegative, got {r}")
     if r == 0.0:
@@ -680,13 +717,7 @@ def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
     if stats.m1 == 0.0 and stats.m2 == 0.0:
         # no usable gradient information: zeroth-order worst case (halfspace)
         return float(std_normal_cdf(std_normal_quantile(stats.q) - r))
-    if stats.m2 < M2_DEGENERATE:
-        return _interval_probability(*_solve_interval(stats.q, stats.m1), r)[0]
-    if r < _R_SMOOTH_FLOOR:
-        # exponential basis degenerates as r -> 0; interpolate from p(0) = q
-        p_floor = lower_bound_probability(stats, _R_SMOOTH_FLOOR)
-        return stats.q + (p_floor - stats.q) * (r / _R_SMOOTH_FLOOR)
-    return probability_from_dual(solve_dual(stats, r))[0]
+    return _worst_case(stats, _solve_interval(stats.q, stats.m1), r)[0]
 
 
 def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
@@ -747,16 +778,18 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     r* is the ``_grid_search`` result on bisection's grid k h, with
     h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma),
     a grid at most 1e-9 wide when m2 = 0.  That search runs first over the
-    closed-form p of the m2 = 0 interval, from Phi^-1(q).  For m2 > 0 it
-    runs again over the dual's p, from the interval's root: dropping the m2
-    constraint can only lower p, so that root lies below the dual's and
-    closer than Phi^-1(q).  There the slope is the envelope-theorem
-    dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx of a FULL dual; below
-    the smooth floor and after a fallback none is known.  Each solve is
-    warm-started from the nearest r already solved.
-    ``fallback_used`` is set when the solve at either end of the final
-    bracket (or at the cap, for a capped result) used the reduced dual;
-    an end below the smooth floor is interpolated and never sets it.
+    closed-form p_int of the m2 = 0 interval, from Phi^-1(q).  Its root is
+    the radius for m2 = 0 and for q within ``_Q_SMOOTH_FLOOR`` of 1/2.
+    Otherwise the search runs again over ``_worst_case``'s
+    p = max(p_int, p_dual), from p_int's root: dropping the m2 constraint
+    can only lower p, so that root lies below the dual's and closer than
+    Phi^-1(q).  The slope is the larger term's: the exact one of p_int, or
+    the envelope-theorem dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx
+    of a FULL dual; a reduced dual has none.  Each solve is warm-started
+    from the nearest r already solved.  ``fallback_used`` is set when an end
+    of the final bracket (or the cap, for a capped result) at or above the
+    smooth floor was not solved by the FULL dual: the reduced dual was
+    used, or no dual converged and p_int stood alone.
     """
     q = stats.q
     if q <= 0.5:
@@ -770,16 +803,14 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         # perpendicular halfspace itself, unbounded along the travel ray
         return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
     degenerate = stats.m2 < M2_DEGENERATE
-    if not degenerate and q <= 0.5 + _Q_SMOOTH_FLOOR:
-        return RadiusResult(zeroth)
     scaled_tol = max(tol / cfg.sigma, 1e-12)
     top = 2 ** bisection_steps(  # index of the cap
         R_CAP_DEFAULT, min(scaled_tol, 1e-9) if degenerate else scaled_tol)
     h = R_CAP_DEFAULT / top
-    w2, w1 = _solve_interval(q, stats.m1)
+    interval = _solve_interval(q, stats.m1)
     k = min(max(math.floor(float(std_normal_quantile(q)) / h), 1), top - 1)
-    lo = _grid_search(lambda j: _interval_probability(w2, w1, j * h), top, k)
-    if degenerate:
+    lo = _grid_search(lambda j: _interval_probability(*interval, j * h), top, k)
+    if degenerate or q <= 0.5 + _Q_SMOOTH_FLOOR:
         if lo is None:
             return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
         return RadiusResult(max(cfg.sigma * (lo * h), zeroth))
@@ -787,17 +818,18 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     duals: dict[int, DualSolution] = {}  # grid index -> its solve
 
     def probe(k: int) -> tuple[float, float]:
-        r = k * h
-        if r < _R_SMOOTH_FLOOR:
-            return lower_bound_probability(stats, r), math.nan
         near = min(duals, key=lambda j: (abs(j - k), j), default=None)
-        dual = duals[k] = solve_dual(stats, r, warm=duals.get(near),
-                                     interval=(w2, w1))
-        p, slope = probability_from_dual(dual)
-        return p, slope if dual.variant is DualVariant.FULL else math.nan
+        p, slope, dual = _worst_case(stats, interval, k * h, warm=duals.get(near))
+        if dual is not None:
+            duals[k] = dual
+        return p, slope
 
     def fell_back(k: int) -> bool:
-        return k in duals and duals[k].variant is not DualVariant.FULL
+        # an end at or above the floor without a dual was probed, and no
+        # dual converged there: the search probes every bracket end it
+        # returns but index 0, which lies below the floor
+        return k * h >= _R_SMOOTH_FLOOR and (
+            k not in duals or duals[k].variant is not DualVariant.FULL)
 
     lo = _grid_search(probe, top, top if lo is None else min(max(lo, 1), top - 1))
     if lo is None:
@@ -838,21 +870,21 @@ def _perp_component(lower_sq: float, parallel_sq: float) -> float:
     return math.sqrt(max(0.0, lower_sq - parallel_sq))
 
 
-def _threat_stats(q: float, m1: float, m2: float) -> tuple[FirstOrderStats, bool]:
+def _threat_stats(q: float, m1: float, m2: float) -> FirstOrderStats:
     """Floor threat-path stats (m1 <= 0) into the feasibility disk.
 
     Flooring m1 at -sqrt(M'^2 - m2^2), M' = M (1 - 1e-12), is always valid
     because it only weakens a one-sided bound: the directional derivative
     of any classifier with value q and perpendicular norm >= m2 cannot be
-    steeper.  The flag says whether m1 was floored.  m2 is never changed:
-    it lower-bounds a quantity capped by M, so m2 > M (1 + FEASIBILITY_SLACK)
-    means the confidence event failed and raises ``InfeasibleStatsError``.
+    steeper.  m2 is never changed: it lower-bounds a quantity capped by M,
+    so m2 > M (1 + FEASIBILITY_SLACK) means the confidence event failed and
+    raises ``InfeasibleStatsError``.
     """
     big_m = max_gradient_magnitude(q) * (1.0 - 1e-12)
     floor = -_perp_component(big_m * big_m, m2 * m2)
     stats = FirstOrderStats(q, max(m1, floor), m2)
     ensure_feasible(stats)
-    return stats, m1 < floor
+    return stats
 
 
 def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
@@ -870,9 +902,8 @@ def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
     step = cfg.sigma / root_k
     m1 = -step * dual
     m2 = step * _perp_component(k * l2_lower ** 2, dual ** 2)
-    stats, clamped = _threat_stats(q, m1, m2)
-    res = directional_radius(stats, cfg, tol)
-    return res._replace(radius=res.radius / root_k, clamped=clamped)
+    res = directional_radius(_threat_stats(q, m1, m2), cfg, tol)
+    return res._replace(radius=res.radius / root_k)
 
 
 def radius_l1_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,

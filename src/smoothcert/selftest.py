@@ -32,7 +32,7 @@ from .classifiers import (
     LinearClassifier,
 )
 from .estimate import estimate_q_lower, l2_norm_bounds, subgaussian_k, GradientSampleBatch
-from .numerics import std_normal_quantile
+from .numerics import RESIDUAL_TOLERANCE, std_normal_quantile
 
 __all__ = [
     "CheckResult",
@@ -148,6 +148,47 @@ def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
         worst = np.maximum(worst, abs(p - est) / max(se, 1e-12))
     return CheckResult(worst <= limit, f"max |p - mc| = {worst:.2f} stderr",
                        {"worst": worst, "reduced": reduced})
+
+
+def _check_interval_floor(seed: int, count: int) -> CheckResult:
+    """A FULL dual's p is at least the m2 = 0 interval's, less a slack.
+
+    Dropping the m2 constraint can only lower the minimum, so at any r the
+    dual's p(r) is at least p_int(r) = Phi(w1 - r) - Phi(w2 - r) of the
+    interval [w2, w1] of the same (q, m1).  A solve leaves residuals up to
+    eps = RESIDUAL_TOLERANCE, so its set is the exact worst case for stats
+    within eps, whose p_int moves by at most eps (|lam0| + |lam1|):
+    lam0 + lam1 x = e^{r x - r^2 / 2} at both endpoints are the interval's
+    multipliers.  ``count`` threat-path stats are drawn from ``seed``: q in
+    (0.51, 0.99), magnitude in (0.05, 0.95) M(q) at an angle in (pi/2, pi)
+    from the travel direction, each at one r in [0.005, 3].  The dual is
+    solved directly; solves that fall back to the reduced dual are counted
+    and skipped.
+    """
+    gen = RngSpec(seed, 0).generator()
+    worst = -math.inf
+    full = 0
+    for _ in range(count):
+        q = float(gen.uniform(0.51, 0.99))
+        mag = float(gen.uniform(0.05, 0.95)) * cz.max_gradient_magnitude(q)
+        angle = math.pi * float(gen.uniform(0.5, 1.0))
+        r = float(gen.uniform(cz._R_SMOOTH_FLOOR, 3.0))
+        stats = FirstOrderStats(q, mag * math.cos(angle), mag * math.sin(angle))
+        if stats.m2 < cz.M2_DEGENERATE:
+            continue
+        dual = cz.solve_dual(stats, r)
+        if dual.variant is not DualVariant.FULL:
+            continue
+        full += 1
+        w2, w1 = cz._solve_interval(q, stats.m1)
+        p_int = float(special.ndtr(w1 - r) - special.ndtr(w2 - r))
+        ratio = [math.exp(r * w - r * r / 2.0) for w in (w2, w1)]
+        lam1 = (ratio[1] - ratio[0]) / (w1 - w2)
+        slack = RESIDUAL_TOLERANCE * (abs(ratio[0] - lam1 * w2) + abs(lam1))
+        worst = np.maximum(worst, p_int - slack - cz.probability_from_dual(dual)[0])
+    return CheckResult(full > 0 and worst <= 0.0,
+                       f"max (p_int - slack - p_full) = {worst:.2e} over {full} FULL solves",
+                       {"worst": worst, "full": full})
 
 
 def _check_estimator_formulas(cases, seed: int, mean_scale: float,
@@ -266,6 +307,7 @@ def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
                 qs=(0.6, 0.75, 0.9, 0.99), sigmas=(0.5,), fracs=(0.25, 0.5, 0.75, 1.0),
                 dim=8, gap_limit=1e-6, boundary_limit=math.inf)),
             ("angular_monotonicity", lambda: _check_angular(0.85, mag_frac=0.8, angles=5)),
+            ("interval_floor", lambda: _check_interval_floor(seed=200, count=20)),
         ]
     results = []
     for name, check in checks:

@@ -164,12 +164,23 @@ class TestThreatStats:
 
     @pytest.mark.parametrize("frac", [1 - 5e-13, 1.0])
     @pytest.mark.parametrize("threat", THREATS)
-    def test_m2_at_the_bound_floors_m1_and_caps(self, threat, frac):
+    def test_m2_at_the_bound_floors_m1_and_caps(self, threat, frac, monkeypatch):
         # m2 inside the feasibility slack with a steep m1: m1 is floored
         # (to 0) before the stats are checked, so they are feasible; they
         # lie on the perpendicular boundary, whose radius is the cap
+        seen = []
+        orig = certify.directional_radius
+
+        def recorded(stats, *args):
+            seen.append(stats)
+            return orig(stats, *args)
+
+        monkeypatch.setattr(certify, "directional_radius", recorded)
         res = _threat_radius(threat, 0.5 * M_08, frac * M_08)
-        assert res.capped and res.clamped
+        [floored] = seen
+        assert floored.m1 == 0.0
+        assert floored.m2 == pytest.approx(frac * M_08, rel=1e-12)
+        assert res.capped
 
     def test_steep_m1_is_floored(self):
         # |(m1, m2)| > M with m2 < M: m1 is floored at -sqrt(M'^2 - m2^2),
@@ -179,5 +190,5 @@ class TestThreatStats:
         m2 = math.sqrt(math.hypot(slope, perp) ** 2 - slope ** 2)
         big_m = M_08 * (1.0 - 1e-12)
         floored = FirstOrderStats(Q_08, -math.sqrt(big_m * big_m - m2 * m2), m2)
-        assert res.clamped
-        assert res == directional_radius(floored, CFG_16)._replace(clamped=True)
+        assert -slope < floored.m1
+        assert res == directional_radius(floored, CFG_16)

@@ -31,6 +31,7 @@ from smoothcert.numerics import (
     CLAMP,
     RESIDUAL_TOLERANCE,
     DomainError,
+    NoConvergenceError,
     NumericalError,
     bisect_root,
     bisection_steps,
@@ -38,7 +39,7 @@ from smoothcert.numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from smoothcert.selftest import _check_angular
+from smoothcert.selftest import _check_angular, _check_interval_floor
 
 from helpers import (
     CDF_1,
@@ -123,6 +124,13 @@ class TestSolveDual:
                         p_halfspace = float(cdf(quantile(q) + r * m1 / big_m))
                         rise = t * (p_halfspace - p_interval) + slack
                         assert p_dual <= p_interval + rise, (frac, m2, r)
+
+    def test_full_dual_is_above_the_interval(self):
+        # the invariant that lets a search take max(p_int, p_dual): every
+        # FULL p over random threat-path stats is at least the interval's
+        res = _check_interval_floor(seed=31, count=150)
+        assert res.passed, res.detail
+        assert res.values["full"] >= 140, res.detail
 
     def test_interior_residuals_small(self):
         stats = FirstOrderStats(0.9, 0.0, 0.08)
@@ -444,21 +452,30 @@ class TestDirectionalRadius:
             for r in (0.05, 0.4, 1.2):
                 assert solve_dual(s, r) == solve_dual(s, r, interval=interval), (s, r)
 
+    # (stats, sigma, tol) near q = 1/2 whose radius used to rest on the
+    # FULL dual alone: cold re-checks fell back to the reduced dual and
+    # gave p(R / sigma) = 0.49422 and 0.49735
+    LOW_Q = [
+        (FirstOrderStats(0.501, -0.0453201, 0.1942539), 1.0, 1e-4),
+        (FirstOrderStats(0.5009517390995611, -0.07997217440208439,
+                         0.19080074446840348), 0.25, 1e-5),
+    ]
+
     def test_stops_at_last_grid_point_below_root(self):
         # R / sigma is the largest point k h of bisection's grid with
         # p >= 1/2: cold solves give p(R / sigma) >= 1/2 > p(R / sigma + h)
-        for s in THREAT_PATH_STATS:
-            for tol in (1e-3, 1e-4):
-                for sigma in (0.25, 1.0):
-                    res = directional_radius(s, SmoothingConfig(sigma, 152), tol=tol)
-                    assert not res.capped
-                    # the m2 = 0 interval branch bisects to at most 1e-9
-                    scaled = tol / sigma if s.m2 > 0.0 else min(tol / sigma, 1e-9)
-                    h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, scaled)
-                    r = res.radius / sigma
-                    assert (r / h).is_integer(), (s, tol, sigma, r)
-                    assert lower_bound_probability(s, r) >= 0.5, (s, tol, sigma)
-                    assert lower_bound_probability(s, r + h) < 0.5, (s, tol, sigma)
+        cases = [(s, sigma, tol) for s in THREAT_PATH_STATS
+                 for tol in (1e-3, 1e-4) for sigma in (0.25, 1.0)]
+        for s, sigma, tol in cases + self.LOW_Q:
+            res = directional_radius(s, SmoothingConfig(sigma, 152), tol=tol)
+            assert not res.capped
+            # the m2 = 0 interval branch bisects to at most 1e-9
+            scaled = tol / sigma if s.m2 > 0.0 else min(tol / sigma, 1e-9)
+            h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, scaled)
+            r = res.radius / sigma
+            assert (r / h).is_integer(), (s, tol, sigma, r)
+            assert lower_bound_probability(s, r) >= 0.5, (s, tol, sigma)
+            assert lower_bound_probability(s, r + h) < 0.5, (s, tol, sigma)
 
     def test_reported_radius_is_safe(self):
         # a radius is a safety claim: the worst-case probability at the
@@ -526,9 +543,10 @@ class TestDirectionalRadius:
         assert lower_bound_probability(stats, res.radius) >= 0.5
         assert lower_bound_probability(stats, res.radius + h) < 0.5
 
-    def test_q_near_half_returns_zeroth(self, monkeypatch):
+    def test_q_near_half_returns_the_interval_radius(self, monkeypatch):
         # within _Q_SMOOTH_FLOOR of 1/2 the exponential basis degenerates;
-        # the smooth branch returns the zeroth-order radius unsolved
+        # the smooth branch returns the m2 = 0 interval's radius, a proven
+        # bound (0.0029755 against the zeroth-order 0.00075199), unsolved
         def down(*args, **kwargs):
             raise AssertionError("no dual solve expected")
 
@@ -537,25 +555,74 @@ class TestDirectionalRadius:
         q = 0.5003
         mag = 0.6 * max_gradient_magnitude(q)
         stats = FirstOrderStats(q, mag * math.cos(2.0), mag * math.sin(2.0))
-        assert directional_radius(stats, cfg, tol=1e-4) == \
-            RadiusResult(zeroth_radius_l2(q, cfg))
+        res = directional_radius(stats, cfg, tol=1e-4)
+        assert res == RadiusResult(0.0029754638671875)
+        assert res.radius > zeroth_radius_l2(q, cfg)
 
-    def test_interpolates_below_smooth_floor(self, monkeypatch):
-        # q just above the q floor: the root lies below _R_SMOOTH_FLOOR,
-        # where p is interpolated from p(0) = q to p at the floor
-        probed = self._record_travel(monkeypatch, "lower_bound_probability")
+    def test_solves_near_half_once_per_bracket_end(self, monkeypatch):
+        # the interval's root lies just above the smooth floor; the dual is
+        # solved at the two ends of the final bracket and never re-solved
+        # cold at the floor
+        solved = self._record_travel(monkeypatch, "solve_dual")
+        cfg = SmoothingConfig(1.0, 4)
+        stats = _threat_path_stats(0.5006, 0.6, 0.9)
+        res = directional_radius(stats, cfg, tol=1e-4)
+        assert len(solved) <= 2, solved
+        assert min(solved) >= certify._R_SMOOTH_FLOOR
+        assert lower_bound_probability(stats, res.radius) >= 0.5
+
+    @pytest.mark.parametrize("frac, radius, below", [
+        (0.5, 0.0061798095703125, 0),
+        (0.9, 0.00347137451171875, 2),
+    ])
+    def test_no_dual_below_smooth_floor(self, monkeypatch, frac, radius, below):
+        # q just above the q floor: below _R_SMOOTH_FLOOR a probe of the
+        # search takes the interval's closed-form p and exact slope, with no
+        # dual solve and no cold re-solve through lower_bound_probability
+        probed = []
+        orig = certify._worst_case
+
+        def recorded(stats, interval, r, *args, **kwargs):
+            probed.append(r)
+            return orig(stats, interval, r, *args, **kwargs)
+
+        monkeypatch.setattr(certify, "_worst_case", recorded)
+        solved = self._record_travel(monkeypatch, "solve_dual")
+        checked = self._record_travel(monkeypatch, "lower_bound_probability")
         cfg = SmoothingConfig(1.0, 4)
         q, tol = 0.501, 1e-4
-        mag = 0.5 * max_gradient_magnitude(q)
+        mag = frac * max_gradient_magnitude(q)
         stats = FirstOrderStats(q, mag * math.cos(2.5), mag * math.sin(2.5))
         res = directional_radius(stats, cfg, tol=tol)
-        assert any(r < certify._R_SMOOTH_FLOOR for r in probed)
-        assert res.radius == 0.002593994140625
+        assert sum(r < certify._R_SMOOTH_FLOOR for r in probed) == below
+        assert all(r >= certify._R_SMOOTH_FLOOR for r in solved), solved
+        assert checked == []
+        assert res.radius == radius
         h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, tol)
-        assert (res.radius / h).is_integer()
-        # cold, as a user would re-check it (0.5000126)
         assert lower_bound_probability(stats, res.radius) >= 0.5
+        assert lower_bound_probability(stats, res.radius + h) < 0.5
         assert res.radius >= zeroth_radius_l2(q, cfg)
+
+    @pytest.mark.parametrize("stats, sigma, tol, radius", [
+        (FirstOrderStats(0.9999996618769594, -5.71e-7, 1.626e-6), 0.427, 1.5e-4,
+         2.15480712890625),
+        # M = 1.02e-8 and 1.2e-8, m1 = -0.01 M, m2 = 0.9999 M
+        (FirstOrderStats(0.9999999983206066, -1.0200000000000001e-10,
+                         1.0198980000000001e-08), 1.0, 1e-4, 6.02447509765625),
+        (FirstOrderStats(0.9999999980154639, -1.2e-10, 1.19988e-08), 1.0, 1e-4,
+         5.997428894042969),
+    ])
+    def test_unsolved_dual_falls_back_to_the_interval(self, stats, sigma, tol,
+                                                      radius):
+        # near q = 1 neither the full nor the reduced dual converges at the
+        # root; the interval's p, a proven lower bound, decides the radius
+        # and the fallback is reported
+        cfg = SmoothingConfig(sigma, 152)
+        res = directional_radius(stats, cfg, tol=tol)
+        assert res == RadiusResult(radius, fallback_used=True)
+        with pytest.raises(NoConvergenceError):
+            solve_dual(stats, radius / sigma)
+        assert lower_bound_probability(stats, radius / sigma) >= 0.5
 
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)
