@@ -18,6 +18,7 @@ from .certify import (
     ThreatModel,
     check_feasible,
     directional_radius,
+    first_order_radius,
     lower_bound_probability,
     max_gradient_magnitude,
     radius_l1_first,

@@ -41,11 +41,11 @@ max(p_int, p_dual), started at p_int's root, in about 3 dual solves where
 bisection needed 15.
 
 All quantities here are dimensionless (travel measured in units of sigma);
-entry points convert to input units exactly once on the way out.  The l2
-entry point feeds the interval system directly; the l1, linf-via-l1 and
-subspace entry points differ only in the dual norm of the gradient they
-bound and the sqrt(k) scale of the travel direction, and share one core.
-Travel is capped at R_CAP_DEFAULT = 10 sigma.
+entry points convert to input units exactly once on the way out.  One
+dispatch (``first_order_radius``) picks a threat's entry point, and every
+entry point runs one core (``_dual_norm_radius``): they differ only in the
+dual norm of the gradient they bound and the sqrt(k) scale of the travel
+direction, l2 being k = 1 with m2 = 0.  Travel is capped at 10 sigma.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ __all__ = [
     "radius_l1_first",
     "radius_linf_first",
     "radius_subspace",
+    "first_order_radius",
 ]
 
 # Travel cap in sigma units; unbounded certified regions are reported as
@@ -106,8 +107,10 @@ R_CAP_DEFAULT = 10.0
 DUAL_EXPONENT = {1: math.inf, 2: 2, math.inf: 1}
 
 # Below this the perpendicular-gradient information is dropped and the
-# degenerate interval geometry is used instead (always conservative).
-M2_DEGENERATE = 1e-8
+# degenerate interval geometry is used instead (always conservative): at
+# 1e3 x numerics.RESIDUAL_TOLERANCE (a product that rounds up), the dual's
+# absolute residual is 0.1% of m2, and below it its p rests on other stats.
+M2_DEGENERATE = 1e-7
 
 # Relative slack accepted by the feasibility check.
 FEASIBILITY_SLACK = 1e-9
@@ -143,6 +146,11 @@ class ThreatModel(str, enum.Enum):
     @property
     def is_subspace(self) -> bool:
         return self.value.startswith("subspace_")
+
+    @property
+    def norm(self) -> float:
+        """The p of the threat's lp ball: 1, 2 or inf."""
+        return {"l1": 1, "l2": 2, "linf": math.inf}[self.value.removeprefix("subspace_")]
 
 
 class DualVariant(str, enum.Enum):
@@ -227,7 +235,6 @@ class RadiusResult(NamedTuple):
     radius: float
     capped: bool = False
     fallback_used: bool = False
-    abstained: bool = False
 
 
 @dataclass(frozen=True)
@@ -769,10 +776,9 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     """Largest certified travel distance along the encoded direction.
 
     Returns sigma * r*, where r* lies short of the root of p(r) = 0.5 by
-    at most tol (in input units) and never past it; 0 with the abstain flag
-    when q <= 0.5; and the fixed cap sigma * R_CAP_DEFAULT = 10 sigma with
-    the capped flag when the worst-case probability never falls to 0.5
-    before it.  The result is floored at the zeroth-order radius, which the
+    at most tol (in input units) and never past it; 0 when q <= 0.5; and
+    the fixed cap sigma * R_CAP_DEFAULT = 10 sigma with the capped flag when
+    the worst-case probability never falls to 0.5 before it.  The result is floored at the zeroth-order radius, which the
     first-order bound provably dominates.
 
     r* is the ``_grid_search`` result on bisection's grid k h, with
@@ -793,7 +799,7 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     """
     q = stats.q
     if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
+        return RadiusResult(0.0)
     zeroth = zeroth_radius_l2(q, cfg)
     if stats.m1 == 0.0 and stats.m2 == 0.0:
         return RadiusResult(zeroth)
@@ -844,28 +850,6 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
 # ---------------------------------------------------------------------------
 
 
-def radius_l2_first(q: float, grad_l2_upper: float, cfg: SmoothingConfig,
-                    tol: float = 1e-6) -> RadiusResult:
-    """First-order l2 radius from an upper bound on ||y1||_2.
-
-    The worst direction opposes the gradient, so the perpendicular component
-    vanishes and the interval system applies with m1 = -sigma * bound.  The
-    bound is capped at the feasibility maximum phi(Phi^-1(q)), itself a
-    valid gradient-magnitude upper bound; at the cap the interval becomes
-    the halfspace and the radius collapses to the zeroth-order value.
-    """
-    if not (0.0 <= q <= 1.0):
-        raise DomainError(f"q must lie in [0, 1], got {q}")
-    if grad_l2_upper < 0.0:
-        raise DomainError(f"gradient bound must be nonnegative, got {grad_l2_upper}")
-    if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
-    if q >= 1.0:
-        return RadiusResult(zeroth_radius_l2(q, cfg))
-    m = min(cfg.sigma * grad_l2_upper, max_gradient_magnitude(q))
-    return directional_radius(FirstOrderStats(q, -m, 0.0), cfg, tol)
-
-
 def _perp_component(lower_sq: float, parallel_sq: float) -> float:
     return math.sqrt(max(0.0, lower_sq - parallel_sq))
 
@@ -894,16 +878,37 @@ def _dual_norm_radius(q: float, dual: float, l2_lower: float, k: int,
     The worst travel direction is a unit l2 vector of threat norm 1/sqrt(k)
     along which y1 can fall by dual/sqrt(k): a basis vector for l1 (k = 1),
     the sign diagonal of k coordinates for linf (k = d or the subspace
-    dimension), the projected gradient for subspace l2 (k = 1).
+    dimension), the projected gradient for subspace l2 (k = 1), and the
+    gradient itself for l2 (k = 1, l2_lower = 0, so m2 = 0).  Every entry
+    point shares this edge rule: q <= 1/2 gives radius 0, and q >= 1 or a
+    negative or nan bound raises ``DomainError``.
     """
+    if not (0.0 <= q < 1.0 and dual >= 0.0):
+        raise DomainError(f"first-order radius requires q in [0, 1) and a "
+                          f"nonnegative gradient bound, got q = {q}, bound {dual}")
     if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
+        return RadiusResult(0.0)
     root_k = math.sqrt(k)
     step = cfg.sigma / root_k
     m1 = -step * dual
     m2 = step * _perp_component(k * l2_lower ** 2, dual ** 2)
     res = directional_radius(_threat_stats(q, m1, m2), cfg, tol)
     return res._replace(radius=res.radius / root_k)
+
+
+def radius_l2_first(q: float, grad_l2_upper: float, cfg: SmoothingConfig,
+                    tol: float = 1e-4) -> RadiusResult:
+    """First-order l2 radius from an upper bound on ||y1||_2.
+
+    The worst direction opposes the gradient, so the perpendicular component
+    vanishes and the core runs the m2 = 0 interval with m1 = -sigma * bound.
+    ``_threat_stats`` floors m1 at the feasibility maximum phi(Phi^-1(q)),
+    itself a valid gradient-magnitude bound; there the interval becomes the
+    halfspace and the radius the zeroth-order one.  m2 = 0 radii are
+    searched on a grid at most 1e-9 wide, so ``tol`` has no effect above
+    1e-9 sigma.
+    """
+    return _dual_norm_radius(q, grad_l2_upper, 0.0, 1, cfg, tol)
 
 
 def radius_l1_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig,
@@ -922,8 +927,6 @@ def radius_linf_first(q: float, bounds: GradientNormBounds, cfg: SmoothingConfig
     distance along the (l2-unit) diagonal converts to an linf radius by the
     same sqrt(d) factor.
     """
-    if q <= 0.5:
-        return RadiusResult(0.0, abstained=True)
     if mode is LinfMode.VIA_L2_SCALING:
         res = radius_l2_first(q, bounds.l2_upper, cfg, tol)
         return res._replace(radius=res.radius / math.sqrt(cfg.dim))
@@ -942,7 +945,7 @@ def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
     """
     if bounds.subspace_dual_upper is None:
         raise DomainError("subspace radius requires subspace_dual_upper")
-    if not (1 <= subspace_dim <= cfg.dim):
+    if subspace_dim is None or not 1 <= subspace_dim <= cfg.dim:
         raise DomainError(
             f"subspace_dim must lie in [1, {cfg.dim}], got {subspace_dim}"
         )
@@ -951,3 +954,20 @@ def radius_subspace(q: float, bounds: GradientNormBounds, p, subspace_dim: int,
     k = subspace_dim if p == math.inf else 1
     return _dual_norm_radius(q, bounds.subspace_dual_upper, bounds.l2_lower, k,
                              cfg, tol)
+
+
+def first_order_radius(threat: ThreatModel, q: float, bounds: GradientNormBounds,
+                       cfg: SmoothingConfig, tol: float = 1e-4, *,
+                       linf_mode: LinfMode = LinfMode.VIA_L2_SCALING,
+                       subspace_dim: Optional[int] = None) -> RadiusResult:
+    """First-order radius of ``threat``: the one map from a threat to its
+    entry point, each looked up by its module-level name at call time.
+    ``linf_mode`` is read by linf alone, ``subspace_dim`` by the subspace
+    threats, which require it."""
+    if threat is ThreatModel.L2:
+        return radius_l2_first(q, bounds.l2_upper, cfg, tol)
+    if threat is ThreatModel.L1:
+        return radius_l1_first(q, bounds, cfg, tol)
+    if threat is ThreatModel.LINF:
+        return radius_linf_first(q, bounds, cfg, tol, mode=linf_mode)
+    return radius_subspace(q, bounds, threat.norm, subspace_dim, cfg, tol)

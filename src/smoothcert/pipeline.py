@@ -20,7 +20,6 @@ from . import certify as cz
 from .certify import (
     GradientNormBounds,
     LinfMode,
-    RadiusResult,
     SmoothingConfig,
     ThreatModel,
 )
@@ -54,18 +53,12 @@ __all__ = [
     "CSV_SCHEMA",
 ]
 
-_SUBSPACE_P = {
-    ThreatModel.SUBSPACE_L1: 1,
-    ThreatModel.SUBSPACE_L2: 2,
-    ThreatModel.SUBSPACE_LINF: math.inf,
-}
-
 # threat -> the PointResult column (CSV column) holding its first-order radius
 _RADIUS_COLUMN = {
     ThreatModel.L1: "radius_first_l1",
     ThreatModel.L2: "radius_first_l2",
     ThreatModel.LINF: "radius_first_linf",
-    **{t: "radius_first_subspace" for t in _SUBSPACE_P},
+    **{t: "radius_first_subspace" for t in ThreatModel if t.is_subspace},
 }
 
 
@@ -201,21 +194,6 @@ def _stream_for(task: PointTask) -> int:
     return int.from_bytes(digest, "little")
 
 
-def _first_radius_for_threat(threat: ThreatModel, q: float,
-                             bounds: GradientNormBounds, cfg: SmoothingConfig,
-                             config: RunConfig,
-                             subspace_dim: Optional[int]) -> RadiusResult:
-    tol = config.radius_tol
-    if threat is ThreatModel.L2:
-        return cz.radius_l2_first(q, bounds.l2_upper, cfg, tol)
-    if threat is ThreatModel.L1:
-        return cz.radius_l1_first(q, bounds, cfg, tol)
-    if threat is ThreatModel.LINF:
-        return cz.radius_linf_first(q, bounds, cfg, tol, mode=config.linf_mode)
-    return cz.radius_subspace(q, bounds, _SUBSPACE_P[threat], subspace_dim,
-                              cfg, tol)
-
-
 def certify_point(task: PointTask, f: BlackBoxClassifier,
                   config: RunConfig) -> PointResult:
     """Sample once, estimate under the split alpha, certify every threat.
@@ -259,7 +237,7 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         subspace_dim = None
         if subspace_threats:
             subspace_dim = len(task.subspace_mask)
-            order = cz.DUAL_EXPONENT[_SUBSPACE_P[subspace_threats[0]]]
+            order = cz.DUAL_EXPONENT[subspace_threats[0].norm]
             try:
                 subspace_ub = subspace_norm_bounds(batch, task.subspace_mask,
                                                    order, alpha)[1]
@@ -277,8 +255,10 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         zeroth_l2 = cz.zeroth_radius_l2(q_lb, cfg)
         abstained = q_lb <= 0.5
         radii = {
-            threat: _first_radius_for_threat(threat, q_lb, bounds, cfg, config,
-                                             subspace_dim)
+            threat: cz.first_order_radius(threat, q_lb, bounds, cfg,
+                                          config.radius_tol,
+                                          linf_mode=config.linf_mode,
+                                          subspace_dim=subspace_dim)
             for threat in threats
         }
         columns = dict.fromkeys(_RADIUS_COLUMN.values())

@@ -20,7 +20,7 @@ from scipy import special
 
 from . import certify as cz
 from .certify import (DualVariant, FirstOrderStats, GradientNormBounds, LinfMode,
-                      SmoothingConfig)
+                      SmoothingConfig, ThreatModel)
 from .classifiers import (
     LinearClassifierSpec,
     RngSpec,
@@ -103,18 +103,11 @@ def _check_zeroth(sigmas, dim: int, qs, limit: float) -> CheckResult:
                        {"worst": worst})
 
 
-# the first-order lp radius from exact gradient-norm bounds, per p
-_HALFSPACE_RADIUS = {
-    2: lambda y0, bounds, cfg, tol: cz.radius_l2_first(y0, bounds.l2_upper, cfg, tol),
-    1: lambda y0, bounds, cfg, tol: cz.radius_l1_first(y0, bounds, cfg, tol),
-    math.inf: lambda y0, bounds, cfg, tol: cz.radius_linf_first(
-        y0, bounds, cfg, tol, mode=LinfMode.VIA_L1_BOUND),
-}
-
-
-def _check_halfspace(p, cases, tol: float, limit: float) -> CheckResult:
-    """First-order lp radius against the exact halfspace radius, for each
-    ``random_halfspace_case(seed, dim)`` of ``cases``."""
+def _check_halfspace(threat: ThreatModel, cases, tol: float,
+                     limit: float) -> CheckResult:
+    """First-order radius of ``threat`` (l1, l2, or linf through the l1
+    bound) from exact gradient-norm bounds, against the exact halfspace
+    radius, for each ``random_halfspace_case(seed, dim)`` of ``cases``."""
     worst = 0.0
     # the slight shrink keeps the interval system's sign convention on the
     # solve path (exactly at the boundary it short-circuits)
@@ -127,8 +120,9 @@ def _check_halfspace(p, cases, tol: float, limit: float) -> CheckResult:
         l1 = float(np.sum(np.abs(y1)))
         bounds = GradientNormBounds(l2_lower=l2 * s, l2_upper=l2 * s,
                                     linf_upper=linf * s, l1_upper=l1 * s)
-        got = _HALFSPACE_RADIUS[p](y0, bounds, cfg, tol).radius
-        want = analytic_linear_radius(spec, x, p)
+        got = cz.first_order_radius(threat, y0, bounds, cfg, tol,
+                                    linf_mode=LinfMode.VIA_L1_BOUND).radius
+        want = analytic_linear_radius(spec, x, threat.norm)
         worst = np.maximum(worst, abs(got - want) / want)
     return CheckResult(worst <= limit, f"max relative error = {worst:.2e}",
                        {"worst": worst})
@@ -232,8 +226,9 @@ def _check_determinism() -> CheckResult:
     f = LinearClassifier(spec)
     cfg = SmoothingConfig(0.5, 3)
     x = np.array([0.2, 0.0, -0.1])
-    a = batch_for_class(sample_class_sums(f, x, cfg, 4096, RngSpec(9, 9)), 0)
-    b = batch_for_class(sample_class_sums(f, x, cfg, 4096, RngSpec(9, 9)), 0)
+    # float32, the draws every run takes (RunConfig.sample_dtype)
+    a, b = (batch_for_class(sample_class_sums(f, x, cfg, 4096, RngSpec(9, 9),
+                                              dtype=np.float32), 0) for _ in range(2))
     same = (np.array_equal(a.x_sum, b.x_sum) and np.array_equal(a.y_sum, b.y_sum)
             and a.success_count == b.success_count)
     return CheckResult(same, "bit-identical batches" if same else "batches differ")
@@ -285,9 +280,9 @@ def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
             sigmas=(0.12, 0.25, 0.5, 1.0), dim=3, qs=np.linspace(0.51, 0.995, 13),
             limit=1e-9)),
         ("halfspace_l2_exactness", lambda: _check_halfspace(
-            2, cases=[(1, 4), (2, 4), (3, 4)], tol=1e-6, limit=0.02)),
+            ThreatModel.L2, cases=[(1, 4), (2, 4), (3, 4)], tol=1e-6, limit=0.02)),
         ("halfspace_l1_exactness", lambda: _check_halfspace(
-            1, cases=[(4, 4), (5, 4)], tol=1e-4, limit=0.05)),
+            ThreatModel.L1, cases=[(4, 4), (5, 4)], tol=1e-4, limit=0.05)),
         ("clopper_pearson", _check_clopper_pearson),
         ("table1_constants", lambda: _check_estimator_formulas(
             [(1000, 1000, 200, 1.0, 0.01), (5000, 4000, 400, 0.5, 0.001),
@@ -295,14 +290,12 @@ def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
             seed=50, mean_scale=0.01, noise_scale=0.05, limit=1e-9)),
         ("sampling_determinism", _check_determinism),
         ("mc_oracle_agreement", lambda: _check_mc_oracle(
-            mc_cases, n=100_000, seed=100, limit=4.0)),
+            mc_cases, n=100_000 if quick else 1_000_000, seed=100, limit=4.0)),
     ]
     if not quick:
         checks += [
             ("halfspace_linf_exactness", lambda: _check_halfspace(
-                math.inf, cases=[(6, 4), (7, 4)], tol=1e-4, limit=0.05)),
-            ("mc_oracle_agreement", lambda: _check_mc_oracle(
-                mc_cases, n=1_000_000, seed=100, limit=4.0)),
+                ThreatModel.LINF, cases=[(6, 4), (7, 4)], tol=1e-4, limit=0.05)),
             ("l2_dominance", lambda: _check_dominance(
                 qs=(0.6, 0.75, 0.9, 0.99), sigmas=(0.5,), fracs=(0.25, 0.5, 0.75, 1.0),
                 dim=8, gap_limit=1e-6, boundary_limit=math.inf)),

@@ -79,9 +79,9 @@ def test_criterion_1_zeroth_closed_form():
 def test_criterion_2_halfspace_exactness():
     t0 = time.time()
     cases = [(100 + seed, (2, 4, 16)[seed % 3]) for seed in range(10)]
-    l2 = _check_halfspace(2, cases, tol=1e-6, limit=0.02)
-    l1 = _check_halfspace(1, cases, tol=5e-4, limit=0.05)
-    linf = _check_halfspace(math.inf, cases, tol=5e-4, limit=0.05)
+    l2 = _check_halfspace(ThreatModel.L2, cases, tol=1e-6, limit=0.02)
+    l1 = _check_halfspace(ThreatModel.L1, cases, tol=5e-4, limit=0.05)
+    linf = _check_halfspace(ThreatModel.LINF, cases, tol=5e-4, limit=0.05)
     passed = l2.passed and l1.passed and linf.passed
     report("2 halfspace exactness", passed,
            f"rel err l2 {l2.values['worst']:.1e}, l1 {l1.values['worst']:.1e}, "

@@ -519,7 +519,7 @@ class TestDirectionalRadius:
         solved = self._record_travel(monkeypatch, "solve_dual")
         cfg = SmoothingConfig(1.0, 4)
         big_m = max_gradient_magnitude(0.9)
-        stats = FirstOrderStats(0.9, big_m, 1e-7)
+        stats = FirstOrderStats(0.9, big_m, 1e-6)
         assert stats.m2 > certify.M2_DEGENERATE
         res = directional_radius(stats, cfg, tol=1e-3)
         assert res == RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
@@ -606,28 +606,49 @@ class TestDirectionalRadius:
     @pytest.mark.parametrize("stats, sigma, tol, radius", [
         (FirstOrderStats(0.9999996618769594, -5.71e-7, 1.626e-6), 0.427, 1.5e-4,
          2.15480712890625),
-        # M = 1.02e-8 and 1.2e-8, m1 = -0.01 M, m2 = 0.9999 M
+        # M = 1.02e-8 and 1.2e-8, m1 = -0.01 M, m2 = 0.9999 M: m2 lies below
+        # M2_DEGENERATE, so no dual is solved and the m2 = 0 interval's
+        # radius, on its grid at most 1e-9 wide, is the certificate
         (FirstOrderStats(0.9999999983206066, -1.0200000000000001e-10,
-                         1.0198980000000001e-08), 1.0, 1e-4, 6.02447509765625),
+                         1.0198980000000001e-08), 1.0, 1e-4, 6.024501172360033),
         (FirstOrderStats(0.9999999980154639, -1.2e-10, 1.19988e-08), 1.0, 1e-4,
-         5.997428894042969),
+         5.997438761405647),
     ])
     def test_unsolved_dual_falls_back_to_the_interval(self, stats, sigma, tol,
                                                       radius):
         # near q = 1 neither the full nor the reduced dual converges at the
-        # root; the interval's p, a proven lower bound, decides the radius
-        # and the fallback is reported
+        # root, or m2 is too small for the dual's residual to resolve; the
+        # interval's p, a proven lower bound, decides the radius, and a
+        # fallback is reported when a dual was tried and failed
         cfg = SmoothingConfig(sigma, 152)
         res = directional_radius(stats, cfg, tol=tol)
-        assert res == RadiusResult(radius, fallback_used=True)
-        with pytest.raises(NoConvergenceError):
-            solve_dual(stats, radius / sigma)
+        if stats.m2 >= M2_DEGENERATE:
+            assert res == RadiusResult(radius, fallback_used=True)
+            with pytest.raises(NoConvergenceError):
+                solve_dual(stats, radius / sigma)
+        else:
+            assert res == RadiusResult(radius)
+            assert res == directional_radius(FirstOrderStats(stats.q, stats.m1, 0.0),
+                                             cfg, tol=tol)
         assert lower_bound_probability(stats, radius / sigma) >= 0.5
+
+    def test_cold_recheck_near_q_one(self):
+        # q within 3e-8 of 1 with m2 below M2_DEGENERATE: the dual's absolute
+        # residual is a sizeable part of m2 there, and with it the radius was
+        # 5.6610870361328125, where a cold solve gave p = 0.49997 and the
+        # interval 0.4663.  The interval alone now decides, and its p holds
+        # at the radius
+        stats = FirstOrderStats(0.9999999778131261, -1.3151980652761033e-08,
+                                7.847460451507082e-08)
+        assert stats.m2 < M2_DEGENERATE
+        res = directional_radius(stats, SmoothingConfig(1.0, 152), tol=1.5e-4)
+        assert res == RadiusResult(5.576519665191881)
+        assert lower_bound_probability(stats, res.radius) >= 0.5
 
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)
         res = directional_radius(FirstOrderStats(0.5, 0.0, 0.0), cfg)
-        assert res.radius == 0.0 and res.abstained
+        assert res == RadiusResult(0.0)
 
     def test_halfspace_radius(self):
         cfg = SmoothingConfig(1.0, 4)

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from smoothcert import certify
 from smoothcert.certify import (
     FirstOrderStats,
     GradientNormBounds,
     LinfMode,
+    RadiusResult,
     SmoothingConfig,
+    ThreatModel,
     directional_radius,
+    first_order_radius,
     max_gradient_magnitude,
     radius_l1_first,
     radius_l2_first,
@@ -33,7 +37,7 @@ class TestRadiusL2:
     def test_abstain(self):
         cfg = SmoothingConfig(1.0, 4)
         res = radius_l2_first(0.5, 0.1, cfg)
-        assert res.radius == 0.0 and res.abstained
+        assert res == RadiusResult(0.0)
 
     def test_maximal_gradient_matches_zeroth(self):
         cfg = SmoothingConfig(1.0, 4)
@@ -140,7 +144,7 @@ class TestRadiusSubspace:
                                     subspace_dual_upper=0.1)
         sub = radius_subspace(0.85, bounds, 2, 4, cfg, tol=1e-8)
         l2r = radius_l2_first(0.85, 0.1, cfg, tol=1e-8)
-        assert sub.radius == pytest.approx(l2r.radius, abs=1e-9)
+        assert sub == l2r
 
     @pytest.mark.parametrize("p", [1, math.inf])
     def test_full_space_equals_threat_path(self, p):
@@ -219,12 +223,85 @@ class TestRadiusSubspace:
             radius_subspace(0.8, no_dual, 2, 2, cfg)
 
 
+# (threat, linf mode) pairs covering every entry point, and the bound field
+# each one reads as its dual-norm bound
+DISPATCH_CASES = [
+    (ThreatModel.L1, LinfMode.VIA_L2_SCALING, "linf_upper"),
+    (ThreatModel.L2, LinfMode.VIA_L2_SCALING, "l2_upper"),
+    (ThreatModel.LINF, LinfMode.VIA_L2_SCALING, "l2_upper"),
+    (ThreatModel.LINF, LinfMode.VIA_L1_BOUND, "l1_upper"),
+    (ThreatModel.SUBSPACE_L1, LinfMode.VIA_L2_SCALING, "subspace_dual_upper"),
+    (ThreatModel.SUBSPACE_L2, LinfMode.VIA_L2_SCALING, "subspace_dual_upper"),
+    (ThreatModel.SUBSPACE_LINF, LinfMode.VIA_L2_SCALING, "subspace_dual_upper"),
+]
+DISPATCH_IDS = [f"{t.value}-{m.value}" for t, m, _ in DISPATCH_CASES]
+
+
+def dispatch_bounds(**unchecked):
+    """Bounds with every field set; ``unchecked`` fields are written past
+    the constructor's checks, as a caller building its own bounds could."""
+    bounds = GradientNormBounds(l2_lower=0.1, l2_upper=0.2, linf_upper=0.15,
+                                l1_upper=0.3, subspace_dual_upper=0.12)
+    for name, value in unchecked.items():
+        object.__setattr__(bounds, name, value)
+    return bounds
+
+
+class TestFirstOrderRadius:
+    CFG = SmoothingConfig(0.5, 6)
+
+    def radius(self, threat, mode, q, bounds):
+        return first_order_radius(threat, q, bounds, self.CFG, 1e-4,
+                                  linf_mode=mode, subspace_dim=3)
+
+    @pytest.mark.parametrize("threat, mode, field", DISPATCH_CASES, ids=DISPATCH_IDS)
+    def test_edge_rule(self, threat, mode, field):
+        # one rule for every threat: q <= 1/2 gives radius 0, and q = 1 or
+        # a negative or nan bound raises
+        for q in (0.0, 0.3, 0.5):
+            assert self.radius(threat, mode, q, dispatch_bounds()) == RadiusResult(0.0)
+        with pytest.raises(DomainError):
+            self.radius(threat, mode, 1.0, dispatch_bounds())
+        for bad in (-0.1, math.nan):
+            with pytest.raises(DomainError):
+                self.radius(threat, mode, 0.8, dispatch_bounds(**{field: bad}))
+
+    def test_equals_each_entry_point(self, monkeypatch):
+        # the dispatch looks each entry point up by its module name at call
+        # time, so a wrapper installed on that name sees the call
+        called = []
+        for name in ("radius_l1_first", "radius_l2_first", "radius_linf_first",
+                     "radius_subspace"):
+            def recorded(*args, _orig=getattr(certify, name), _name=name, **kwargs):
+                called.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(certify, name, recorded)
+        bounds = dispatch_bounds()
+        cfg, q, tol = self.CFG, 0.8, 1e-4
+        direct = [
+            radius_l1_first(q, bounds, cfg, tol),
+            radius_l2_first(q, bounds.l2_upper, cfg, tol),
+            radius_linf_first(q, bounds, cfg, tol),
+            radius_linf_first(q, bounds, cfg, tol, mode=LinfMode.VIA_L1_BOUND),
+            radius_subspace(q, bounds, 1, 3, cfg, tol),
+            radius_subspace(q, bounds, 2, 3, cfg, tol),
+            radius_subspace(q, bounds, math.inf, 3, cfg, tol),
+        ]
+        called.clear()
+        for (threat, mode, _), want in zip(DISPATCH_CASES, direct):
+            assert self.radius(threat, mode, q, bounds) == want, threat
+        assert called == ["radius_l1_first", "radius_l2_first", "radius_linf_first",
+                          "radius_l2_first", "radius_linf_first", "radius_subspace",
+                          "radius_subspace", "radius_subspace"]
+
+
 class TestHalfspaceExactness:
     @pytest.mark.parametrize("seed,dim", [(11, 2), (12, 4), (13, 16)])
     def test_all_norms(self, seed, dim):
-        for p, limit in ((1, 0.05), (2, 0.02), (math.inf, 0.05)):
-            res = _check_halfspace(p, cases=[(seed, dim)], tol=1e-4, limit=limit)
-            assert res.passed, f"p = {p}: {res.detail}"
+        for threat, limit in ((ThreatModel.L1, 0.05), (ThreatModel.L2, 0.02),
+                              (ThreatModel.LINF, 0.05)):
+            res = _check_halfspace(threat, cases=[(seed, dim)], tol=1e-4, limit=limit)
+            assert res.passed, f"{threat.value}: {res.detail}"
 
 
 class TestNormOrdering:
