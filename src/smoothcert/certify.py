@@ -13,9 +13,13 @@ for the dual coefficients, then reads off the worst-case probability at
 scaled travel distance r as p(r) = integral phi(x - r) Phi(c(x)) dx.  The
 constraints sit at r = 0, so by the envelope theorem its slope is
 dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx at the solved c, read off
-the same grid.  Either sign of the solved slope coefficient c1 is accepted.
-Only when no start of the full system converges is it re-solved without
-the directional constraint (``REDUCED_NO_SLOPE``), which is always
+the same grid.  The integrals run on Gauss-Legendre panels graded around
+the crossings of c, and drop phi(c) where |c| >= 30 and Phi(c) where
+c <= -30: each dropped term is below the rounding unit of every sum it
+enters, so results are those of the full integrands, bit for bit, without
+subnormal arithmetic.  Either sign of the solved slope coefficient c1 is
+accepted.  Only when no start of the full system converges is it re-solved
+without the directional constraint (``REDUCED_NO_SLOPE``), which is always
 conservative.  When m2 = 0 the dual degenerates to an indicator of an
 interval [w2, w1], which ``solve_dual`` refuses; that branch is solved
 directly, and its slope is dp/dr = phi(w2 - r) - phi(w1 - r):
@@ -133,6 +137,14 @@ _M2_SINGLETON = 1e-9
 
 _DOMAIN_HALF_WIDTH = 12.0
 _BASE_PANELS = 48
+_PANEL_INDEX = np.arange(_BASE_PANELS + 1.0)
+_POWERS_OF_TWO = 2.0 ** np.arange(1024)  # every power of two a float holds
+
+# The dual's integrands are 0 past |c| = _TAIL (see _dual_residual): phi(30)
+# ~ 2e-196 is below the rounding unit of every sum, yet far enough above
+# 1e-308 that the Jacobian's products stay normal floats (at 35, one product
+# of a solve_grid residual fell below).
+_TAIL = 30.0
 
 
 class ThreatModel(str, enum.Enum):
@@ -400,7 +412,7 @@ def _c_values(x: np.ndarray, c0: float, c1: float, u: float, r: float
     Also returns the term e^{u + r x}, its exponent capped at 700.
     """
     e = np.exp(np.minimum(u + r * x, 700.0))
-    return np.clip(c0 + c1 * x - e, -1e300, CLAMP), e
+    return np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP), e
 
 
 def _c_slope(x: float, c1: float, u: float, r: float) -> float:
@@ -414,7 +426,8 @@ def _c_roots(c0: float, c1: float, u: float, r: float,
 
     c' = c1 - r e^{u + r x} has at most one zero, so c is piecewise
     monotone with at most two crossings; each monotone segment is bisected.
-    Scalar math throughout: this sits on the innermost solver path.
+    Scalar math throughout, with ``val`` inlined in the bisection loop: this
+    sits on the innermost solver path.
     """
 
     def val(x: float) -> float:
@@ -438,7 +451,8 @@ def _c_roots(c0: float, c1: float, u: float, r: float,
         positive_lo = fa > 0.0
         for _ in range(50):
             mid = 0.5 * (x_lo + x_hi)
-            fm = val(mid)
+            t = u + r * mid
+            fm = c0 + c1 * mid - (math.exp(t) if t < 700.0 else 1e304)
             if fm == 0.0:
                 x_lo = x_hi = mid
                 break
@@ -453,25 +467,46 @@ def _c_roots(c0: float, c1: float, u: float, r: float,
 
 def _graded_edges(lo: float, hi: float,
                   roots: list[tuple[float, float]]) -> np.ndarray:
-    """Uniform panels plus geometric refinement around each sigmoid transition."""
-    edges = [np.linspace(lo, hi, _BASE_PANELS + 1)]
+    """Uniform panels plus geometric refinement around each sigmoid transition.
+
+    The uniform edges are ``np.linspace(lo, hi, _BASE_PANELS + 1)``, bit for
+    bit.  Edges closer than 1e-14 max(1, |lo|, |hi|) merge, and lo and hi end
+    the grid.
+    """
     width = (hi - lo) / _BASE_PANELS
+    uniform = _PANEL_INDEX * width + lo
+    uniform[-1] = hi
+    edges = [uniform]
     for root, slope in roots:
         delta = max(1.0 / max(slope, 1.0), 1e-12)
         if delta >= width:
             continue
-        steps = delta * 2.0 ** np.arange(0, int(math.ceil(math.log2(2.0 * width / delta))) + 1)
-        cluster = np.concatenate(([root], root + steps, root - steps))
-        edges.append(cluster)
-    merged = np.unique(np.clip(np.concatenate(edges), lo, hi))
-    keep = np.concatenate(([True], np.diff(merged) > 1e-14 * max(1.0, abs(hi), abs(lo))))
-    return merged[keep]
+        steps = delta * _POWERS_OF_TWO[:int(math.ceil(math.log2(2.0 * width / delta))) + 1]
+        edges.append(np.concatenate(([root], root + steps, root - steps)))
+    # exact duplicates have gap 0, so the gap mask drops them as well
+    merged = np.sort(np.minimum(np.maximum(np.concatenate(edges), lo), hi))
+    gaps = merged[1:] - merged[:-1]
+    keep = np.concatenate(([True], gaps > 1e-14 * max(1.0, abs(hi), abs(lo))))
+    edges = merged[keep]
+    edges[-1] = hi  # the mask keeps the first of close points, not hi
+    return edges
 
 
 def _dual_grid(c0: float, c1: float, u: float, r: float,
                lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     roots = _c_roots(c0, c1, u, r, lo, hi)
     return panel_nodes(_graded_edges(lo, hi, roots))
+
+
+def _tail_cdf(c: np.ndarray) -> np.ndarray:
+    """Phi(c), exactly 0 where c <= -_TAIL; nan stays nan."""
+    return np.where(c <= -_TAIL, 0.0, std_normal_cdf(np.maximum(c, -_TAIL)))
+
+
+def _tail_pdf(c: np.ndarray) -> np.ndarray:
+    """phi(c), exactly 0 where |c| >= _TAIL; nan stays nan."""
+    far = np.abs(c) >= _TAIL
+    return np.where(far, 0.0, std_normal_pdf(np.where(far, 0.0, c)))
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
@@ -481,8 +516,12 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
     reduced one, so dc/dtheta is (1, x, -e^{u+rx}) or (c0, -e^{u+rx}).  The
     integrands differentiate in closed form: d Phi(c) = phi(c) dc,
-    d phi(c) = -c phi(c) dc and d x Phi(c) = x phi(c) dc.  Where c is
-    clipped or the exponent is capped, F does not move, so dc counts as 0.
+    d phi(c) = -c phi(c) dc and d x Phi(c) = x phi(c) dc.  Where the
+    exponent is capped, F does not move, so dc counts as 0.  phi(c) is 0
+    where |c| >= _TAIL and Phi(c) where c <= -_TAIL, which covers every c
+    clipped at -1e300 or CLAMP: each dropped term is below the rounding unit
+    of every sum it enters, so F and J are those of the untruncated
+    integrands, bit for bit.
     """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
@@ -495,12 +534,11 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     x, w = _dual_grid(c0, c1, u, r, -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH)
     c, e = _c_values(x, c0, c1, u, r)
     base = w * std_normal_pdf(x)
-    phi_c = std_normal_pdf(c)
-    cdf_c = std_normal_cdf(c)
+    phi_c = _tail_pdf(c)
+    cdf_c = _tail_cdf(c)
     eq_q = float(base @ cdf_c) - stats.q
     eq_m2 = float(base @ phi_c) - stats.m2
-    live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
-    d_cdf = np.where(live, base * phi_c, 0.0)
+    d_cdf = np.where(u + r * x < 700.0, base * phi_c, 0.0)
     if not full:
         dc = np.stack([np.full_like(x, dc0), -e], axis=1)
         jac = np.stack([d_cdf, -c * d_cdf]) @ dc
@@ -517,14 +555,15 @@ def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
 
     The constraints sit at r = 0, so by the envelope theorem only the
     objective's density moves with r: dp/dr = integral (x - r) phi(x - r)
-    Phi(c(x)) dx at the solved c.
+    Phi(c(x)) dx at the solved c.  Phi(c) is 0 where c <= -_TAIL, below the
+    rounding unit of either sum, as in ``_dual_residual``.
     """
     lo, hi = r - _DOMAIN_HALF_WIDTH, r + _DOMAIN_HALF_WIDTH
     x, w = _dual_grid(c0, c1, u, r, lo, hi)
     c, _ = _c_values(x, c0, c1, u, r)
     z = x - r
     density = w * std_normal_pdf(z)
-    cdf_c = std_normal_cdf(c)
+    cdf_c = _tail_cdf(c)
     p = float(density @ cdf_c)
     return min(max(p, 0.0), 1.0), float((density * z) @ cdf_c)
 
@@ -778,8 +817,9 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     Returns sigma * r*, where r* lies short of the root of p(r) = 0.5 by
     at most tol (in input units) and never past it; 0 when q <= 0.5; and
     the fixed cap sigma * R_CAP_DEFAULT = 10 sigma with the capped flag when
-    the worst-case probability never falls to 0.5 before it.  The result is floored at the zeroth-order radius, which the
-    first-order bound provably dominates.
+    the worst-case probability never falls to 0.5 before it.  The result is
+    floored at the zeroth-order radius, which the first-order bound provably
+    dominates.
 
     r* is the ``_grid_search`` result on bisection's grid k h, with
     h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma),

@@ -6,6 +6,7 @@ functions are safe to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,12 +65,12 @@ class BracketError(DomainError):
 
 def std_normal_cdf(x):
     """Standard normal CDF, vectorized; saturates cleanly for large |x|."""
-    return _sp.ndtr(np.clip(x, -CLAMP, CLAMP))
+    return _sp.ndtr(np.minimum(np.maximum(x, -CLAMP), CLAMP))
 
 
 def std_normal_pdf(x):
     """Standard normal density, vectorized."""
-    x = np.clip(x, -CLAMP, CLAMP)
+    x = np.minimum(np.maximum(x, -CLAMP), CLAMP)
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
@@ -84,7 +85,7 @@ def std_normal_quantile(p):
 def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights for the cells of a sorted edge array.
 
-    Returns flat arrays of len(edges - 1) * 16 nodes/weights; exact for
+    Returns flat arrays of (len(edges) - 1) * 16 nodes/weights; exact for
     polynomials of degree 31 on each cell.
     """
     edges = np.asarray(edges, dtype=float)
@@ -163,7 +164,7 @@ def bisection_steps(width: float, tol: float) -> int:
 
 def _finite_value(f: Callable[[float], float], x: float) -> float:
     value = f(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"f({x!r}) = {value} is not finite")
     return value
 
@@ -194,7 +195,7 @@ def bisect_root(
         return lo
     if f_hi == 0.0:
         return hi
-    if np.sign(f_lo) == np.sign(f_hi):
+    if (f_lo > 0.0) == (f_hi > 0.0):
         raise BracketError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}"
         )
@@ -203,7 +204,7 @@ def bisect_root(
         f_mid = _finite_value(f, mid)
         if f_mid == 0.0:
             return mid
-        if np.sign(f_mid) == np.sign(f_lo):
+        if (f_mid > 0.0) == (f_lo > 0.0):
             lo = mid
         else:
             hi = mid

@@ -76,6 +76,26 @@ REDUCED_STATS = FirstOrderStats(0.7710664422055722, -0.2922115017479008,
                                 0.07959514963886805)
 
 
+# (theta, r, full) points of the dual's residual, for RESIDUAL_STATS
+RESIDUAL_STATS = FirstOrderStats(0.9, -0.05, 0.08)
+RESIDUAL_THETAS = [
+    # full system: theta = (c0, c1, u)
+    ((1.2, 0.0, -1.5), 0.3, True),
+    ((1.5, -0.3, -1.0), 1.0, True),
+    ((0.4, 0.8, 0.5), 2.5, True),
+    # steep slope: c is clipped at +-CLAMP on both sides of its crossing
+    ((0.0, 20.0, -2.0), 0.3, True),
+    # reduced system: theta = (v, u), c0 = e^v
+    ((0.5, -1.0), 0.5, False),
+    ((1.0, -3.0), 2.0, False),
+    # c clipped at +CLAMP below its crossing and at -CLAMP above it
+    ((math.log(45.0), 0.0), 1.0, False),
+    # v past its exponent cap: c is clipped to +CLAMP everywhere, so F
+    # is flat; unmasked, phi(CLAMP) * e^700 would leave J at ~1e-10
+    ((701.0, 0.0), 1.0, False),
+]
+
+
 class TestSolveDual:
     def test_halfspace_interval_variant(self):
         # m2 = 0 has no smooth dual: its worst case is the interval, which
@@ -140,24 +160,9 @@ class TestSolveDual:
         residuals, _ = _dual_residual(theta, stats, 0.3, full=True)
         assert np.max(np.abs(residuals)) <= 1e-9
 
-    @pytest.mark.parametrize("theta, r, full", [
-        # full system: theta = (c0, c1, u)
-        ((1.2, 0.0, -1.5), 0.3, True),
-        ((1.5, -0.3, -1.0), 1.0, True),
-        ((0.4, 0.8, 0.5), 2.5, True),
-        # steep slope: c is clipped at +-CLAMP on both sides of its crossing
-        ((0.0, 20.0, -2.0), 0.3, True),
-        # reduced system: theta = (v, u), c0 = e^v
-        ((0.5, -1.0), 0.5, False),
-        ((1.0, -3.0), 2.0, False),
-        # c clipped at +CLAMP below its crossing and at -CLAMP above it
-        ((math.log(45.0), 0.0), 1.0, False),
-        # v past its exponent cap: c is clipped to +CLAMP everywhere, so F
-        # is flat; unmasked, phi(CLAMP) * e^700 would leave J at ~1e-10
-        ((701.0, 0.0), 1.0, False),
-    ])
+    @pytest.mark.parametrize("theta, r, full", RESIDUAL_THETAS)
     def test_jacobian_matches_central_differences(self, theta, r, full):
-        stats = FirstOrderStats(0.9, -0.05, 0.08)
+        stats = RESIDUAL_STATS
         theta = np.array(theta)
         _, jac = _dual_residual(theta, stats, r, full)
         ref = central_difference_jacobian(
@@ -215,6 +220,177 @@ class TestSolveDual:
         warm = solve_dual(stats, 1.05, warm=cold)
         p_cold, _ = probability_from_dual(solve_dual(stats, 1.05))
         assert probability_from_dual(warm)[0] == pytest.approx(p_cold, abs=1e-8)
+
+
+def _coefficients(theta, full):
+    """(c0, c1, u) of a residual point, read from theta as _dual_residual does."""
+    if full:
+        return float(theta[0]), float(theta[1]), float(theta[2])
+    return math.exp(min(theta[0], 700.0)), 0.0, float(theta[1])
+
+
+def _untruncated_residual(theta, stats, r, full):
+    """F and J of the dual from the full integrands, on ``_dual_residual``'s
+    grid with its dot and matmul order: phi(c) and Phi(c) at every node,
+    and dc = 0 where c is clipped or the exponent capped."""
+    c0, c1, u = _coefficients(theta, full)
+    half = certify._DOMAIN_HALF_WIDTH
+    x, w = certify._dual_grid(c0, c1, u, r, -half, half)
+    c, e = certify._c_values(x, c0, c1, u, r)
+    base = w * std_normal_pdf(x)
+    phi_c = std_normal_pdf(c)
+    cdf_c = std_normal_cdf(c)
+    live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
+    d_cdf = np.where(live, base * phi_c, 0.0)
+    eqs = [float(base @ cdf_c) - stats.q, float(base @ phi_c) - stats.m2]
+    if full:
+        eqs.append(float((base * x) @ cdf_c) - stats.m1)
+        dc = np.stack([np.ones_like(x), x, -e], axis=1)
+        jac = np.stack([d_cdf, -c * d_cdf, x * d_cdf]) @ dc
+    else:
+        dc0 = c0 if theta[0] < 700.0 else 0.0
+        dc = np.stack([np.full_like(x, dc0), -e], axis=1)
+        jac = np.stack([d_cdf, -c * d_cdf]) @ dc
+    return np.array(eqs), jac
+
+
+def _untruncated_probability(c0, c1, u, r):
+    """p(r) and dp/dr from the full integrand, on ``_probability_from_coeffs``'s
+    grid with its dot order."""
+    half = certify._DOMAIN_HALF_WIDTH
+    x, w = certify._dual_grid(c0, c1, u, r, r - half, r + half)
+    c, _ = certify._c_values(x, c0, c1, u, r)
+    z = x - r
+    density = w * std_normal_pdf(z)
+    cdf_c = std_normal_cdf(c)
+    return min(max(float(density @ cdf_c), 0.0), 1.0), float((density * z) @ cdf_c)
+
+
+# a solve_grid residual point (seed 106) whose c passes x = -12 at -34.87:
+# there phi(c) is kept, and its Jacobian products come within a factor 2
+# of the smallest normal float
+GRID_POINT = ((7.115184496938647, 3.499236248398088, -0.6803064951101936),
+              1.810302734375, True,
+              FirstOrderStats(0.943784967564801, -0.02645069755982607,
+                              0.018337338904590907))
+
+# (c0, c1, u, r) whose c reaches the clip at -CLAMP inside the objective's
+# window; the untruncated p runs exp(-722) there
+CLIPPED_COEFFICIENTS = [
+    (0.0, 20.0, -2.0, 0.3),
+    # solve_dual(FirstOrderStats(0.9, -0.05, 0.08), 0.3)
+    (20.66211672049992, 5.345608358176345, math.log(18.000779882464258), 0.3),
+    # solve_dual(FirstOrderStats(0.6, -0.05, 0.1), 1.0)
+    (9.882876095805912, 7.31554775533828, math.log(7.177999840318478), 1.0),
+]
+
+
+class TestTailFlush:
+    """The dual's integrands drop phi(c) and Phi(c) in the tail |c| >= _TAIL.
+
+    The untruncated integrands reach exp(-722), a subnormal, wherever c is
+    clipped, and 7 of the 8 ``RESIDUAL_THETAS`` raised under
+    ``np.errstate(under="raise")`` before the tail was dropped.
+    """
+
+    @pytest.mark.parametrize("theta, r, full",
+                             RESIDUAL_THETAS + [GRID_POINT[:3]])
+    def test_residual_stays_out_of_subnormals(self, theta, r, full):
+        stats = GRID_POINT[3] if theta == GRID_POINT[0] else RESIDUAL_STATS
+        with np.errstate(under="raise"):
+            _dual_residual(np.array(theta), stats, r, full)
+
+    @pytest.mark.parametrize("coefficients", CLIPPED_COEFFICIENTS)
+    def test_probability_stays_out_of_subnormals(self, coefficients):
+        with np.errstate(under="raise"):
+            certify._probability_from_coeffs(*coefficients)
+
+    @pytest.mark.parametrize("theta, r, full, stats", [
+        # c clipped on both sides of its crossing
+        ((0.0, 20.0, -2.0), 0.3, True, RESIDUAL_STATS),
+        ((math.log(45.0), 0.0), 1.0, False, RESIDUAL_STATS),
+        # c clipped at +CLAMP everywhere
+        ((701.0, 0.0), 1.0, False, RESIDUAL_STATS),
+        # c clipped at -1e300 beyond one crossing
+        ((0.4, 0.8, 0.5), 2.5, True, RESIDUAL_STATS),
+        ((1.0, -3.0), 2.0, False, RESIDUAL_STATS),
+        GRID_POINT,
+    ])
+    def test_dropped_terms_move_no_bit(self, theta, r, full, stats):
+        c0, c1, u = _coefficients(theta, full)
+        half = certify._DOMAIN_HALF_WIDTH
+        x, _ = certify._dual_grid(c0, c1, u, r, -half, half)
+        c, _ = certify._c_values(x, c0, c1, u, r)
+        assert np.any(np.abs(c) >= certify._TAIL)  # the flush drops terms
+        f, jac = _dual_residual(np.array(theta), stats, r, full)
+        f_ref, jac_ref = _untruncated_residual(theta, stats, r, full)
+        assert np.array_equal(f, f_ref) and np.array_equal(jac, jac_ref)
+        p_and_slope = certify._probability_from_coeffs(c0, c1, u, r)
+        assert p_and_slope == _untruncated_probability(c0, c1, u, r)
+
+    @pytest.mark.parametrize("coefficients", CLIPPED_COEFFICIENTS)
+    def test_dropped_terms_move_no_bit_of_p(self, coefficients):
+        got = certify._probability_from_coeffs(*coefficients)
+        assert got == _untruncated_probability(*coefficients)
+
+
+def _unique_edges(lo, hi, roots):
+    """The graded edges as np.linspace and np.unique build them."""
+    edges = [np.linspace(lo, hi, certify._BASE_PANELS + 1)]
+    width = (hi - lo) / certify._BASE_PANELS
+    for root, slope in roots:
+        delta = max(1.0 / max(slope, 1.0), 1e-12)
+        if delta >= width:
+            continue
+        count = int(math.ceil(math.log2(2.0 * width / delta))) + 1
+        steps = delta * 2.0 ** np.arange(0, count)
+        edges.append(np.concatenate(([root], root + steps, root - steps)))
+    merged = np.unique(np.clip(np.concatenate(edges), lo, hi))
+    keep = np.concatenate(([True], np.diff(merged) > 1e-14 * max(1.0, abs(hi), abs(lo))))
+    return merged[keep]
+
+
+class TestGradedEdges:
+    @staticmethod
+    def _random_roots(gen, lo, hi):
+        """0-3 roots: uniform, at or within 1e-9 to 1e-16 of an end, on a
+        uniform edge, or equal to the root before; slopes 1e-2 to 1e14."""
+        roots = []
+        for _ in range(int(gen.integers(0, 4))):
+            kind = int(gen.integers(0, 5))
+            if kind == 0 or (kind == 4 and not roots):
+                root = float(gen.uniform(lo, hi))
+            elif kind == 1:
+                root = lo + float(gen.choice([0.0, 1e-16, 1e-13, 1e-9]))
+            elif kind == 2:
+                root = hi - float(gen.choice([0.0, 1e-16, 1e-13, 1e-9]))
+            elif kind == 3:
+                root = lo + (hi - lo) * int(gen.integers(0, 49)) / 48
+            else:
+                root = roots[-1][0]
+            roots.append((min(max(root, lo), hi), 10.0 ** float(gen.uniform(-2, 14))))
+        return roots
+
+    def test_properties_over_random_roots(self):
+        gen = np.random.default_rng(19)
+        moved_end = 0
+        for _ in range(2000):
+            lo = -certify._DOMAIN_HALF_WIDTH + float(gen.choice([0.0, gen.uniform(0, 10)]))
+            hi = lo + 2.0 * certify._DOMAIN_HALF_WIDTH
+            roots = self._random_roots(gen, lo, hi)
+            edges = certify._graded_edges(lo, hi, roots)
+            gaps = np.diff(edges)
+            assert edges[0] == lo and edges[-1] == hi
+            assert np.all(gaps > 1e-14 * max(1.0, abs(lo), abs(hi)))
+            old = _unique_edges(lo, hi, roots)
+            if old[-1] == hi:
+                assert np.array_equal(edges, old)
+            else:
+                # the np.unique build ended just below hi, where a root
+                # within the gap floor below hi took its place
+                moved_end += 1
+                assert np.array_equal(edges[:-1], old[:-1]) and old[-1] > hi - 1e-12
+        assert moved_end > 0
 
 
 class TestIntervalScalarPath:
