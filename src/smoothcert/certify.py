@@ -17,12 +17,16 @@ the same grid.  The integrals run on Gauss-Legendre panels graded around
 the crossings of c, and drop phi(c) where |c| >= 30 and Phi(c) where
 c <= -30: each dropped term is below the rounding unit of every sum it
 enters, so results are those of the full integrands, bit for bit, without
-subnormal arithmetic.  Either sign of the solved slope coefficient c1 is
-accepted.  Only when no start of the full system converges is it re-solved
-without the directional constraint (``REDUCED_NO_SLOPE``), which is always
-conservative.  When m2 = 0 the dual degenerates to an indicator of an
-interval [w2, w1], which ``solve_dual`` refuses; that branch is solved
-directly, and its slope is dp/dr = phi(w2 - r) - phi(w1 - r):
+subnormal arithmetic.  One dual solve keeps one grid while c's crossings
+hold still: it is rebuilt only when c crosses zero a different number of
+times, or a crossing moves by more than its refinement width
+max(1/max(|c'|, 1), 1e-12), the finest panel beside it.  Either sign of
+the solved slope coefficient c1 is accepted.  Only when no start of the
+full system converges is it re-solved without the directional constraint
+(``REDUCED_NO_SLOPE``), which is always conservative.  When m2 = 0 the
+dual degenerates to an indicator of an interval [w2, w1], which
+``solve_dual`` refuses; that branch is solved directly, and its slope is
+dp/dr = phi(w2 - r) - phi(w1 - r):
 
     Phi(w1) - Phi(w2)  = q
     phi(w2) - phi(w1)  = m1
@@ -420,49 +424,120 @@ def _c_slope(x: float, c1: float, u: float, r: float) -> float:
     return c1 - r * math.exp(t)
 
 
-def _c_roots(c0: float, c1: float, u: float, r: float,
-             lo: float, hi: float) -> list[tuple[float, float]]:
-    """Zero crossings of c on [lo, hi] with their local |slope|.
+def _c_value(x: float, c0: float, c1: float, u: float, r: float) -> float:
+    t = u + r * x
+    return c0 + c1 * x - (math.exp(t) if t < 700.0 else 1e304)
 
-    c' = c1 - r e^{u + r x} has at most one zero, so c is piecewise
-    monotone with at most two crossings; each monotone segment is bisected.
-    Scalar math throughout, with ``val`` inlined in the bisection loop: this
-    sits on the innermost solver path.
+
+def _refinement_width(slope: float) -> float:
+    """The finest panel ``_graded_edges`` puts beside a crossing of |c'| = slope."""
+    return max(1.0 / max(slope, 1.0), 1e-12)
+
+
+def _crossing_segments(c0: float, c1: float, u: float, r: float, lo: float,
+                       hi: float) -> list[tuple[float, float, float]]:
+    """The monotone pieces (a, b, c(a)) of c on [lo, hi] where c crosses zero.
+
+    c' = c1 - r e^{u + r x} falls in x (c is concave), so it has at most one
+    zero: c rises, then falls, and crosses zero at most once on each side.
     """
-
-    def val(x: float) -> float:
-        t = u + r * x
-        return c0 + c1 * x - (math.exp(t) if t < 700.0 else 1e304)
-
     breaks = [lo, hi]
     if c1 > 0.0:
         x_crit = (math.log(c1 / r) - u) / r
         if lo < x_crit < hi:
             breaks = [lo, x_crit, hi]
-    roots: list[tuple[float, float]] = []
+    segments = []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        fa, fb = val(a), val(b)
-        if fa == 0.0:
-            roots.append((a, abs(_c_slope(a, c1, u, r))))
-            continue
-        if (fa > 0.0) == (fb > 0.0):
-            continue
-        x_lo, x_hi = a, b
-        positive_lo = fa > 0.0
-        for _ in range(50):
-            mid = 0.5 * (x_lo + x_hi)
-            t = u + r * mid
-            fm = c0 + c1 * mid - (math.exp(t) if t < 700.0 else 1e304)
-            if fm == 0.0:
-                x_lo = x_hi = mid
-                break
-            if (fm > 0.0) == positive_lo:
-                x_lo = mid
-            else:
-                x_hi = mid
-        root = 0.5 * (x_lo + x_hi)
+        fa = _c_value(a, c0, c1, u, r)
+        if fa == 0.0 or (fa > 0.0) != (_c_value(b, c0, c1, u, r) > 0.0):
+            segments.append((a, b, fa))
+    return segments
+
+
+def _segment_root(a: float, b: float, fa: float,
+                  c0: float, c1: float, u: float, r: float) -> float:
+    """The crossing of c on a monotone piece [a, b] with a sign change.
+
+    Safeguarded Newton from the end where c < 0.  c is concave, and so is
+    log(c0 + c1 x) - (u + r x) where the line c0 + c1 x is positive, with
+    the same zero and signs: from the side where both are negative, a Newton
+    step on either lands between the iterate and the crossing, so the longer
+    of the two is taken.  Far right of a falling crossing e^{u + r x} swamps
+    the line, and a step on c moves only about 1/r there while the log form
+    is nearly linear; near the line's zero the log form's steps vanish and
+    c's do not.  A step that leaves the bracket bisects it.  The iteration
+    stops once a step is below 1e-4 of the crossing's refinement width.
+    """
+    if fa == 0.0:
+        return a
+    rising = fa < 0.0
+    lo, hi = a, b
+    if rising:
+        x = a
+    else:
+        # where the line c0 + c1 x is <= 0, c < 0: with c1 < 0 that is every
+        # x >= -c0/c1, so the crossing lies left of that point
+        x = b if c1 >= 0.0 else min(b, -c0 / c1)
+    for _ in range(100):
+        t = u + r * x
+        line = c0 + c1 * x
+        e = math.exp(min(t, 700.0))
+        f, slope = line - e, c1 - r * e
+        if f == 0.0:
+            return x
+        if (f < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        step = f / slope if slope != 0.0 else math.nan
+        log_slope = c1 / line - r if line > 0.0 else 0.0
+        if log_slope != 0.0:
+            log_step = (math.log(line) - t) / log_slope
+            if not abs(log_step) <= abs(step):  # also where step is nan
+                step = log_step
+        new = x - step
+        if not lo < new < hi:  # also a nan step
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= 1e-4 * _refinement_width(abs(slope)) or new == x:
+            return new
+        x = new
+    return x
+
+
+def _c_roots(c0: float, c1: float, u: float, r: float,
+             lo: float, hi: float) -> list[tuple[float, float]]:
+    """Zero crossings of c on [lo, hi] with their local |slope|.
+
+    c is concave, so it has at most two crossings, one on each monotone
+    piece (``_crossing_segments``), each found by ``_segment_root``.  Scalar
+    math throughout: this runs on every grid that is built.
+    """
+    roots = []
+    for a, b, fa in _crossing_segments(c0, c1, u, r, lo, hi):
+        root = _segment_root(a, b, fa, c0, c1, u, r)
         roots.append((root, abs(_c_slope(root, c1, u, r))))
     return roots
+
+
+def _roots_hold(roots: list[tuple[float, float]], c0: float, c1: float,
+                u: float, r: float, lo: float, hi: float) -> bool:
+    """Whether a grid graded around ``roots`` still serves c on [lo, hi].
+
+    It does while c crosses zero as often, and each crossing lies within
+    the refinement width of the held crossing it replaces.  On a monotone
+    piece c has one crossing, so it lies in that window exactly when c
+    changes sign across it: two values of c per crossing decide it.
+    """
+    segments = _crossing_segments(c0, c1, u, r, lo, hi)
+    if len(segments) != len(roots):
+        return False
+    for (a, b, _), (root, slope) in zip(segments, roots):
+        delta = _refinement_width(slope)
+        left, right = max(a, root - delta), min(b, root + delta)
+        if not (left <= right and (_c_value(left, c0, c1, u, r) > 0.0)
+                != (_c_value(right, c0, c1, u, r) > 0.0)):
+            return False
+    return True
 
 
 def _graded_edges(lo: float, hi: float,
@@ -478,7 +553,7 @@ def _graded_edges(lo: float, hi: float,
     uniform[-1] = hi
     edges = [uniform]
     for root, slope in roots:
-        delta = max(1.0 / max(slope, 1.0), 1e-12)
+        delta = _refinement_width(slope)
         if delta >= width:
             continue
         steps = delta * _POWERS_OF_TWO[:int(math.ceil(math.log2(2.0 * width / delta))) + 1]
@@ -499,18 +574,33 @@ def _dual_grid(c0: float, c1: float, u: float, r: float,
 
 
 def _tail_cdf(c: np.ndarray) -> np.ndarray:
-    """Phi(c), exactly 0 where c <= -_TAIL; nan stays nan."""
-    return np.where(c <= -_TAIL, 0.0, std_normal_cdf(np.maximum(c, -_TAIL)))
+    """Phi(c), exactly 0 where c <= -_TAIL; nan stays nan.
+
+    Only the nodes above -_TAIL are evaluated.  c is clipped at CLAMP, so
+    ``std_normal_cdf``'s clip would be idle there.
+    """
+    out = np.zeros_like(c)
+    live = ~(c <= -_TAIL)
+    out[live] = _sp.ndtr(c[live])
+    return out
 
 
 def _tail_pdf(c: np.ndarray) -> np.ndarray:
-    """phi(c), exactly 0 where |c| >= _TAIL; nan stays nan."""
-    far = np.abs(c) >= _TAIL
-    return np.where(far, 0.0, std_normal_pdf(np.where(far, 0.0, c)))
+    """phi(c), exactly 0 where |c| >= _TAIL; nan stays nan.
+
+    Evaluated only where |c| < _TAIL < CLAMP, where ``std_normal_pdf``'s
+    clip would be idle.
+    """
+    out = np.zeros_like(c)
+    live = ~(np.abs(c) >= _TAIL)
+    near = c[live]
+    out[live] = _INV_SQRT_2PI * np.exp(-0.5 * near * near)
+    return out
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
-                   full: bool) -> tuple[np.ndarray, np.ndarray]:
+                   full: bool, held: Optional[list] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Dual equations F(theta) and their Jacobian dF/dtheta, from one grid.
 
     theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
@@ -521,7 +611,13 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     where |c| >= _TAIL and Phi(c) where c <= -_TAIL, which covers every c
     clipped at -1e300 or CLAMP: each dropped term is below the rounding unit
     of every sum it enters, so F and J are those of the untruncated
-    integrands, bit for bit.
+    integrands on the same grid, bit for bit.
+
+    The grid is graded around the crossings of c.  ``held``, one solve's
+    store (``_solve_dual_system``), keeps the last grid built: it serves
+    while c crosses zero as often and each crossing stays within its
+    refinement width of the held one (``_roots_hold``); otherwise a new
+    grid is built and held.  Without ``held`` every call builds its grid.
     """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
@@ -531,22 +627,51 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         v = float(theta[0])
         c0, c1, u = math.exp(min(v, 700.0)), 0.0, float(theta[1])
         dc0 = c0 if v < 700.0 else 0.0
-    x, w = _dual_grid(c0, c1, u, r, -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH)
-    c, e = _c_values(x, c0, c1, u, r)
-    base = w * std_normal_pdf(x)
+    lo, hi = -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH
+    if held and _roots_hold(held[0], c0, c1, u, r, lo, hi):
+        x, base = held[1], held[2]
+    else:
+        roots = _c_roots(c0, c1, u, r, lo, hi)
+        x, w = panel_nodes(_graded_edges(lo, hi, roots))
+        # phi(x) as std_normal_pdf gives it, whose clip at +-CLAMP is idle
+        # on nodes within +-12
+        base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        if held is not None:
+            held[:] = roots, x, base
+    t = u + r * x
+    e = np.exp(np.minimum(t, 700.0))
+    c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)  # as _c_values
     phi_c = _tail_pdf(c)
     cdf_c = _tail_cdf(c)
     eq_q = float(base @ cdf_c) - stats.q
     eq_m2 = float(base @ phi_c) - stats.m2
-    d_cdf = np.where(u + r * x < 700.0, base * phi_c, 0.0)
+    d_cdf = np.where(t < 700.0, base * phi_c, 0.0)
+    # J = (dF/dc rows) @ (dc/dtheta columns), both filled in place
+    size = 3 if full else 2
+    rows = np.empty((size, x.size))
+    cols = np.empty((x.size, size))
+    rows[0] = d_cdf
+    np.multiply(c, d_cdf, out=rows[1])
+    np.negative(rows[1], out=rows[1])
+    cols[:, 0] = dc0
+    np.negative(e, out=cols[:, -1])
     if not full:
-        dc = np.stack([np.full_like(x, dc0), -e], axis=1)
-        jac = np.stack([d_cdf, -c * d_cdf]) @ dc
-        return np.array([eq_q, eq_m2]), jac
+        return np.array([eq_q, eq_m2]), rows @ cols
     eq_m1 = float((base * x) @ cdf_c) - stats.m1
-    dc = np.stack([np.ones_like(x), x, -e], axis=1)
-    jac = np.stack([d_cdf, -c * d_cdf, x * d_cdf]) @ dc
-    return np.array([eq_q, eq_m2, eq_m1]), jac
+    np.multiply(x, d_cdf, out=rows[2])
+    cols[:, 1] = x
+    return np.array([eq_q, eq_m2, eq_m1]), rows @ cols
+
+
+def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
+                       init: tuple[float, ...]) -> np.ndarray:
+    """``solve_system`` on the dual from ``init``, with one grid store.
+
+    The residual it solves holds the last grid it built, for this solve
+    alone: no state outlives the call or is shared between threads.
+    """
+    held: list = []
+    return solve_system(lambda th: _dual_residual(th, stats, r, full, held), init)
 
 
 def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
@@ -562,7 +687,7 @@ def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
     x, w = _dual_grid(c0, c1, u, r, lo, hi)
     c, _ = _c_values(x, c0, c1, u, r)
     z = x - r
-    density = w * std_normal_pdf(z)
+    density = w * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))  # |z| <= 12, as above
     cdf_c = _tail_cdf(c)
     p = float(density @ cdf_c)
     return min(max(p, 0.0), 1.0), float((density * z) @ cdf_c)
@@ -633,9 +758,7 @@ def _reduced_dual(stats: FirstOrderStats, r: float,
     last: Optional[NoConvergenceError] = None
     for init in inits:
         try:
-            sol = solve_system(
-                lambda th: _dual_residual(th, stats, r, full=False), init
-            )
+            sol = _solve_dual_system(stats, r, False, init)
         except NoConvergenceError as err:
             last = err
             continue
@@ -653,7 +776,10 @@ def solve_dual(stats: FirstOrderStats, r: float,
     Solves the full three-equation system; both slope signs are accepted,
     since either sign yields a worst-case set matching the constraints (the
     negative-slope branch is exactly the near-halfspace family required for
-    the linear-classifier limit).  Damped Newton starts from, in order:
+    the linear-classifier limit).  That holds with m1 as an equality: with
+    m1 as a lower bound, c1 < 0 means a negative m1 multiplier, and the
+    minimum lies below this p (selftest's LP oracle shows it).  Damped
+    Newton starts from, in order:
 
     1. ``warm``, when it is a FULL solution (in a radius search, that of
        the nearest travel distance already solved);
@@ -687,9 +813,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
     def try_full(init: tuple[float, float, float]) -> Optional[np.ndarray]:
         try:
-            return solve_system(
-                lambda th: _dual_residual(th, stats, r, full=True), init
-            )
+            return _solve_dual_system(stats, r, True, init)
         except NoConvergenceError:
             return None
 

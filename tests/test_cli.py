@@ -451,7 +451,7 @@ QUICK_CHECKS = ["zeroth_closed_form", "halfspace_l2_exactness",
                 "halfspace_l1_exactness", "clopper_pearson", "table1_constants",
                 "sampling_determinism", "mc_oracle_agreement"]
 FULL_CHECKS = QUICK_CHECKS + ["halfspace_linf_exactness", "l2_dominance",
-                              "angular_monotonicity", "interval_floor"]
+                              "angular_monotonicity", "interval_floor", "lp_oracle"]
 
 
 def printed_names(out):

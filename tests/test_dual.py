@@ -1,6 +1,9 @@
 """Worst-case dual solver: spec examples, invariants, and oracle agreement."""
 
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +42,8 @@ from smoothcert.numerics import (
     std_normal_pdf,
     std_normal_quantile,
 )
-from smoothcert.selftest import _check_angular, _check_interval_floor
+from smoothcert.selftest import (_check_angular, _check_interval_floor,
+                                 _check_lp_oracle, _lp_cells)
 
 from helpers import (
     CDF_1,
@@ -94,6 +98,40 @@ RESIDUAL_THETAS = [
     # is flat; unmasked, phi(CLAMP) * e^700 would leave J at ~1e-10
     ((701.0, 0.0), 1.0, False),
 ]
+
+
+class TestLpOracle:
+    """The dual's worst-case p against a linear program over cell-wise sets."""
+
+    @pytest.mark.slow
+    def test_dual_meets_the_lp(self):
+        # finer cells and more draws than selftest's lp_oracle
+        res = _check_lp_oracle(seed=41, count=40, cells=160, eps=1e-7,
+                               grid_constant=0.25)
+        assert res.passed, res.detail
+        assert res.values["full"] >= 35, res.detail
+
+    @pytest.mark.slow
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a FULL dual with c1 < 0 lies above the minimum "
+                              "with m1 as a lower bound")
+    def test_m1_as_a_lower_bound(self):
+        # the bench's solve_grid stat 47 at seed 10 reports R = 0.53009033203125
+        # (sigma 0.25) on this FULL dual, p(R / sigma) = 0.50011; with m1 as
+        # the lower bound the estimators give, the LP's minimum is 0.4540
+        # here and 0.4514 at 250 cells
+        from scipy.optimize import linprog
+
+        stats = FirstOrderStats(0.8579110174653122, -0.07142171030700625,
+                                0.2115501283371511)
+        r = 0.53009033203125 / 0.25
+        dual = solve_dual(stats, r)
+        if not (dual.variant is DualVariant.FULL and dual.c1 < 0.0):
+            pytest.fail(f"no longer a FULL dual with c1 < 0: {dual}")
+        objective, rows, _ = _lp_cells(r, 100)
+        lp = linprog(objective, A_ub=-rows, b_ub=[-stats.q, -stats.m1, -stats.m2],
+                     bounds=(0.0, 1.0), method="highs")
+        assert probability_from_dual(dual)[0] <= lp.fun + 1e-7
 
 
 class TestSolveDual:
@@ -187,8 +225,8 @@ class TestSolveDual:
         dual = solve_dual(stats, 0.9375)
         assert dual.variant is DualVariant.REDUCED_NO_SLOPE
         assert len(calls) == 2
-        assert (dual.c0, dual.c1, dual.c2) == (4.348574752892094, 0.0,
-                                               -2.0591584841381723)
+        assert (dual.c0, dual.c1, dual.c2) == (4.348574752892095, 0.0,
+                                               -2.0591584841381736)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleStatsError):
@@ -393,6 +431,163 @@ class TestGradedEdges:
         assert moved_end > 0
 
 
+def _bisected_roots(c0, c1, u, r, lo, hi):
+    """Crossings of c as a fixed 50-step bisection of each monotone piece
+    finds them, with their |c'|: the reference for ``certify._c_roots``."""
+
+    def val(x):
+        t = u + r * x
+        return c0 + c1 * x - (math.exp(t) if t < 700.0 else 1e304)
+
+    breaks = [lo, hi]
+    if c1 > 0.0:
+        x_crit = (math.log(c1 / r) - u) / r
+        if lo < x_crit < hi:
+            breaks = [lo, x_crit, hi]
+    roots = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        fa, fb = val(a), val(b)
+        if fa == 0.0:
+            roots.append((a, abs(certify._c_slope(a, c1, u, r))))
+            continue
+        if (fa > 0.0) == (fb > 0.0):
+            continue
+        x_lo, x_hi = a, b
+        for _ in range(50):
+            mid = 0.5 * (x_lo + x_hi)
+            fm = val(mid)
+            if fm == 0.0:
+                x_lo = x_hi = mid
+                break
+            if (fm > 0.0) == (fa > 0.0):
+                x_lo = mid
+            else:
+                x_hi = mid
+        root = 0.5 * (x_lo + x_hi)
+        roots.append((root, abs(certify._c_slope(root, c1, u, r))))
+    return roots
+
+
+def _bench_suite():
+    """The benchmark's workload module, loaded from perfbench/suite.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "suite.py")
+    spec = importlib.util.spec_from_file_location("bench_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHeldGrid:
+    """One dual solve holds its quadrature grid while c's crossings hold."""
+
+    def test_c_roots_match_bisection(self):
+        # Newton's crossings against the 50-step bisection's, over random
+        # c: c1 <= 0 (one falling crossing at most), c's maximum x_crit
+        # just inside lo or hi, and exponents past the 700 cap in [lo, hi]
+        gen = np.random.default_rng(20)
+        lo, hi = -certify._DOMAIN_HALF_WIDTH, certify._DOMAIN_HALF_WIDTH
+        found = {"none": 0, "one": 0, "two": 0, "near_end": 0, "capped": 0}
+        for _ in range(4000):
+            kind = int(gen.integers(0, 4))
+            r = 10.0 ** float(gen.uniform(-2.3, 1.0))
+            c0 = float(gen.uniform(-50.0, 50.0))
+            u = float(gen.uniform(-10.0, 10.0))
+            if kind == 0:
+                c1 = -float(gen.choice([0.0, 10.0 ** float(gen.uniform(-3, 1.5))]))
+            else:
+                c1 = 10.0 ** float(gen.uniform(-3.0, 2.5))
+            if kind == 2:
+                # x_crit within 1e-12 to 1e-3 of lo or hi, on either side
+                end = float(gen.choice([lo, hi]))
+                offset = float(gen.choice([1e-12, 1e-6, 1e-3])) * float(gen.choice([-1, 1]))
+                u = math.log(c1 / r) - r * (end + offset)
+                found["near_end"] += 1
+            elif kind == 3:
+                # steep enough to pass the cap: u + r x = 700 inside [lo, hi]
+                r = float(gen.uniform(30.0, 60.0))
+                u = 700.0 - r * float(gen.uniform(lo, hi))
+                found["capped"] += 1
+            want = _bisected_roots(c0, c1, u, r, lo, hi)
+            got = certify._c_roots(c0, c1, u, r, lo, hi)
+            assert len(got) == len(want), (c0, c1, u, r)
+            found[("none", "one", "two")[len(got)]] += 1
+            for (root, _), (ref, slope) in zip(got, want):
+                delta = certify._refinement_width(slope)
+                assert abs(root - ref) <= 1e-3 * delta, (c0, c1, u, r, root, ref)
+        assert min(found.values()) > 50, found
+
+    def test_rebuild_rule(self):
+        # shifting c by s moves each crossing by s: a grid holds while every
+        # crossing stays within its refinement width, and while c crosses
+        # zero as often
+        lo, hi = -certify._DOMAIN_HALF_WIDTH, certify._DOMAIN_HALF_WIDTH
+        c0, c1, u, r = 1.0, 2.0, -1.0, 0.5
+        roots = certify._c_roots(c0, c1, u, r, lo, hi)
+        assert len(roots) == 2
+        widths = [certify._refinement_width(slope) for _, slope in roots]
+
+        def holds(shift, c0=c0):
+            return certify._roots_hold(roots, c0 - c1 * shift, c1, u - r * shift,
+                                       r, lo, hi)
+
+        assert holds(0.0)
+        assert holds(0.9 * min(widths)) and holds(-0.9 * min(widths))
+        assert not holds(1.1 * max(widths)) and not holds(-1.1 * max(widths))
+        assert not holds(0.0, c0=-50.0)  # no crossing left
+
+    def test_fewer_grids_than_calls(self, monkeypatch):
+        # the radius of test_residual_evaluation_count, bit for bit, from
+        # fewer grids than residual and probability calls, each of which
+        # built its own grid before solves held theirs
+        counts = {"grids": 0, "residuals": 0, "probabilities": 0}
+
+        def counted(name, key):
+            orig = getattr(certify, name)
+
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(certify, name, wrapped)
+
+        counted("_graded_edges", "grids")
+        counted("_dual_residual", "residuals")
+        counted("_probability_from_coeffs", "probabilities")
+        res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
+                                 SmoothingConfig(0.25, 152), tol=1e-3)
+        assert res.radius == 0.3076171875
+        assert 0 < counts["grids"] < counts["residuals"] + counts["probabilities"]
+
+    def test_converged_solves_meet_tolerance_on_fresh_grids(self, monkeypatch):
+        # every solve of the bench's solve_grid pass (seed 101) converges
+        # on held grids; its theta re-evaluated on a grid built for it
+        # must still meet the tolerance
+        suite = _bench_suite()
+        stats_grid = suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101)
+        cfg = SmoothingConfig(suite.SIGMA, 152)
+        orig_residual = certify._dual_residual
+        orig_solve = certify.solve_system
+        last = {}
+        worst = []
+
+        def recorded(theta, stats, r, full, *held):
+            last["args"] = (stats, r, full)
+            return orig_residual(theta, stats, r, full, *held)
+
+        def checked(residual, init):
+            theta = orig_solve(residual, init)
+            fresh, _ = orig_residual(theta, *last["args"])
+            worst.append(float(np.max(np.abs(fresh))))
+            return theta
+
+        monkeypatch.setattr(certify, "_dual_residual", recorded)
+        monkeypatch.setattr(certify, "solve_system", checked)
+        for stats in stats_grid:
+            directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
+        assert len(worst) > 100
+        assert max(worst) <= RESIDUAL_TOLERANCE
+
+
 class TestIntervalScalarPath:
     # the interval's scalar helpers against the vectorised numerics forms
     # they replace, compared with ==: they must agree bit for bit, beyond
@@ -584,8 +779,8 @@ class TestDirectionalRadius:
         monkeypatch.setattr(certify, "solve_dual", counted_solve)
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
-        assert len(calls) <= 40
-        assert len(solves) <= 5
+        assert 0 < len(calls) <= 40
+        assert 0 < len(solves) <= 5
         assert res.radius == 0.3076171875
 
     def test_one_interval_solve_per_radius(self, monkeypatch):
