@@ -9,11 +9,18 @@ perpendicular-gradient bounds (m1, m2) and solves the worst-case problem
     integral phi(x) phi(c(x)) dx   = m2
     integral x phi(x) Phi(c(x)) dx = m1,      c(x) = c0 + c1 x + c2 e^{r x}
 
-for the dual coefficients, then reads off the worst-case probability at
-scaled travel distance r as p(r) = integral phi(x - r) Phi(c(x)) dx.  The
-constraints sit at r = 0, so by the envelope theorem its slope is
-dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx at the solved c, read off
-the same grid.  The integrals run on Gauss-Legendre panels graded around
+for the dual coefficients.  The worst-case probability at scaled travel
+distance r is read off the solve's last residual evaluation, on its own
+grid, as the dual function at the solve's multipliers,
+g = lam2 [c0 q + c1 m1 + m2 - integral phi(x) (c Phi(c) + phi(c)) dx]
+with lam2 = e^{-r^2/2 - u}, c2 = -e^u: by weak duality a lower bound on
+the worst case at any multipliers, and at a solution the set's mass
+p(r) = integral phi(x - r) Phi(c(x)) dx (``_dual_bound``).  The
+constraints sit at r = 0, so its slope with the multipliers held is
+dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx, read off the same grid.
+g bounds the problem with m1 as an equality; with q as a lower bound
+only where c0 >= 0, and with m1 as a lower bound only where c1 >= 0.
+The integrals run on Gauss-Legendre panels graded around
 the crossings of c, and drop phi(c) where |c| >= 30 and Phi(c) where
 c <= -30: each dropped term is below the rounding unit of every sum it
 enters, so results are those of the full integrands, bit for bit, without
@@ -39,14 +46,17 @@ travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
 Dropping the m2 constraint can only lower the minimum, so the interval's
 closed-form p_int(r) is a proven lower bound at every r.  One rule gives
 the worst-case probability wherever it is needed (``_worst_case``):
-p = max(p_int, p_dual), and p_int alone below the smooth floor, for
-m2 = 0, and where no dual converges.
+p = max(p_int, g), and p_int alone below the smooth floor, for m2 = 0,
+and where no dual converges.
 
 A radius is the last point of bisection's grid of travel distances where
 p(r) >= 1/2.  One safeguarded Newton search with that slope finds every
 radius (``_grid_search``): on p_int first, and for m2 > 0 then on
-max(p_int, p_dual), started at p_int's root, in about 3 dual solves where
-bisection needed 15.
+max(p_int, g), started at p_int's root, in about 2 dual solves where
+bisection needed 15.  A bracket end next to a FULL-solved one is decided
+from that solve where it can be: the solved set meets the constraints at
+every r, so its mass one step up bounds the worst case from above, and
+its multipliers give g one step down.
 
 All quantities here are dimensionless (travel measured in units of sigma);
 entry points convert to input units exactly once on the way out.  One
@@ -60,7 +70,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -230,6 +240,13 @@ class DualSolution:
     The worst-case set is {(z1, z2): e^{r z1} <= a1 z1 + a2 z2 + b} with
     c0 = b/a2, c1 = a1/a2, c2 = -1/a2 (hence c2 < 0).  Its a2 -> 0 limit,
     the m2 = 0 interval, has no coefficients and is never a solution.
+
+    A solve also records ``bound``, the dual function g at its multipliers,
+    and ``bound_slope``, dg/dr with the multipliers held (``_dual_bound``),
+    both read off its last residual evaluation, and ``grid``, that
+    evaluation's quadrature grid and integrands.  By weak duality g is a
+    lower bound on the worst case, converged or not.  None of the three
+    takes part in equality.
     """
 
     c0: float
@@ -237,6 +254,9 @@ class DualSolution:
     c2: float
     variant: DualVariant
     travel_scale: float
+    bound: float = field(default=math.nan, compare=False)
+    bound_slope: float = field(default=math.nan, compare=False)
+    grid: Optional["_HeldGrid"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.c2 >= 0.0:
@@ -598,8 +618,22 @@ def _tail_pdf(c: np.ndarray) -> np.ndarray:
     return out
 
 
+class _HeldGrid:
+    """One dual solve's quadrature grid and the integrands of its last call.
+
+    ``roots``, ``x`` and ``base`` = w phi(x) are the grid, graded around
+    the crossings ``roots``; ``e``, ``cdf_c`` and ``residual`` are
+    e^{u + r x}, Phi(c(x)) and F of the last ``_dual_residual`` call.
+    """
+
+    __slots__ = ("roots", "x", "base", "e", "cdf_c", "residual")
+
+    def __init__(self, roots=None, x=None, base=None) -> None:
+        self.roots, self.x, self.base = roots, x, base
+
+
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
-                   full: bool, held: Optional[list] = None
+                   full: bool, held: Optional[_HeldGrid] = None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Dual equations F(theta) and their Jacobian dF/dtheta, from one grid.
 
@@ -617,7 +651,9 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     store (``_solve_dual_system``), keeps the last grid built: it serves
     while c crosses zero as often and each crossing stays within its
     refinement width of the held one (``_roots_hold``); otherwise a new
-    grid is built and held.  Without ``held`` every call builds its grid.
+    grid is built and held.  ``held`` also keeps this call's e^{u + r x},
+    Phi(c) and F, from which ``_dual_bound`` reads g.  Without ``held``
+    every call builds its grid.
     """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
@@ -628,8 +664,9 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         c0, c1, u = math.exp(min(v, 700.0)), 0.0, float(theta[1])
         dc0 = c0 if v < 700.0 else 0.0
     lo, hi = -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH
-    if held and _roots_hold(held[0], c0, c1, u, r, lo, hi):
-        x, base = held[1], held[2]
+    if held is not None and held.x is not None and _roots_hold(
+            held.roots, c0, c1, u, r, lo, hi):
+        x, base = held.x, held.base
     else:
         roots = _c_roots(c0, c1, u, r, lo, hi)
         x, w = panel_nodes(_graded_edges(lo, hi, roots))
@@ -637,7 +674,7 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         # on nodes within +-12
         base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
         if held is not None:
-            held[:] = roots, x, base
+            held.roots, held.x, held.base = roots, x, base
     t = u + r * x
     e = np.exp(np.minimum(t, 700.0))
     c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)  # as _c_values
@@ -655,23 +692,67 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     np.negative(rows[1], out=rows[1])
     cols[:, 0] = dc0
     np.negative(e, out=cols[:, -1])
-    if not full:
-        return np.array([eq_q, eq_m2]), rows @ cols
-    eq_m1 = float((base * x) @ cdf_c) - stats.m1
-    np.multiply(x, d_cdf, out=rows[2])
-    cols[:, 1] = x
-    return np.array([eq_q, eq_m2, eq_m1]), rows @ cols
+    if full:
+        eq_m1 = float((base * x) @ cdf_c) - stats.m1
+        np.multiply(x, d_cdf, out=rows[2])
+        cols[:, 1] = x
+        f = np.array([eq_q, eq_m2, eq_m1])
+    else:
+        f = np.array([eq_q, eq_m2])
+    if held is not None:
+        held.e, held.cdf_c, held.residual = e, cdf_c, f
+    return f, rows @ cols
+
+
+def _dual_bound(held: _HeldGrid, c0: float, c1: float, u: float, r: float
+                ) -> tuple[float, float]:
+    """The dual function g at multipliers (c0, c1, u), and dg/dr, from the
+    last ``_dual_residual`` call on ``held``, made at those multipliers.
+
+    With lam2 = e^{-r^2/2 - u}, lam0 = lam2 c0 and lam1 = lam2 c1 the
+    multipliers of q, m1 and m2,
+
+        g = lam2 [c0 q + c1 m1 + m2 - integral phi(x) (c Phi(c) + phi(c)) dx]
+
+    is the Lagrangian minimised over all sets (the set {z2 >= -c(z1)}
+    attains it), so by weak duality g is at most the minimum of every
+    problem whose constraints the set family relaxes: the worst case with
+    m1 as an equality, for any multipliers; with q as a lower bound only
+    where c0 >= 0, and with m1 as a lower bound only where c1 >= 0.  c is
+    unclipped here: c0 + c1 x - c = e^{u + r x} turns the c Phi(c) term into
+    the sums F already holds, so g = lam2 [sum w phi e Phi(c) - c0 F_q - F_m2
+    - c1 F_m1] costs one more dot product, and dg/dr = lam2 sum w phi
+    (x - r) e Phi(c) one more.  At a solution (F = 0) g is the set's mass
+    under N(r, 1).  g is clipped to [0, 1]; multipliers past the float range
+    give the trivial bound 0.
+    """
+    log_lam2 = -0.5 * r * r - u
+    if not log_lam2 < 700.0:
+        return 0.0, math.nan
+    lam2 = math.exp(log_lam2)
+    weighted = held.base * held.e
+    f = held.residual.tolist()
+    gap = float(weighted @ held.cdf_c) - c0 * f[0] - f[1]
+    if len(f) == 3:
+        gap -= c1 * f[2]
+    g = lam2 * gap
+    slope = lam2 * float((weighted * (held.x - r)) @ held.cdf_c)
+    return (min(max(g, 0.0), 1.0) if math.isfinite(g) else 0.0), slope
 
 
 def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
-                       init: tuple[float, ...]) -> np.ndarray:
+                       init: tuple[float, ...]) -> tuple[np.ndarray, _HeldGrid]:
     """``solve_system`` on the dual from ``init``, with one grid store.
 
     The residual it solves holds the last grid it built, for this solve
-    alone: no state outlives the call or is shared between threads.
+    alone: no state outlives the call or is shared between threads.  The
+    store is returned with the solution: ``solve_system`` returns the
+    point of its last evaluation, so the store's integrands are the
+    solution's.
     """
-    held: list = []
-    return solve_system(lambda th: _dual_residual(th, stats, r, full, held), init)
+    held = _HeldGrid()
+    theta = solve_system(lambda th: _dual_residual(th, stats, r, full, held), init)
+    return theta, held
 
 
 def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
@@ -758,14 +839,29 @@ def _reduced_dual(stats: FirstOrderStats, r: float,
     last: Optional[NoConvergenceError] = None
     for init in inits:
         try:
-            sol = _solve_dual_system(stats, r, False, init)
+            sol, held = _solve_dual_system(stats, r, False, init)
         except NoConvergenceError as err:
             last = err
             continue
         c0, u = math.exp(min(float(sol[0]), 700.0)), float(sol[1])
-        return DualSolution(c0, 0.0, -math.exp(max(u, -745.0)),
-                            DualVariant.REDUCED_NO_SLOPE, r)
+        return _solution(c0, 0.0, u, DualVariant.REDUCED_NO_SLOPE, r, held)
     raise last  # type: ignore[misc]
+
+
+def _solution(c0: float, c1: float, u: float, variant: DualVariant, r: float,
+              held: _HeldGrid) -> DualSolution:
+    """The ``DualSolution`` of a solve ending at (c0, c1, u) on ``held``."""
+    bound, slope = _dual_bound(held, c0, c1, u, r)
+    return DualSolution(c0, c1, -math.exp(max(u, -745.0)), variant, r,
+                        bound, slope, held)
+
+
+def _capped(stats: FirstOrderStats) -> FirstOrderStats:
+    """The stats ``solve_dual`` solves: m2 pulled back to within
+    ``_M2_PERP_MARGIN`` of the perpendicular boundary, which only weakens
+    its constraint."""
+    m2_cap = max_gradient_magnitude(stats.q) * (1.0 - _M2_PERP_MARGIN)
+    return replace(stats, m2=m2_cap) if stats.m2 > m2_cap else stats
 
 
 def solve_dual(stats: FirstOrderStats, r: float,
@@ -792,7 +888,9 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
     When neither converges, the two-equation system is solved instead
     (``_reduced_dual``), which drops the directional constraint and is
-    always conservative.  m2 below the degeneracy floor ``M2_DEGENERATE``
+    always conservative.  The solution carries g and dg/dr at its
+    multipliers (``DualSolution.bound``), read off the solve's last
+    residual evaluation.  m2 below the degeneracy floor ``M2_DEGENERATE``
     raises ``DomainError``: that dual is the m2 = 0 interval, which its
     callers solve in closed form (``_solve_interval``).
     """
@@ -803,21 +901,20 @@ def solve_dual(stats: FirstOrderStats, r: float,
     if stats.m2 < M2_DEGENERATE:
         raise DomainError(f"solve_dual requires m2 >= {M2_DEGENERATE}, got {stats.m2}")
     ensure_feasible(stats)
-    m2_cap = max_gradient_magnitude(stats.q) * (1.0 - _M2_PERP_MARGIN)
-    if stats.m2 > m2_cap:
-        stats = replace(stats, m2=m2_cap)
+    stats = _capped(stats)
 
     warm_full: Optional[tuple[float, float, float]] = None
     if warm is not None and warm.variant is DualVariant.FULL:
         warm_full = (warm.c0, warm.c1, math.log(-warm.c2))
 
-    def try_full(init: tuple[float, float, float]) -> Optional[np.ndarray]:
+    def try_full(init: tuple[float, float, float]
+                 ) -> Optional[tuple[np.ndarray, _HeldGrid]]:
         try:
             return _solve_dual_system(stats, r, True, init)
         except NoConvergenceError:
             return None
 
-    full_sol: Optional[np.ndarray] = None
+    full_sol = None
     if warm_full is not None:
         full_sol = try_full(warm_full)
     if full_sol is None:
@@ -830,14 +927,21 @@ def solve_dual(stats: FirstOrderStats, r: float,
         # conservative fallback: the two-equation bound is valid regardless
         return _reduced_dual(stats, r, warm)
 
-    c0, c1, u = float(full_sol[0]), float(full_sol[1]), float(full_sol[2])
-    return DualSolution(c0, c1, -math.exp(max(u, -745.0)), DualVariant.FULL, r)
+    sol, held = full_sol
+    return _solution(float(sol[0]), float(sol[1]), float(sol[2]), DualVariant.FULL,
+                     r, held)
 
 
 def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
-    """Worst-case probability p at the dual's travel distance r, and dp/dr.
+    """The primal mass of the dual's set under N(r, 1), and its dp/dr.
 
-    The slope holds the worst-case set fixed (envelope theorem).
+    This is the set's own probability at the dual's travel distance r, on
+    a grid of its own over [r - 12, r + 12]: the quantity a Monte-Carlo
+    re-run of the set estimates.  It is the worst case only to the extent
+    that the set meets the constraints.  Radii rest instead on
+    ``dual.bound``, the dual function g at the solve's multipliers, a lower
+    bound by weak duality; at a converged solve the two agree to within
+    the residual.  The slope holds the set fixed (envelope theorem).
     """
     return _probability_from_coeffs(dual.c0, dual.c1, math.log(-dual.c2),
                                     dual.travel_scale)
@@ -853,11 +957,14 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
     p_int(r) = Phi(w1 - r) - Phi(w2 - r) is a lower bound at every r > 0.
     Below ``_R_SMOOTH_FLOOR``, where the exponential basis degenerates, or
     for m2 below ``M2_DEGENERATE``, p_int is returned with its exact slope.
-    Otherwise p is the larger of p_int and the p of ``solve_dual`` (started
-    from ``warm``), with the larger one's slope; a slope that would come from
-    a reduced dual, which has none, is nan.  A dual that does not converge
-    at all leaves p_int, still a proven bound, and no dual.  The dual is
-    returned whenever one was solved, for warm starts, even where p_int won.
+    Otherwise p is the larger of p_int and the dual's g, the dual function
+    at the multipliers ``solve_dual`` (started from ``warm``) ends on, read
+    off its last residual evaluation (``_dual_bound``): a lower bound by
+    weak duality, with m1 as an equality.  The slope is the larger one's;
+    one that would come from a reduced dual is nan, so the search bisects
+    there.  A dual that does not converge at all leaves p_int, still a
+    proven bound, and no dual.  The dual is returned whenever one was
+    solved, for warm starts, even where p_int won.
     """
     p_int, slope_int = _interval_probability(*interval, r)
     if r < _R_SMOOTH_FLOOR or stats.m2 < M2_DEGENERATE:
@@ -866,16 +973,46 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
         dual = solve_dual(stats, r, warm=warm, interval=interval)
     except NoConvergenceError:
         return p_int, slope_int, None
-    p, slope = probability_from_dual(dual)
-    if p < p_int:
+    if dual.bound < p_int:
         return p_int, slope_int, dual
-    return p, slope if dual.variant is DualVariant.FULL else math.nan, dual
+    slope = dual.bound_slope if dual.variant is DualVariant.FULL else math.nan
+    return dual.bound, slope, dual
+
+
+def _set_mass_bound(dual: DualSolution, r: float) -> float:
+    """An upper bound on the worst case at r from a FULL set solved at another r.
+
+    The constraints sit at r = 0, so the set of a converged FULL dual meets
+    them (to the solve's residual) at every r, and its mass under N(r, 1)
+    is at least the minimum.  That mass, sum w phi(x) e^{r x - r^2/2}
+    Phi(c(x)), is read off the solve's last grid on [-12, 12]; the mass of
+    N(r, 1) past 12 is added, since the grid does not reach it.  A bound
+    too low could only end a search short of the root, never past it.
+    """
+    held = dual.grid
+    density = np.exp(r * held.x - 0.5 * r * r)
+    return float((held.base * held.cdf_c) @ density) + _cdf(r - _DOMAIN_HALF_WIDTH)
+
+
+def _shifted_bound(stats: FirstOrderStats, dual: DualSolution, r: float,
+                   shift: float) -> float:
+    """g at r from the multipliers of ``dual``, solved at r' = r + h.
+
+    Holding lam2 = e^{-r'^2/2 - u} (and so lam0 and lam1) fixed moves u to
+    u + ``shift``, shift = (r'^2 - r^2) / 2; any multipliers give a lower
+    bound by weak duality (``_dual_bound``).  The solve's grid serves if
+    c's crossings hold still, and is copied, never changed.
+    """
+    held = _HeldGrid(dual.grid.roots, dual.grid.x, dual.grid.base)
+    u = math.log(-dual.c2) + shift
+    _dual_residual(np.array([dual.c0, dual.c1, u]), _capped(stats), r, True, held)
+    return _dual_bound(held, dual.c0, dual.c1, u, r)[0]
 
 
 def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
     """Worst-case smoothed probability at scaled distance r (r = 0 gives q).
 
-    The radius search's p (``_worst_case``), solved cold.
+    The radius search's p = max(p_int, g) (``_worst_case``), solved cold.
     """
     if r < 0.0 or not math.isfinite(r):
         raise DomainError(f"travel distance must be nonnegative, got {r}")
@@ -896,6 +1033,8 @@ def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
 
     Returns None when p at the cap (index top) is >= 1/2.  ``probe(k)``
     gives p(k h) and the exact dp/dr there, nan where no slope is known.
+    Only p's side of 1/2 steers the search, so a probe may return a bound
+    that decides that side instead of p itself, with a nan slope.
     The search returns lo once p(lo h) >= 1/2 and p((lo + 1) h) < 1/2 have
     both been probed: for a p that falls once through 1/2, the point
     ``bisect_root`` returns on the same grid.  It probes k first, then takes
@@ -951,15 +1090,27 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     closed-form p_int of the m2 = 0 interval, from Phi^-1(q).  Its root is
     the radius for m2 = 0 and for q within ``_Q_SMOOTH_FLOOR`` of 1/2.
     Otherwise the search runs again over ``_worst_case``'s
-    p = max(p_int, p_dual), from p_int's root: dropping the m2 constraint
+    p = max(p_int, g), from p_int's root: dropping the m2 constraint
     can only lower p, so that root lies below the dual's and closer than
     Phi^-1(q).  The slope is the larger term's: the exact one of p_int, or
-    the envelope-theorem dp/dr = integral (x - r) phi(x - r) Phi(c(x)) dx
-    of a FULL dual; a reduced dual has none.  Each solve is warm-started
-    from the nearest r already solved.  ``fallback_used`` is set when an end
-    of the final bracket (or the cap, for a capped result) at or above the
-    smooth floor was not solved by the FULL dual: the reduced dual was
-    used, or no dual converged and p_int stood alone.
+    dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx of a FULL dual, its
+    multipliers held; a reduced dual has none.  Each solve is warm-started
+    from the nearest r already solved.
+
+    A probe k next to a FULL-solved index is first decided from that
+    solve, which closes the bracket without a solve at k: it is the top
+    when index k - 1 had p >= 1/2 and both p_int(k h) and that set's mass
+    at k h, an upper bound on the worst case (``_set_mass_bound``), are
+    below 1/2; it is the bottom when index k + 1 had p < 1/2 and
+    max(p_int, g) >= 1/2, g from that solve's multipliers with lam2 held
+    (``_shifted_bound``).
+
+    ``fallback_used`` is set when an end of the final bracket (or the cap,
+    for a capped result) at or above the smooth floor was decided neither
+    by its own FULL dual nor by a neighbour's: the reduced dual was used,
+    or no dual converged and p_int stood alone.  An end that a neighbour's
+    converged FULL solve decided, through its set or its multipliers, is
+    not a fallback.
     """
     q = stats.q
     if q <= 0.5:
@@ -986,19 +1137,47 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         return RadiusResult(max(cfg.sigma * (lo * h), zeroth))
 
     duals: dict[int, DualSolution] = {}  # grid index -> its solve
+    probed: dict[int, float] = {}  # grid index -> its p
+    borrowed: set[int] = set()  # bracket ends decided by a neighbour's dual
+
+    def neighbour_decides(k: int) -> Optional[float]:
+        # a p on the far side of 1/2 from a FULL-solved neighbour closes
+        # the bracket at k, so k needs no solve of its own
+        r = k * h
+        if r < _R_SMOOTH_FLOOR:
+            return None
+        p_int = _interval_probability(*interval, r)[0]
+        below, above = duals.get(k - 1), duals.get(k + 1)
+        if (below is not None and below.variant is DualVariant.FULL
+                and probed[k - 1] >= 0.5 and p_int < 0.5):
+            upper = _set_mass_bound(below, r)
+            if upper < 0.5:
+                return upper
+        if (above is not None and above.variant is DualVariant.FULL
+                and probed[k + 1] < 0.5):
+            p = max(p_int, _shifted_bound(stats, above, r, (2 * k + 1) * h * h / 2.0))
+            if p >= 0.5:
+                return p
+        return None
 
     def probe(k: int) -> tuple[float, float]:
+        p = neighbour_decides(k)
+        if p is not None:
+            borrowed.add(k)
+            probed[k] = p
+            return p, math.nan
         near = min(duals, key=lambda j: (abs(j - k), j), default=None)
         p, slope, dual = _worst_case(stats, interval, k * h, warm=duals.get(near))
+        probed[k] = p
         if dual is not None:
             duals[k] = dual
         return p, slope
 
     def fell_back(k: int) -> bool:
-        # an end at or above the floor without a dual was probed, and no
-        # dual converged there: the search probes every bracket end it
+        # an end at or above the floor was decided neither by its own FULL
+        # dual nor by a neighbour's: the search probes every bracket end it
         # returns but index 0, which lies below the floor
-        return k * h >= _R_SMOOTH_FLOOR and (
+        return k * h >= _R_SMOOTH_FLOOR and k not in borrowed and (
             k not in duals or duals[k].variant is not DualVariant.FULL)
 
     lo = _grid_search(probe, top, top if lo is None else min(max(lo, 1), top - 1))

@@ -129,9 +129,10 @@ def _check_halfspace(threat: ThreatModel, cases, tol: float,
 
 
 def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
-    """Each case is ``(q, m1, m2, r, solve)``, ``solve`` being
-    ``certify.solve_dual`` or ``certify._reduced_dual``; case i draws from
-    seed + i."""
+    """The primal mass of each solved set (``probability_from_dual``)
+    against a Monte-Carlo re-run of the same set.  Each case is
+    ``(q, m1, m2, r, solve)``, ``solve`` being ``certify.solve_dual`` or
+    ``certify._reduced_dual``; case i draws from seed + i."""
     worst = 0.0
     reduced = 0
     for i, (q, m1, m2, r, solve) in enumerate(cases):
@@ -161,10 +162,11 @@ def _threat_path_draws(seed: int, count: int):
 
 
 def _check_interval_floor(seed: int, count: int) -> CheckResult:
-    """A FULL dual's p is at least the m2 = 0 interval's, less a slack.
+    """A FULL dual's g is at least the m2 = 0 interval's p, less a slack.
 
-    Dropping the m2 constraint can only lower the minimum, so at any r the
-    dual's p(r) is at least p_int(r) = Phi(w1 - r) - Phi(w2 - r) of the
+    g (``DualSolution.bound``) is the value radii rest on.  Dropping the m2
+    constraint can only lower the minimum, so at any r the dual's p(r) is
+    at least p_int(r) = Phi(w1 - r) - Phi(w2 - r) of the
     interval [w2, w1] of the same (q, m1).  A solve leaves residuals up to
     eps = RESIDUAL_TOLERANCE, so its set is the exact worst case for stats
     within eps, whose p_int moves by at most eps (|lam0| + |lam1|):
@@ -185,9 +187,9 @@ def _check_interval_floor(seed: int, count: int) -> CheckResult:
         ratio = [math.exp(r * w - r * r / 2.0) for w in (w2, w1)]
         lam1 = (ratio[1] - ratio[0]) / (w1 - w2)
         slack = RESIDUAL_TOLERANCE * (abs(ratio[0] - lam1 * w2) + abs(lam1))
-        worst = np.maximum(worst, p_int - slack - cz.probability_from_dual(dual)[0])
+        worst = np.maximum(worst, p_int - slack - dual.bound)
     return CheckResult(full > 0 and worst <= 0.0,
-                       f"max (p_int - slack - p_full) = {worst:.2e} over {full} FULL solves",
+                       f"max (p_int - slack - g) = {worst:.2e} over {full} FULL solves",
                        {"worst": worst, "full": full})
 
 
@@ -224,14 +226,15 @@ def _lp_cells(r: float, cells: int) -> tuple[np.ndarray, np.ndarray, float]:
 
 def _check_lp_oracle(seed: int, count: int, cells: int, eps: float,
                      grid_constant: float) -> CheckResult:
-    """The FULL dual's p against a linear program over cell-wise sets.
+    """The FULL dual's g against a linear program over cell-wise sets.
 
-    ``_lp_cells`` discretises the worst-case problem; ``linprog`` (HiGHS)
-    minimises p_LP = objective @ x over x in [0, 1] with q and m2 as lower
-    bounds and m1 as the equality the dual solves.  A cell-wise set is one
-    of the sets the dual ranges over, so p_LP can only lie above the true
-    minimum: the dual's p must not exceed it by more than ``eps`` (the
-    solvers' tolerances).  The cells' loss against the curved boundary is
+    g (``DualSolution.bound``) is the value radii rest on.  ``_lp_cells``
+    discretises the worst-case problem; ``linprog`` (HiGHS) minimises
+    p_LP = objective @ x over x in [0, 1] with q and m2 as lower bounds and
+    m1 as the equality the dual solves.  A cell-wise set is one of the sets
+    the dual ranges over, so p_LP can only lie above the true minimum: the
+    dual's g must not exceed it by more than ``eps`` (the solvers'
+    tolerances).  The cells' loss against the curved boundary is
     second order in the cell side h: it measured at most 0.07 h^2 over 120
     draws at 60, 100 and 150 cells a side, and the gate is
     p_LP - p <= ``grid_constant`` h^2.  The stats and r are
@@ -240,7 +243,7 @@ def _check_lp_oracle(seed: int, count: int, cells: int, eps: float,
 
     m1 as a lower bound, as the estimators give it, is a different problem
     wherever the dual's c1 < 0: there its m1 multiplier is negative, and
-    the minimum with m1 as a lower bound lies below the dual's p.
+    the minimum with m1 as a lower bound lies below the dual's g.
     """
     from scipy.optimize import linprog  # kept out of the entry points' imports
 
@@ -251,7 +254,7 @@ def _check_lp_oracle(seed: int, count: int, cells: int, eps: float,
         if dual.variant is not DualVariant.FULL:
             continue
         full += 1
-        p = cz.probability_from_dual(dual)[0]
+        p = dual.bound
         objective, rows, h = _lp_cells(r, cells)
         lp = linprog(objective, A_ub=-rows[[0, 2]], b_ub=[-stats.q, -stats.m2],
                      A_eq=rows[[1]], b_eq=[stats.m1], bounds=(0.0, 1.0),
@@ -262,7 +265,7 @@ def _check_lp_oracle(seed: int, count: int, cells: int, eps: float,
         over = np.maximum(over, p - lp.fun)
         gap = np.maximum(gap, (lp.fun - p) / (h * h))
     return CheckResult(full > 0 and over <= eps and gap <= grid_constant,
-                       f"max (p - p_LP) = {over:.2e}, max (p_LP - p) / h^2 = {gap:.3f} "
+                       f"max (g - p_LP) = {over:.2e}, max (p_LP - g) / h^2 = {gap:.3f} "
                        f"over {full} FULL solves",
                        {"over": over, "gap": gap, "full": full})
 

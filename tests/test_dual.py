@@ -538,9 +538,9 @@ class TestHeldGrid:
 
     def test_fewer_grids_than_calls(self, monkeypatch):
         # the radius of test_residual_evaluation_count, bit for bit, from
-        # fewer grids than residual and probability calls, each of which
-        # built its own grid before solves held theirs
-        counts = {"grids": 0, "residuals": 0, "probabilities": 0}
+        # fewer grids than residual calls, each of which built its own grid
+        # before solves held theirs; p is read off the solve's own grid
+        counts = {"grids": 0, "residuals": 0}
 
         def counted(name, key):
             orig = getattr(certify, name)
@@ -552,11 +552,10 @@ class TestHeldGrid:
 
         counted("_graded_edges", "grids")
         counted("_dual_residual", "residuals")
-        counted("_probability_from_coeffs", "probabilities")
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
         assert res.radius == 0.3076171875
-        assert 0 < counts["grids"] < counts["residuals"] + counts["probabilities"]
+        assert 0 < counts["grids"] < counts["residuals"]
 
     def test_converged_solves_meet_tolerance_on_fresh_grids(self, monkeypatch):
         # every solve of the bench's solve_grid pass (seed 101) converges
@@ -586,6 +585,185 @@ class TestHeldGrid:
             directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
         assert len(worst) > 100
         assert max(worst) <= RESIDUAL_TOLERANCE
+
+
+def _g_at(stats, theta, r):
+    """g and dg/dr at the FULL multipliers theta = (c0, c1, u), at travel r."""
+    held = certify._HeldGrid()
+    _dual_residual(np.array(theta, dtype=float), stats, r, True, held)
+    return certify._dual_bound(held, *theta, r)
+
+
+def _quad_mass(c0, c1, u, r):
+    """integral phi(x - r) Phi(c(x)) dx by adaptive quadrature on
+    [r - 14, r + 14], split at c's crossings as a bisection finds them."""
+    from scipy import integrate, special
+
+    def integrand(x):
+        c = c0 + c1 * x - math.exp(min(u + r * x, 700.0))
+        return math.exp(-0.5 * (x - r) ** 2) / math.sqrt(2.0 * math.pi) * special.ndtr(c)
+
+    lo, hi = r - 14.0, r + 14.0
+    points = [root for root, _ in _bisected_roots(c0, c1, u, r, lo, hi)]
+    value, _ = integrate.quad(integrand, lo, hi, points=points or None, limit=400,
+                              epsabs=1e-14, epsrel=1e-13)
+    return value
+
+
+def _seed_101_solves(monkeypatch):
+    """(stats, r, dual, h) of every dual solve that the searches of the
+    bench's seed-101 solve_grid pass make, h their grid step."""
+    suite = _bench_suite()
+    cfg = SmoothingConfig(suite.SIGMA, 152)
+    h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, suite.RADIUS_TOL / cfg.sigma)
+    solves = []
+    orig = certify.solve_dual
+
+    def recorded(stats, r, *args, **kwargs):
+        dual = orig(stats, r, *args, **kwargs)
+        solves.append((stats, r, dual, h))
+        return dual
+
+    monkeypatch.setattr(certify, "solve_dual", recorded)
+    for stats in suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101):
+        directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
+    monkeypatch.setattr(certify, "solve_dual", orig)
+    return solves
+
+
+class TestWeakDuality:
+    """The p radii rest on is the dual function g at the solve's multipliers."""
+
+    # (stats, r) whose FULL duals have c0 > 0 and c1 > 0, m2 below the cap
+    CASES = [(FirstOrderStats(0.8, -0.1, 0.2), 1.2),
+             (FirstOrderStats(0.9, -0.05, 0.08), 0.6),
+             (FirstOrderStats(0.7, -0.2, 0.15), 0.3)]
+
+    def test_g_off_convergence_is_below_the_lp(self):
+        # weak duality holds at any multipliers, converged or not: g is at
+        # most the minimum over cell-wise sets with m1 as an equality, and,
+        # as c0 >= 0 and c1 >= 0 here, with q, m1 and m2 all lower bounds
+        from scipy.optimize import linprog
+
+        gen = np.random.default_rng(21)
+        lowered = 0
+        for stats, r in self.CASES:
+            dual = solve_dual(stats, r)
+            assert dual.variant is DualVariant.FULL and dual.c0 > 0.0 and dual.c1 > 0.0
+            objective, rows, _ = _lp_cells(r, 100)
+            options = {"primal_feasibility_tolerance": 1e-9,
+                       "dual_feasibility_tolerance": 1e-9}
+            as_equality = linprog(objective, A_ub=-rows[[0, 2]],
+                                  b_ub=[-stats.q, -stats.m2], A_eq=rows[[1]],
+                                  b_eq=[stats.m1], bounds=(0.0, 1.0),
+                                  method="highs", options=options)
+            as_bound = linprog(objective, A_ub=-rows,
+                               b_ub=[-stats.q, -stats.m1, -stats.m2],
+                               bounds=(0.0, 1.0), method="highs", options=options)
+            assert as_equality.status == 0 and as_bound.status == 0
+            u = math.log(-dual.c2)
+            for _ in range(8):
+                theta = (dual.c0 * math.exp(float(gen.uniform(-0.5, 0.5))),
+                         dual.c1 * float(gen.choice([0.0, math.exp(gen.uniform(-1, 1))])),
+                         u + float(gen.uniform(-0.5, 0.5)))
+                g, _ = _g_at(stats, theta, r)
+                assert g <= as_bound.fun + 1e-7, (stats, r, theta)
+                assert g <= as_equality.fun + 1e-7, (stats, r, theta)
+                # g is largest at the solution, where F = 0
+                assert g <= dual.bound + 1e-9, (stats, r, theta)
+                lowered += g < dual.bound - 1e-3
+        assert lowered >= 12
+
+    def test_g_matches_quadrature_at_converged_solves(self, monkeypatch):
+        # at a solution g is the set's own mass under N(r, 1)
+        full = 0
+        for stats, r, dual, _ in _seed_101_solves(monkeypatch):
+            if dual.variant is not DualVariant.FULL:
+                continue
+            full += 1
+            want = _quad_mass(dual.c0, dual.c1, math.log(-dual.c2), r)
+            assert abs(dual.bound - want) <= 1e-9, (stats, r, dual)
+        assert full > 100
+
+    def test_small_m2_keeps_c_unclipped(self):
+        # a seed-101 solve_grid solve with c0 = 189.5 > CLAMP: c Phi(c)
+        # with c clipped at CLAMP read g = 1.09 here, and g = 1.0 once
+        # clipped to [0, 1], against the set's mass 0.50039
+        stats = FirstOrderStats(0.87032516465545, -0.00812291973839589,
+                                0.001371036185774616)
+        r = 1.490478515625
+        dual = solve_dual(stats, r)
+        assert dual.variant is DualVariant.FULL and dual.c0 > 150.0
+        want = _quad_mass(dual.c0, dual.c1, math.log(-dual.c2), r)
+        assert abs(dual.bound - want) <= 1e-9
+
+
+class TestNeighbourDecidedEnds:
+    """A bracket end next to a FULL-solved one is decided without a solve."""
+
+    def test_bench_radii_pass_the_cold_recheck(self, monkeypatch):
+        # the bench checks p(R / sigma) >= 1/2 only: a top end decided
+        # wrongly would shorten a radius unseen.  Every uncapped radius of
+        # the seed-101 solve_grid pass is bisection's grid point below the
+        # root by cold solves too
+        suite = _bench_suite()
+        cfg = SmoothingConfig(suite.SIGMA, 152)
+        decided = {"top": 0, "bottom": 0}
+        orig_upper = certify._set_mass_bound
+        orig_shifted = certify._shifted_bound
+
+        def upper(*args):
+            value = orig_upper(*args)
+            decided["top"] += value < 0.5
+            return value
+
+        def shifted(*args):
+            value = orig_shifted(*args)
+            decided["bottom"] += value >= 0.5
+            return value
+
+        monkeypatch.setattr(certify, "_set_mass_bound", upper)
+        monkeypatch.setattr(certify, "_shifted_bound", shifted)
+        uncapped = 0
+        for stats in suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101):
+            res = directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
+            if res.capped:
+                continue
+            uncapped += 1
+            scaled = suite.RADIUS_TOL / cfg.sigma
+            if stats.m2 < M2_DEGENERATE:
+                scaled = min(scaled, 1e-9)
+            h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, scaled)
+            r = res.radius / cfg.sigma
+            assert (r / h).is_integer(), stats
+            assert lower_bound_probability(stats, r) >= 0.5, stats
+            assert lower_bound_probability(stats, r + h) < 0.5, stats
+        assert uncapped > 60
+        assert decided["top"] > 10 and decided["bottom"] > 5, decided
+
+    def test_neighbour_bounds_bracket_a_solve(self, monkeypatch):
+        # at a FULL solve's neighbours r +- h: its set's mass at r + h is
+        # at least the g of a solve there, and its multipliers' g at r - h,
+        # with lam2 held, at most that of a solve there (g is largest at
+        # the solution)
+        checked = {"up": 0, "down": 0}
+        for stats, r, dual, h in _seed_101_solves(monkeypatch):
+            if dual.variant is not DualVariant.FULL:
+                continue
+            k = round(r / h)
+            if (k + 1) * h <= R_CAP_DEFAULT:
+                solved = solve_dual(stats, (k + 1) * h)
+                upper = certify._set_mass_bound(dual, (k + 1) * h)
+                assert upper >= solved.bound - 1e-9, (stats, r)
+                checked["up"] += 1
+            if (k - 1) * h >= certify._R_SMOOTH_FLOOR:
+                solved = solve_dual(stats, (k - 1) * h)
+                if solved.variant is DualVariant.FULL:
+                    g = certify._shifted_bound(stats, dual, (k - 1) * h,
+                                               (2 * k - 1) * h * h / 2.0)
+                    assert g <= solved.bound + 1e-9, (stats, r)
+                    checked["down"] += 1
+        assert min(checked.values()) > 100, checked
 
 
 class TestIntervalScalarPath:
@@ -761,7 +939,8 @@ class TestDirectionalRadius:
         # each evaluation yields F and J from one grid, so a Newton step
         # costs only its line-search trials, and the Newton search over r
         # needs a few dual solves here (bisection needed 15 solves and 86
-        # evaluations); the radius is pinned exactly
+        # evaluations; reading p off a second grid, 4 and 17); the radius
+        # is pinned exactly
         calls = []
         solves = []
         orig = certify._dual_residual
@@ -779,8 +958,8 @@ class TestDirectionalRadius:
         monkeypatch.setattr(certify, "solve_dual", counted_solve)
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
-        assert 0 < len(calls) <= 40
-        assert 0 < len(solves) <= 5
+        assert 0 < len(calls) <= 14
+        assert 0 < len(solves) <= 3
         assert res.radius == 0.3076171875
 
     def test_one_interval_solve_per_radius(self, monkeypatch):
