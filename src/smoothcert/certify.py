@@ -27,7 +27,8 @@ enters, so results are those of the full integrands, bit for bit, without
 subnormal arithmetic.  One dual solve keeps one grid while c's crossings
 hold still: it is rebuilt only when c crosses zero a different number of
 times, or a crossing moves by more than its refinement width
-max(1/max(|c'|, 1), 1e-12), the finest panel beside it.  Either sign of
+max(1/max(|c'|, 1), 1e-12), the finest panel beside it; a warm-started
+solve starts on the grid of the solve it starts from.  Either sign of
 the solved slope coefficient c1 is accepted.  Only when no start of the
 full system converges is it re-solved without the directional constraint
 (``REDUCED_NO_SLOPE``), which is always conservative.  When m2 = 0 the
@@ -86,7 +87,6 @@ from .numerics import (
     panel_nodes,
     solve_system,
     std_normal_cdf,
-    std_normal_pdf,
     std_normal_quantile,
 )
 
@@ -329,7 +329,7 @@ def max_gradient_magnitude(q: float) -> float:
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return float(std_normal_pdf(std_normal_quantile(q)))
+    return _pdf(float(_sp.ndtri(q)))
 
 
 def check_feasible(stats: FirstOrderStats) -> bool:
@@ -358,7 +358,8 @@ def ensure_feasible(stats: FirstOrderStats) -> None:
 # ---------------------------------------------------------------------------
 
 
-# The interval's math runs on one float at a time.  Each helper calls the
+# The interval's math and ``max_gradient_magnitude`` run on one float at a
+# time, several times per probe.  Each helper calls the
 # ufunc behind its numerics counterpart (std_normal_cdf, std_normal_pdf,
 # std_normal_quantile) with the same +-CLAMP clip, so results are equal bit
 # for bit, without the array path's cost on every scalar.  math.exp and
@@ -392,6 +393,58 @@ def _upper_endpoint(q: float, w2: float) -> float:
     return _clip(float(_sp.ndtri(mass)))
 
 
+def _interval_gap(q: float, m1: float, w2: float) -> tuple[float, float]:
+    """The interval's gap phi(w2) - phi(w1) - m1, and w1 = Phi^-1(q + Phi(w2))."""
+    w1 = _upper_endpoint(q, w2)
+    return _pdf(w2) - _pdf(w1) - m1, w1
+
+
+# The interval's computed gap is within about 4e-15 of the true, increasing
+# one (``_solve_interval``): beyond this margin its sign holds past the point
+_GAP_MARGIN = 1e-13
+_BRACKET_STEPS = 12
+
+
+def _gap_bracket(q: float, m1: float, big_m: float,
+                 w2_max: float) -> tuple[float, float]:
+    """[a, b] within [-CLAMP, w2_max] around the root of the interval gap.
+
+    The computed gap(w2) = phi(w2) - phi(w1) - m1 is below -_GAP_MARGIN
+    at a unless a = -CLAMP, and above _GAP_MARGIN at b unless b = w2_max.
+    Safeguarded Newton, with slope phi(w2) (w1 - w2), starts at the root
+    for m1 = 0, Phi^-1((1 - q)/2), or for m1 < 0 at the w2 < 0 with
+    phi(w2) = M + m1 if that is further left: phi(w1) < M, so the root
+    lies left of both.  Each step aims twice the margin past the root, so
+    the iterates close in from both sides; one that leaves the bracket
+    bisects it.  It stops once the ends' gaps lie within 8 margins, or
+    after ``_BRACKET_STEPS`` evaluations.  gap >= -(M + m1), so where
+    M + m1 is within the margin no end below the root clears it, and the
+    whole range is returned.
+    """
+    a, b = -CLAMP, w2_max
+    if big_m + m1 <= _GAP_MARGIN:
+        return a, b
+    w2 = float(_sp.ndtri(0.5 * (1.0 - q)))
+    if m1 < 0.0:
+        w2 = min(w2, -math.sqrt(-2.0 * math.log((big_m + m1) / _INV_SQRT_2PI)))
+    gap_a, gap_b = -math.inf, math.inf
+    for _ in range(_BRACKET_STEPS):
+        gap, w1 = _interval_gap(q, m1, w2)
+        if gap < -_GAP_MARGIN:
+            a, gap_a = w2, gap
+        elif gap > _GAP_MARGIN:
+            b, gap_b = w2, gap
+        if gap_b - gap_a <= 8.0 * _GAP_MARGIN:
+            break
+        # aim below the root from above it, and from within the margin
+        # while no end below has been found; else aim above it
+        below = gap > _GAP_MARGIN or (gap >= -_GAP_MARGIN and gap_a == -math.inf)
+        target = -2.0 * _GAP_MARGIN if below else 2.0 * _GAP_MARGIN
+        w2_new = w2 + (target - gap) / (_pdf(w2) * (w1 - w2))
+        w2 = w2_new if a < w2_new < b else 0.5 * (a + b)
+    return a, b
+
+
 def _solve_interval(q: float, m1: float) -> tuple[float, float]:
     """Endpoints [w2, w1] of the m2 = 0 worst-case interval.
 
@@ -402,19 +455,34 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
     where rounding leaves no root below the bracket end (m1 within about
     1e-11 M of M), that end is returned, whose moment lies below m1 and so
     is the weaker constraint.
+
+    A Newton search first brackets the root in [a, b] (``_gap_bracket``),
+    and ``bisect_root`` then runs on [-CLAMP, w2_max] with its usual
+    tolerance and midpoints, evaluating the gap only inside [a, b].  Outside,
+    its sign is known: rounding w1's mass q + Phi(w2) by about 1e-16 moves
+    phi(w1) by about 1e-16 |w1|, so the computed gap is within about
+    1e-16 max(1, |w1|) <= 4e-15 of the true, increasing one, far inside the
+    margin 1e-13 by which it clears zero at a and b.  So w2 is the plain
+    bisection's, bit for bit.
     """
     big_m = max_gradient_magnitude(q)
     if m1 <= -big_m * (1.0 - 1e-12):
         return -CLAMP, _upper_endpoint(q, -CLAMP)
     if m1 >= big_m:
         return float(std_normal_quantile(1.0 - q)), CLAMP
+    w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
+    gap_max, w1 = _interval_gap(q, m1, w2_max)
+    if gap_max <= 0.0:
+        return w2_max, w1
+    a, b = _gap_bracket(q, m1, big_m, w2_max)
 
     def gap(w2: float) -> float:
-        return _pdf(w2) - _pdf(_upper_endpoint(q, w2)) - m1
+        if w2 < a:
+            return -1.0
+        if w2 > b:
+            return 1.0
+        return _interval_gap(q, m1, w2)[0]
 
-    w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
-    if gap(w2_max) <= 0.0:
-        return w2_max, _upper_endpoint(q, w2_max)
     w2 = bisect_root(gap, -CLAMP, w2_max, tol=1e-13)
     return w2, _upper_endpoint(q, w2)
 
@@ -623,13 +691,21 @@ class _HeldGrid:
 
     ``roots``, ``x`` and ``base`` = w phi(x) are the grid, graded around
     the crossings ``roots``; ``e``, ``cdf_c`` and ``residual`` are
-    e^{u + r x}, Phi(c(x)) and F of the last ``_dual_residual`` call.
+    e^{u + r x}, Phi(c(x)) and F of the last ``_dual_residual`` call,
+    ``rows`` its dF/dc per node and ``jac`` its J, from which
+    ``_tangent_start`` reads the solution's slope in r.  The grid's arrays
+    may be shared read-only with a neighbouring solve's store
+    (``carried``): a store only ever rebinds its slots to new arrays.
     """
 
-    __slots__ = ("roots", "x", "base", "e", "cdf_c", "residual")
+    __slots__ = ("roots", "x", "base", "e", "cdf_c", "residual", "rows", "jac")
 
     def __init__(self, roots=None, x=None, base=None) -> None:
         self.roots, self.x, self.base = roots, x, base
+
+    def carried(self) -> "_HeldGrid":
+        """A new store on this grid, its arrays shared, with no integrands."""
+        return _HeldGrid(self.roots, self.x, self.base)
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
@@ -652,8 +728,9 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     while c crosses zero as often and each crossing stays within its
     refinement width of the held one (``_roots_hold``); otherwise a new
     grid is built and held.  ``held`` also keeps this call's e^{u + r x},
-    Phi(c) and F, from which ``_dual_bound`` reads g.  Without ``held``
-    every call builds its grid.
+    Phi(c), F, dF/dc and J, from which ``_dual_bound`` reads g and
+    ``_tangent_start`` the solution's slope in r.  Without ``held`` every
+    call builds its grid.
     """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
@@ -699,9 +776,10 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         f = np.array([eq_q, eq_m2, eq_m1])
     else:
         f = np.array([eq_q, eq_m2])
+    jac = rows @ cols
     if held is not None:
-        held.e, held.cdf_c, held.residual = e, cdf_c, f
-    return f, rows @ cols
+        held.e, held.cdf_c, held.residual, held.rows, held.jac = e, cdf_c, f, rows, jac
+    return f, jac
 
 
 def _dual_bound(held: _HeldGrid, c0: float, c1: float, u: float, r: float
@@ -741,16 +819,19 @@ def _dual_bound(held: _HeldGrid, c0: float, c1: float, u: float, r: float
 
 
 def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
-                       init: tuple[float, ...]) -> tuple[np.ndarray, _HeldGrid]:
+                       init: tuple[float, ...], grid: Optional[_HeldGrid] = None
+                       ) -> tuple[np.ndarray, _HeldGrid]:
     """``solve_system`` on the dual from ``init``, with one grid store.
 
     The residual it solves holds the last grid it built, for this solve
     alone: no state outlives the call or is shared between threads.  The
-    store is returned with the solution: ``solve_system`` returns the
-    point of its last evaluation, so the store's integrands are the
-    solution's.
+    store starts on ``grid``'s grid when given (a neighbouring solve's,
+    whose arrays it only reads; ``_roots_hold`` decides whether it serves)
+    and on none otherwise.  The store is returned with the solution:
+    ``solve_system`` returns the point of its last evaluation, so the
+    store's integrands are the solution's.
     """
-    held = _HeldGrid()
+    held = _HeldGrid() if grid is None else grid.carried()
     theta = solve_system(lambda th: _dual_residual(th, stats, r, full, held), init)
     return theta, held
 
@@ -864,6 +945,40 @@ def _capped(stats: FirstOrderStats) -> FirstOrderStats:
     return replace(stats, m2=m2_cap) if stats.m2 > m2_cap else stats
 
 
+# A warm start's tangent step is cut to this share of max(1, |theta'|) in
+# the max norm: near the perpendicular boundary the solution path bends
+# within a longer step, which then starts Newton outside its basin
+_TANGENT_TRUST = 0.25
+
+
+def _tangent_start(warm: DualSolution, r: float) -> tuple[float, float, float]:
+    """The FULL solution ``warm`` at r' moved toward r along its tangent.
+
+    Along the solution path F(theta(r), r) = 0, so dtheta/dr = -J^-1 dF/dr,
+    with dF/dr = dF/dc . dc/dr and dc/dr = -x e^{u + r x} (0 where the
+    exponent is capped, which dF/dc already masks), both read off the
+    solve's last residual evaluation on its grid.  The start is
+    theta' + (r - r') dtheta/dr, the step cut to ``_TANGENT_TRUST``
+    max(1, |theta'|) in the max norm, or theta' itself where J is singular
+    or the step is not finite.
+    """
+    theta = (warm.c0, warm.c1, math.log(-warm.c2))
+    held = warm.grid
+    if held is None:
+        return theta
+    try:
+        slope = np.linalg.solve(held.jac, held.rows @ (held.x * held.e))
+    except np.linalg.LinAlgError:
+        return theta
+    step = [(r - warm.travel_scale) * d for d in slope.tolist()]
+    if not all(map(math.isfinite, step)):
+        return theta
+    size = max(map(abs, step))
+    limit = _TANGENT_TRUST * max(1.0, *map(abs, theta))
+    scale = limit / size if size > limit else 1.0
+    return tuple(t + scale * d for t, d in zip(theta, step))
+
+
 def solve_dual(stats: FirstOrderStats, r: float,
                warm: Optional[DualSolution] = None, *,
                interval: Optional[tuple[float, float]] = None) -> DualSolution:
@@ -878,7 +993,10 @@ def solve_dual(stats: FirstOrderStats, r: float,
     Newton starts from, in order:
 
     1. ``warm``, when it is a FULL solution (in a radius search, that of
-       the nearest travel distance already solved);
+       the nearest travel distance already solved), moved to r along its
+       tangent (``_tangent_start``), on a copy of its grid: the solve
+       shares the grid's arrays read-only, keeps it while c's crossings
+       hold still, and leaves ``warm``'s own store as it was;
     2. the m2 = 0 interval with its edges softened to m2.  ``interval``
        must be that interval of (stats.q, stats.m1), as
        ``_solve_interval`` returns it; a radius search solves it once and
@@ -903,20 +1021,16 @@ def solve_dual(stats: FirstOrderStats, r: float,
     ensure_feasible(stats)
     stats = _capped(stats)
 
-    warm_full: Optional[tuple[float, float, float]] = None
-    if warm is not None and warm.variant is DualVariant.FULL:
-        warm_full = (warm.c0, warm.c1, math.log(-warm.c2))
-
-    def try_full(init: tuple[float, float, float]
+    def try_full(init: tuple[float, float, float], grid: Optional[_HeldGrid] = None
                  ) -> Optional[tuple[np.ndarray, _HeldGrid]]:
         try:
-            return _solve_dual_system(stats, r, True, init)
+            return _solve_dual_system(stats, r, True, init, grid)
         except NoConvergenceError:
             return None
 
     full_sol = None
-    if warm_full is not None:
-        full_sol = try_full(warm_full)
+    if warm is not None and warm.variant is DualVariant.FULL:
+        full_sol = try_full(_tangent_start(warm, r), warm.grid)
     if full_sol is None:
         if interval is None:
             interval = _solve_interval(stats.q, stats.m1)
@@ -1003,7 +1117,7 @@ def _shifted_bound(stats: FirstOrderStats, dual: DualSolution, r: float,
     bound by weak duality (``_dual_bound``).  The solve's grid serves if
     c's crossings hold still, and is copied, never changed.
     """
-    held = _HeldGrid(dual.grid.roots, dual.grid.x, dual.grid.base)
+    held = dual.grid.carried()
     u = math.log(-dual.c2) + shift
     _dual_residual(np.array([dual.c0, dual.c1, u]), _capped(stats), r, True, held)
     return _dual_bound(held, dual.c0, dual.c1, u, r)[0]
@@ -1095,7 +1209,8 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     Phi^-1(q).  The slope is the larger term's: the exact one of p_int, or
     dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx of a FULL dual, its
     multipliers held; a reduced dual has none.  Each solve is warm-started
-    from the nearest r already solved.
+    from the nearest r already solved, moved along its tangent in r, on
+    its grid (``solve_dual``).
 
     A probe k next to a FULL-solved index is first decided from that
     solve, which closes the bracket without a solve at k: it is the top

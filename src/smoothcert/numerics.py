@@ -116,36 +116,42 @@ def solve_system(
     Raises NoConvergenceError at a singular Jacobian, at a line search that
     reaches DAMPING_FLOOR without lowering the 2-norm, and unless the
     residual max-norm reaches RESIDUAL_TOLERANCE within MAX_ITERATIONS steps.
+    A non-finite entry anywhere in the first F or in a step raises too; a
+    trial with one has a non-finite 2-norm and is never accepted.  The norms
+    are taken on Python floats: the 2-norm is sqrt(F . F), as
+    ``np.linalg.norm`` forms it, and every entry is checked, since
+    ``max`` skips a nan that is not first.
     """
     x = np.atleast_1d(np.asarray(initial, dtype=float)).copy()
     f, jac = _evaluate(residual, x)
     if f.size != x.size:
         raise DomainError(f"residual dimension {f.size} != unknown dimension {x.size}")
-    norm = float(np.max(np.abs(f)))
-    merit = float(np.linalg.norm(f))
+    values = f.tolist()
+    if not all(map(math.isfinite, values)):
+        raise NoConvergenceError("residual became non-finite", float(np.max(np.abs(f))))
+    norm = max(map(abs, values))
+    merit = math.sqrt(float(f.dot(f)))
     for _ in range(MAX_ITERATIONS):
-        if not np.isfinite(norm):
-            raise NoConvergenceError("residual became non-finite", norm)
         if norm <= RESIDUAL_TOLERANCE:
             return x
         try:
             step = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
             raise NoConvergenceError("singular Jacobian", norm) from None
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step.tolist())):
             raise NoConvergenceError("Newton step became non-finite", norm)
         alpha = 1.0
         while alpha >= DAMPING_FLOOR:
             trial = x + alpha * step
             f_trial, jac_trial = _evaluate(residual, trial)
-            trial_merit = float(np.linalg.norm(f_trial))
-            if np.isfinite(trial_merit) and trial_merit < merit:
+            trial_merit = math.sqrt(float(f_trial.dot(f_trial)))
+            if trial_merit < merit:  # false for a nan or an infinite merit
                 break
             alpha *= 0.5
         else:
             raise NoConvergenceError("damped Newton stalled", norm)
         x, f, jac = trial, f_trial, jac_trial
-        norm = float(np.max(np.abs(f)))
+        norm = max(map(abs, f.tolist()))
         merit = trial_merit
     if norm <= RESIDUAL_TOLERANCE:
         return x
@@ -180,11 +186,14 @@ def bisect_root(
     Runs a fixed iteration count derived from tol (``bisection_steps``),
     which keeps results deterministic and monotone under pointwise-ordered
     objective families.  Returns the final bracket's end on the side of lo,
-    within tol/2 of the root, where f keeps the sign of f(lo).  Radii are
-    found on this grid by a Newton search (``certify._grid_search``); this
-    function solves the m2 = 0 interval's endpoints, once per radius.
-    Raises ``NumericalError`` where f is not finite at an end or a midpoint,
-    since a nan has no sign to steer by.
+    within tol/2 of the root, where f keeps the sign of f(lo).  Only the
+    sign of f and its exact zeros steer it, so where the sign is known f
+    may return any value of that sign.  Radii are found on this grid by a
+    Newton search (``certify._grid_search``); this function solves the
+    m2 = 0 interval's endpoints, once per radius, on a gap evaluated only
+    inside a Newton bracket (``certify._solve_interval``).  Raises
+    ``NumericalError`` where f is not finite at an end or a midpoint, since
+    a nan has no sign to steer by.
     """
     if not (lo < hi):
         raise DomainError(f"need lo < hi, got [{lo}, {hi}]")

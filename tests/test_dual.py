@@ -1,5 +1,6 @@
 """Worst-case dual solver: spec examples, invariants, and oracle agreement."""
 
+import hashlib
 import importlib.util
 import math
 import os
@@ -227,6 +228,42 @@ class TestSolveDual:
         assert len(calls) == 2
         assert (dual.c0, dual.c1, dual.c2) == (4.348574752892095, 0.0,
                                                -2.0591584841381736)
+
+    def test_tangent_start_is_second_order(self):
+        # a small step along the tangent lands far closer to the solution
+        # at r + dr than the solution at r does
+        stats = FirstOrderStats(0.8, -0.1, 0.2)
+        warm = solve_dual(stats, 1.0)
+        theta = np.array([warm.c0, warm.c1, math.log(-warm.c2)])
+        for dr in (0.01, -0.01):
+            target = solve_dual(stats, 1.0 + dr)
+            want = np.array([target.c0, target.c1, math.log(-target.c2)])
+            start = np.array(certify._tangent_start(warm, 1.0 + dr))
+            assert np.max(np.abs(start - want)) < 0.05 * np.max(np.abs(theta - want))
+
+    def test_tangent_step_is_cut_where_the_path_bends(self, monkeypatch):
+        # c9 l1 stats near the perpendicular boundary (m2 = 0.935 M): from
+        # r = 223 h to 284 h the uncut tangent started Newton 138 residual
+        # evaluations from the solution, theta' itself 26, the cut step 12
+        stats = FirstOrderStats(0.5455545491554527, -0.11371447174974418,
+                                0.3707417778719487)
+        h = R_CAP_DEFAULT / 8192
+        warm = solve_dual(stats, 223 * h)
+        theta = (warm.c0, warm.c1, math.log(-warm.c2))
+        start = certify._tangent_start(warm, 284 * h)
+        step = max(abs(a - b) for a, b in zip(start, theta))
+        assert step == pytest.approx(certify._TANGENT_TRUST * max(map(abs, theta)))
+        calls = []
+        orig = certify._dual_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "_dual_residual", counted)
+        dual = solve_dual(stats, 284 * h, warm=warm)
+        assert dual.variant is DualVariant.FULL and len(calls) <= 15
+        assert dual.bound == pytest.approx(solve_dual(stats, 284 * h).bound, abs=1e-9)
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleStatsError):
@@ -555,7 +592,49 @@ class TestHeldGrid:
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
         assert res.radius == 0.3076171875
-        assert 0 < counts["grids"] < counts["residuals"]
+        # the later solves start on the first solve's grid, which holds
+        assert counts["grids"] == 1 and counts["residuals"] <= 12
+
+    def test_neighbour_store_is_read_only(self, monkeypatch):
+        # a warm solve starts on a copy of its neighbour's store: the grid
+        # arrays are shared, never written.  After each seed-101 search,
+        # every dual it kept still holds its own grid bytes and integrands
+        # (_set_mass_bound reads them), and reproduces its bound on a copy
+        # of its grid (_shifted_bound re-evaluates there)
+        suite = _bench_suite()
+        cfg = SmoothingConfig(suite.SIGMA, 152)
+        orig = certify.solve_dual
+        kept = []
+
+        def recorded(stats, r, *args, **kwargs):
+            dual = orig(stats, r, *args, **kwargs)
+            grid = dual.grid
+            kept.append((certify._capped(stats), dual, grid.x.tobytes(),
+                         grid.base.tobytes(), grid.residual.tobytes()))
+            return dual
+
+        monkeypatch.setattr(certify, "solve_dual", recorded)
+        checked = warm = 0
+        for stats in suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101):
+            kept.clear()
+            directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
+            for capped, dual, x, base, residual in kept:
+                if dual.variant is not DualVariant.FULL:
+                    continue
+                grid, r = dual.grid, dual.travel_scale
+                assert (grid.x.tobytes(), grid.base.tobytes(),
+                        grid.residual.tobytes()) == (x, base, residual), stats
+                theta = (dual.c0, dual.c1, math.log(-dual.c2))
+                own = certify._dual_bound(grid, *theta, r)[0]
+                copy = grid.carried()
+                _dual_residual(np.array(theta), capped, r, True, copy)
+                again = certify._dual_bound(copy, *theta, r)[0]
+                assert own == pytest.approx(dual.bound, rel=1e-12, abs=1e-15), stats
+                assert again == pytest.approx(dual.bound, rel=1e-12, abs=1e-15), stats
+                checked += 1
+            warm += sum(a[1].grid.x is b[1].grid.x for a, b in zip(kept, kept[1:]))
+        # most warm solves keep their neighbour's grid
+        assert checked > 100 and warm > 40, (checked, warm)
 
     def test_converged_solves_meet_tolerance_on_fresh_grids(self, monkeypatch):
         # every solve of the bench's solve_grid pass (seed 101) converges
@@ -766,6 +845,36 @@ class TestNeighbourDecidedEnds:
         assert min(checked.values()) > 100, checked
 
 
+# sha256 of the solve_grid workload's output (q, m1, m2, the radius and its
+# capped and fallback_used flags, for each of its 72 radii) at seeds 101 and
+# 1-10, pinned when the interval's Newton bracket and the tangent warm start
+# were added: a solver change that moves one radius or flag there moves one
+SOLVE_GRID_SHA256 = {
+    101: "471a98c06341d567ab22729548d4141ac90f5d624cb01fa8beebbb3fee574a28",
+    1: "a4b4fdbf15242868b88646ac6b9aabd5eb1f0dbbdbf375d323ab7e34f36dbb50",
+    2: "19fb910d83e35e6e1c2ec11df541d466339e302ef08ccc87aecf79063b371155",
+    3: "79a82d4bb33290c2fb26fec885631ab946b74444a7c92c5683f0cf62a72128ab",
+    4: "8158d94847178f58e3445583e4ab5a8376294c9cd35363b9a831c68aef87acc6",
+    5: "976cff2fe9f05f4edfd5955c0212271908738f0532c866300e40e47bc0358f79",
+    6: "ed1fca2a21625d3bad653a25aeaaf6a6f65471bbc544f673426466dfdb5cd880",
+    7: "1db0d2ee71edd47913624ca66c9d11d91bea4811330a425eb2667602d72746a9",
+    8: "d19e362577ea2ed563f1c7374b97f50ba92f1dfd3077e5fc136cdbce59728f4c",
+    9: "e44e924a8c186ed431c8697a829dbde6cc87c06b2fae280f9b0c9e8a45f10977",
+    10: "0a6e31b6cef7bb146e6138eb25420e8e5d40f29dbc1ef75b4eedf97554f299c5",
+}
+
+
+def test_solve_grid_outputs_are_pinned(tmp_path):
+    suite = _bench_suite()
+    shape = suite.SHAPES["full"]["solve_grid"]
+    got = {}
+    for seed in SOLVE_GRID_SHA256:
+        work = suite.GridWorkload("solve_grid", shape, seed, str(tmp_path))
+        work.run_pass()
+        got[seed] = hashlib.sha256(work.output()).hexdigest()
+    assert got == SOLVE_GRID_SHA256
+
+
 class TestIntervalScalarPath:
     # the interval's scalar helpers against the vectorised numerics forms
     # they replace, compared with ==: they must agree bit for bit, beyond
@@ -823,6 +932,74 @@ class TestIntervalScalarPath:
                 want = (float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r)),
                         float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r)))
                 assert _interval_probability(w2, w1, r) == want, (w2, w1, r)
+
+    @staticmethod
+    def plain_interval(q, m1):
+        """``_solve_interval`` as one 51-step bisection of the gap over
+        [-CLAMP, w2_max], with no Newton bracket."""
+        big_m = max_gradient_magnitude(q)
+        if m1 <= -big_m * (1.0 - 1e-12):
+            return -CLAMP, certify._upper_endpoint(q, -CLAMP)
+        if m1 >= big_m:
+            return float(std_normal_quantile(1.0 - q)), CLAMP
+
+        def gap(w2):
+            return certify._pdf(w2) - certify._pdf(certify._upper_endpoint(q, w2)) - m1
+
+        w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
+        w2 = w2_max if gap(w2_max) <= 0.0 else bisect_root(gap, -CLAMP, w2_max,
+                                                          tol=1e-13)
+        return w2, certify._upper_endpoint(q, w2)
+
+    def test_newton_bracket_keeps_the_bisection_bits(self, monkeypatch):
+        # the Newton bracket only spares the bisection's evaluations outside
+        # it: w2 and w1 equal the plain bisection's on 2,500 seeded (q, m1),
+        # with q within 1e-6 of 1/2 and 1e-9 of 1, and m1 within 1e-12 M of
+        # -M (the margin's edge) and near 0, in at most half the gap
+        # evaluations (one _upper_endpoint call each)
+        calls = [0]
+        orig = certify._upper_endpoint
+
+        def counted(q, w2):
+            calls[0] += 1
+            return orig(q, w2)
+
+        monkeypatch.setattr(certify, "_upper_endpoint", counted)
+        gen = np.random.default_rng(22)
+        plain = newton = 0
+        for i in range(2500):
+            kind = i % 5
+            if kind == 0:
+                q = 0.5 + float(gen.uniform(0.0, 1e-6))
+            elif kind == 1:
+                q = 1.0 - 10.0 ** float(gen.uniform(-9.0, -1.0))
+            else:
+                q = float(gen.uniform(0.5, 1.0))
+            big_m = max_gradient_magnitude(q)
+            if kind == 2:
+                m1 = -big_m * (1.0 - 10.0 ** float(gen.uniform(-13.0, -3.0)))
+            elif kind == 3:
+                m1 = big_m * float(gen.uniform(-1e-3, 1e-3))
+            else:
+                m1 = big_m * float(gen.uniform(-1.0, 1.0))
+            calls[0] = 0
+            want = self.plain_interval(q, m1)
+            plain += calls[0]
+            calls[0] = 0
+            assert _solve_interval(q, m1) == want, (q, m1)
+            newton += calls[0]
+        assert newton < plain / 2, (newton / 2500, plain / 2500)
+
+    def test_max_gradient_magnitude(self):
+        # the scalar form against the array path it replaces, bit for bit,
+        # over both tails of q
+        qs = np.concatenate([10.0 ** -np.linspace(1.0, 300.0, 150),
+                             np.linspace(0.001, 0.999, 501),
+                             1.0 - 10.0 ** -np.linspace(1.0, 16.0, 76),
+                             [0.5, 5e-324, np.nextafter(1.0, 0.0)]]).tolist()
+        for q in qs:
+            assert max_gradient_magnitude(q) == float(
+                std_normal_pdf(std_normal_quantile(q))), q
 
 
 class TestProbabilitySlope:
@@ -958,7 +1135,7 @@ class TestDirectionalRadius:
         monkeypatch.setattr(certify, "solve_dual", counted_solve)
         res = directional_radius(FirstOrderStats(0.8, -0.1, 0.2),
                                  SmoothingConfig(0.25, 152), tol=1e-3)
-        assert 0 < len(calls) <= 14
+        assert 0 < len(calls) <= 12
         assert 0 < len(solves) <= 3
         assert res.radius == 0.3076171875
 

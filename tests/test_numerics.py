@@ -169,6 +169,35 @@ class TestSolveSystem:
         assert len(evaluated) == 1 + halvings + 1
         assert evaluated == [0.0] + [-3.0 * 0.5 ** k for k in range(halvings + 1)]
 
+    def test_nan_past_the_first_entry_raises(self):
+        # the norms are taken on Python floats, whose max() skips a nan
+        # that is not first: a nan in the second entry of the first F or of
+        # every line-search trial must still fail the solve, as must a nan
+        # step (LAPACK spreads a nan in J to every entry of the step)
+        def nan_at_start(v):
+            return [v[0] - 1.0, math.nan], np.eye(2)
+
+        with pytest.raises(NoConvergenceError, match="residual became non-finite"):
+            solve_system(nan_at_start, [0.0, 0.0])
+
+        evaluated = []
+
+        def nan_in_trials(v):
+            evaluated.append(v.tolist())
+            second = v[1] - 1.0 if len(evaluated) == 1 else math.nan
+            return [v[0] - 1.0, second], np.eye(2)
+
+        with pytest.raises(NoConvergenceError, match="stalled") as err:
+            solve_system(nan_in_trials, [0.0, 0.0])
+        assert err.value.residual_norm == 1.0
+        assert len(evaluated) == 2 + round(math.log2(1.0 / DAMPING_FLOOR))
+
+        def nan_step(v):
+            return [v[0] - 1.0, v[1] - 1.0], [[1.0, 0.0], [0.0, math.nan]]
+
+        with pytest.raises(NoConvergenceError, match="step became non-finite"):
+            solve_system(nan_step, [0.0, 0.0])
+
 
 class TestBisect:
     def test_linear(self):
