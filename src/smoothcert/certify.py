@@ -18,6 +18,8 @@ the worst case at any multipliers, and at a solution the set's mass
 p(r) = integral phi(x - r) Phi(c(x)) dx (``_dual_bound``).  The
 constraints sit at r = 0, so its slope with the multipliers held is
 dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx, read off the same grid.
+So is the set's own mass under N(r, 1) at any r (``_grid_mass``): every
+integral of a solved set is read off the grid its solve built.
 g bounds the problem with m1 as an equality; with q as a lower bound
 only where c0 >= 0, and with m1 as a lower bound only where c1 >= 0.
 The integrals run on Gauss-Legendre panels graded around
@@ -47,8 +49,8 @@ travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
 Dropping the m2 constraint can only lower the minimum, so the interval's
 closed-form p_int(r) is a proven lower bound at every r.  One rule gives
 the worst-case probability wherever it is needed (``_worst_case``):
-p = max(p_int, g), and p_int alone below the smooth floor, for m2 = 0,
-and where no dual converges.
+p = max(p_int, g), and p_int alone below the smooth floor, near q = 1/2,
+for m2 = 0, and where no dual converges.
 
 A radius is the last point of bisection's grid of travel distances where
 p(r) >= 1/2.  One safeguarded Newton search with that slope finds every
@@ -497,16 +499,6 @@ def _interval_probability(w2: float, w1: float, r: float) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-def _c_values(x: np.ndarray, c0: float, c1: float, u: float, r: float
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """c(x) = c0 + c1 x - e^{u + r x}, clamped for downstream Phi/phi.
-
-    Also returns the term e^{u + r x}, its exponent capped at 700.
-    """
-    e = np.exp(np.minimum(u + r * x, 700.0))
-    return np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP), e
-
-
 def _c_slope(x: float, c1: float, u: float, r: float) -> float:
     t = min(u + r * x, 700.0)
     return c1 - r * math.exp(t)
@@ -655,22 +647,13 @@ def _graded_edges(lo: float, hi: float,
     return edges
 
 
-def _dual_grid(c0: float, c1: float, u: float, r: float,
-               lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    roots = _c_roots(c0, c1, u, r, lo, hi)
-    return panel_nodes(_graded_edges(lo, hi, roots))
-
-
 def _tail_cdf(c: np.ndarray) -> np.ndarray:
     """Phi(c), exactly 0 where c <= -_TAIL; nan stays nan.
 
-    Only the nodes above -_TAIL are evaluated.  c is clipped at CLAMP, so
-    ``std_normal_cdf``'s clip would be idle there.
+    Those nodes take ndtr(-40), which is exactly 0.  c is clipped at CLAMP,
+    so ``std_normal_cdf``'s clip would be idle there.
     """
-    out = np.zeros_like(c)
-    live = ~(c <= -_TAIL)
-    out[live] = _sp.ndtr(c[live])
-    return out
+    return _sp.ndtr(np.where(c <= -_TAIL, -40.0, c))
 
 
 def _tail_pdf(c: np.ndarray) -> np.ndarray:
@@ -709,8 +692,7 @@ class _HeldGrid:
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
-                   full: bool, held: Optional[_HeldGrid] = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   full: bool, held: _HeldGrid) -> tuple[np.ndarray, np.ndarray]:
     """Dual equations F(theta) and their Jacobian dF/dtheta, from one grid.
 
     theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
@@ -727,10 +709,10 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     store (``_solve_dual_system``), keeps the last grid built: it serves
     while c crosses zero as often and each crossing stays within its
     refinement width of the held one (``_roots_hold``); otherwise a new
-    grid is built and held.  ``held`` also keeps this call's e^{u + r x},
-    Phi(c), F, dF/dc and J, from which ``_dual_bound`` reads g and
-    ``_tangent_start`` the solution's slope in r.  Without ``held`` every
-    call builds its grid.
+    grid is built and held, as it is on an empty store.  ``held`` also
+    keeps this call's e^{u + r x}, Phi(c), F, dF/dc and J, from which
+    ``_dual_bound`` reads g, ``_grid_mass`` the set's mass and
+    ``_tangent_start`` the solution's slope in r.
     """
     if full:
         c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
@@ -741,20 +723,18 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         c0, c1, u = math.exp(min(v, 700.0)), 0.0, float(theta[1])
         dc0 = c0 if v < 700.0 else 0.0
     lo, hi = -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH
-    if held is not None and held.x is not None and _roots_hold(
-            held.roots, c0, c1, u, r, lo, hi):
-        x, base = held.x, held.base
-    else:
+    if held.x is None or not _roots_hold(held.roots, c0, c1, u, r, lo, hi):
         roots = _c_roots(c0, c1, u, r, lo, hi)
         x, w = panel_nodes(_graded_edges(lo, hi, roots))
         # phi(x) as std_normal_pdf gives it, whose clip at +-CLAMP is idle
         # on nodes within +-12
         base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
-        if held is not None:
-            held.roots, held.x, held.base = roots, x, base
+        held.roots, held.x, held.base = roots, x, base
+    x, base = held.x, held.base
     t = u + r * x
     e = np.exp(np.minimum(t, 700.0))
-    c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)  # as _c_values
+    # c clamped for Phi and phi below, the exponent capped at 700
+    c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
     phi_c = _tail_pdf(c)
     cdf_c = _tail_cdf(c)
     eq_q = float(base @ cdf_c) - stats.q
@@ -777,8 +757,7 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     else:
         f = np.array([eq_q, eq_m2])
     jac = rows @ cols
-    if held is not None:
-        held.e, held.cdf_c, held.residual, held.rows, held.jac = e, cdf_c, f, rows, jac
+    held.e, held.cdf_c, held.residual, held.rows, held.jac = e, cdf_c, f, rows, jac
     return f, jac
 
 
@@ -836,25 +815,6 @@ def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
     return theta, held
 
 
-def _probability_from_coeffs(c0: float, c1: float, u: float, r: float
-                             ) -> tuple[float, float]:
-    """p(r) = integral phi(x - r) Phi(c(x)) dx and dp/dr on one grid.
-
-    The constraints sit at r = 0, so by the envelope theorem only the
-    objective's density moves with r: dp/dr = integral (x - r) phi(x - r)
-    Phi(c(x)) dx at the solved c.  Phi(c) is 0 where c <= -_TAIL, below the
-    rounding unit of either sum, as in ``_dual_residual``.
-    """
-    lo, hi = r - _DOMAIN_HALF_WIDTH, r + _DOMAIN_HALF_WIDTH
-    x, w = _dual_grid(c0, c1, u, r, lo, hi)
-    c, _ = _c_values(x, c0, c1, u, r)
-    z = x - r
-    density = w * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))  # |z| <= 12, as above
-    cdf_c = _tail_cdf(c)
-    p = float(density @ cdf_c)
-    return min(max(p, 0.0), 1.0), float((density * z) @ cdf_c)
-
-
 def _reduced_init(stats: FirstOrderStats, r: float) -> tuple[float, float]:
     """Closed-form start: linearize c around its crossing and match (q, m2)."""
     w0 = float(std_normal_quantile(stats.q))
@@ -904,29 +864,16 @@ def _soft_interval_init(stats: FirstOrderStats, r: float,
     return c0, c1, u
 
 
-def _reduced_dual(stats: FirstOrderStats, r: float,
-                  warm: Optional[DualSolution] = None) -> DualSolution:
+def _reduced_dual(stats: FirstOrderStats, r: float) -> DualSolution:
     """The two-equation dual, which drops the directional constraint.
 
     A minimum over fewer constraints is no larger, so the bound is always
-    conservative; ``solve_dual`` falls back to it.  ``warm``, when it is a
-    reduced solution, is tried before the cold start.
+    conservative; ``solve_dual`` falls back to it.  It starts cold from
+    ``_reduced_init``.
     """
-    inits = []
-    if (warm is not None and warm.variant is DualVariant.REDUCED_NO_SLOPE
-            and warm.c0 > 0.0):
-        inits.append((math.log(warm.c0), math.log(-warm.c2)))
-    inits.append(_reduced_init(stats, r))
-    last: Optional[NoConvergenceError] = None
-    for init in inits:
-        try:
-            sol, held = _solve_dual_system(stats, r, False, init)
-        except NoConvergenceError as err:
-            last = err
-            continue
-        c0, u = math.exp(min(float(sol[0]), 700.0)), float(sol[1])
-        return _solution(c0, 0.0, u, DualVariant.REDUCED_NO_SLOPE, r, held)
-    raise last  # type: ignore[misc]
+    sol, held = _solve_dual_system(stats, r, False, _reduced_init(stats, r))
+    c0, u = math.exp(min(float(sol[0]), 700.0)), float(sol[1])
+    return _solution(c0, 0.0, u, DualVariant.REDUCED_NO_SLOPE, r, held)
 
 
 def _solution(c0: float, c1: float, u: float, variant: DualVariant, r: float,
@@ -1039,7 +986,7 @@ def solve_dual(stats: FirstOrderStats, r: float,
             full_sol = try_full(soft)
     if full_sol is None:
         # conservative fallback: the two-equation bound is valid regardless
-        return _reduced_dual(stats, r, warm)
+        return _reduced_dual(stats, r)
 
     sol, held = full_sol
     return _solution(float(sol[0]), float(sol[1]), float(sol[2]), DualVariant.FULL,
@@ -1049,16 +996,20 @@ def solve_dual(stats: FirstOrderStats, r: float,
 def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
     """The primal mass of the dual's set under N(r, 1), and its dp/dr.
 
-    This is the set's own probability at the dual's travel distance r, on
-    a grid of its own over [r - 12, r + 12]: the quantity a Monte-Carlo
-    re-run of the set estimates.  It is the worst case only to the extent
-    that the set meets the constraints.  Radii rest instead on
-    ``dual.bound``, the dual function g at the solve's multipliers, a lower
-    bound by weak duality; at a converged solve the two agree to within
-    the residual.  The slope holds the set fixed (envelope theorem).
+    This is the set's own probability at the dual's travel distance r, the
+    quantity a Monte-Carlo re-run of the set estimates, read off the
+    solve's own grid by the sum the radius search bounds with
+    (``_grid_mass``).  That grid ends at x = 12, so it misses at most
+    Phi(r - 12) of N(r, 1), below 1e-19 for r <= 3.  It is the worst case
+    only to the extent that the set meets the constraints.  Radii rest
+    instead on ``dual.bound``, the dual function g at the solve's
+    multipliers, a lower bound by weak duality; at a converged solve the
+    two agree to within the residual.  The slope is ``dual.bound_slope``,
+    the search's: dp/dr with the set held fixed (envelope theorem).
     """
-    return _probability_from_coeffs(dual.c0, dual.c1, math.log(-dual.c2),
-                                    dual.travel_scale)
+    if dual.grid is None:
+        raise DomainError("probability_from_dual needs a solved dual, which holds its grid")
+    return _grid_mass(dual.grid, dual.travel_scale), dual.bound_slope
 
 
 def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
@@ -1069,8 +1020,9 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
     ``interval`` is ``_solve_interval(stats.q, stats.m1)``.  Dropping the m2
     constraint can only lower the minimum, so the interval's closed-form
     p_int(r) = Phi(w1 - r) - Phi(w2 - r) is a lower bound at every r > 0.
-    Below ``_R_SMOOTH_FLOOR``, where the exponential basis degenerates, or
-    for m2 below ``M2_DEGENERATE``, p_int is returned with its exact slope.
+    Below ``_R_SMOOTH_FLOOR`` or for q within ``_Q_SMOOTH_FLOOR`` of 1/2,
+    where the exponential basis degenerates, or for m2 below
+    ``M2_DEGENERATE``, p_int is returned with its exact slope.
     Otherwise p is the larger of p_int and the dual's g, the dual function
     at the multipliers ``solve_dual`` (started from ``warm``) ends on, read
     off its last residual evaluation (``_dual_bound``): a lower bound by
@@ -1081,7 +1033,8 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
     solved, for warm starts, even where p_int won.
     """
     p_int, slope_int = _interval_probability(*interval, r)
-    if r < _R_SMOOTH_FLOOR or stats.m2 < M2_DEGENERATE:
+    if (r < _R_SMOOTH_FLOOR or stats.q <= 0.5 + _Q_SMOOTH_FLOOR
+            or stats.m2 < M2_DEGENERATE):
         return p_int, slope_int, None
     try:
         dual = solve_dual(stats, r, warm=warm, interval=interval)
@@ -1093,19 +1046,23 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
     return dual.bound, slope, dual
 
 
+def _grid_mass(held: _HeldGrid, r: float) -> float:
+    """The mass under N(r, 1) of the set whose Phi(c) ``held`` holds, on its
+    grid over [-12, 12]: sum w phi(x) e^{r x - r^2/2} Phi(c(x))."""
+    return float((held.base * held.cdf_c) @ np.exp(r * held.x - 0.5 * r * r))
+
+
 def _set_mass_bound(dual: DualSolution, r: float) -> float:
     """An upper bound on the worst case at r from a FULL set solved at another r.
 
     The constraints sit at r = 0, so the set of a converged FULL dual meets
     them (to the solve's residual) at every r, and its mass under N(r, 1)
-    is at least the minimum.  That mass, sum w phi(x) e^{r x - r^2/2}
-    Phi(c(x)), is read off the solve's last grid on [-12, 12]; the mass of
-    N(r, 1) past 12 is added, since the grid does not reach it.  A bound
-    too low could only end a search short of the root, never past it.
+    is at least the minimum.  That mass is read off the solve's last grid
+    (``_grid_mass``); the mass of N(r, 1) past 12 is added, since the grid
+    does not reach it.  A bound too low could only end a search short of
+    the root, never past it.
     """
-    held = dual.grid
-    density = np.exp(r * held.x - 0.5 * r * r)
-    return float((held.base * held.cdf_c) @ density) + _cdf(r - _DOMAIN_HALF_WIDTH)
+    return _grid_mass(dual.grid, r) + _cdf(r - _DOMAIN_HALF_WIDTH)
 
 
 def _shifted_bound(stats: FirstOrderStats, dual: DualSolution, r: float,
@@ -1247,6 +1204,8 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
     k = min(max(math.floor(float(std_normal_quantile(q)) / h), 1), top - 1)
     lo = _grid_search(lambda j: _interval_probability(*interval, j * h), top, k)
     if degenerate or q <= 0.5 + _Q_SMOOTH_FLOOR:
+        # _worst_case is p_int here too; returning now keeps these probes
+        # from counting as fallbacks
         if lo is None:
             return RadiusResult(cfg.sigma * R_CAP_DEFAULT, capped=True)
         return RadiusResult(max(cfg.sigma * (lo * h), zeroth))

@@ -130,7 +130,9 @@ def _check_halfspace(threat: ThreatModel, cases, tol: float,
 
 def _check_mc_oracle(cases, n: int, seed: int, limit: float) -> CheckResult:
     """The primal mass of each solved set (``probability_from_dual``)
-    against a Monte-Carlo re-run of the same set.  Each case is
+    against a Monte-Carlo re-run of the same set.  That mass is read off
+    the solve's own grid by the sum the radius search bounds with, so the
+    check covers the mass code the search runs.  Each case is
     ``(q, m1, m2, r, solve)``, ``solve`` being ``certify.solve_dual`` or
     ``certify._reduced_dual``; case i draws from seed + i."""
     worst = 0.0

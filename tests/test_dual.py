@@ -13,6 +13,7 @@ from smoothcert import certify
 from smoothcert.certify import (
     M2_DEGENERATE,
     R_CAP_DEFAULT,
+    DualSolution,
     DualVariant,
     FirstOrderStats,
     InfeasibleStatsError,
@@ -39,6 +40,7 @@ from smoothcert.numerics import (
     NumericalError,
     bisect_root,
     bisection_steps,
+    panel_nodes,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -196,16 +198,17 @@ class TestSolveDual:
         dual = solve_dual(stats, 0.3)
         assert dual.variant is DualVariant.FULL
         theta = np.array([dual.c0, dual.c1, math.log(-dual.c2)])
-        residuals, _ = _dual_residual(theta, stats, 0.3, full=True)
+        residuals, _ = _dual_residual(theta, stats, 0.3, True, certify._HeldGrid())
         assert np.max(np.abs(residuals)) <= 1e-9
 
     @pytest.mark.parametrize("theta, r, full", RESIDUAL_THETAS)
     def test_jacobian_matches_central_differences(self, theta, r, full):
         stats = RESIDUAL_STATS
         theta = np.array(theta)
-        _, jac = _dual_residual(theta, stats, r, full)
+        # a fresh store per call: each evaluation builds its own grid
+        _, jac = _dual_residual(theta, stats, r, full, certify._HeldGrid())
         ref = central_difference_jacobian(
-            lambda th: _dual_residual(th, stats, r, full)[0], theta)
+            lambda th: _dual_residual(th, stats, r, full, certify._HeldGrid())[0], theta)
         assert jac.shape == ref.shape == (theta.size, theta.size)
         np.testing.assert_allclose(jac, ref, rtol=1e-6,
                                    atol=1e-6 * np.max(np.abs(ref)))
@@ -282,6 +285,12 @@ class TestSolveDual:
         assert reduced.variant is DualVariant.REDUCED_NO_SLOPE
         assert reduced.c1 == 0.0 and reduced.c0 > 0.0
 
+    def test_probability_needs_a_solved_dual(self):
+        # the set's mass is read off the solve's own grid, which a
+        # hand-built solution does not hold
+        with pytest.raises(DomainError, match="solved dual"):
+            probability_from_dual(DualSolution(1.0, 0.0, -1.0, DualVariant.FULL, 0.5))
+
     def test_reduced_is_conservative(self):
         # dropping the directional constraint can only lower the bound
         stats = FirstOrderStats(0.85, -0.08, 0.1)
@@ -304,15 +313,24 @@ def _coefficients(theta, full):
     return math.exp(min(theta[0], 700.0)), 0.0, float(theta[1])
 
 
+def _grid_integrands(c0, c1, u, r):
+    """The grid ``_dual_residual`` builds for (c0, c1, u) at r, as nodes x
+    and weights w phi(x), with c and e^{u + r x} on it, clipped and capped
+    as there."""
+    half = certify._DOMAIN_HALF_WIDTH
+    roots = certify._c_roots(c0, c1, u, r, -half, half)
+    x, w = panel_nodes(certify._graded_edges(-half, half, roots))
+    e = np.exp(np.minimum(u + r * x, 700.0))
+    c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
+    return x, w * std_normal_pdf(x), c, e
+
+
 def _untruncated_residual(theta, stats, r, full):
     """F and J of the dual from the full integrands, on ``_dual_residual``'s
     grid with its dot and matmul order: phi(c) and Phi(c) at every node,
     and dc = 0 where c is clipped or the exponent capped."""
     c0, c1, u = _coefficients(theta, full)
-    half = certify._DOMAIN_HALF_WIDTH
-    x, w = certify._dual_grid(c0, c1, u, r, -half, half)
-    c, e = certify._c_values(x, c0, c1, u, r)
-    base = w * std_normal_pdf(x)
+    x, base, c, e = _grid_integrands(c0, c1, u, r)
     phi_c = std_normal_pdf(c)
     cdf_c = std_normal_cdf(c)
     live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
@@ -330,15 +348,21 @@ def _untruncated_residual(theta, stats, r, full):
 
 
 def _untruncated_probability(c0, c1, u, r):
-    """p(r) and dp/dr from the full integrand, on ``_probability_from_coeffs``'s
-    grid with its dot order."""
-    half = certify._DOMAIN_HALF_WIDTH
-    x, w = certify._dual_grid(c0, c1, u, r, r - half, r + half)
-    c, _ = certify._c_values(x, c0, c1, u, r)
-    z = x - r
-    density = w * std_normal_pdf(z)
+    """The set's mass under N(r, 1) and its slope from the full integrand,
+    on the held grid with the dot order of ``probability_from_dual``."""
+    x, base, c, e = _grid_integrands(c0, c1, u, r)
     cdf_c = std_normal_cdf(c)
-    return min(max(float(density @ cdf_c), 0.0), 1.0), float((density * z) @ cdf_c)
+    mass = float((base * cdf_c) @ np.exp(r * x - 0.5 * r * r))
+    return mass, math.exp(-0.5 * r * r - u) * float((base * e * (x - r)) @ cdf_c)
+
+
+def _held_dual(theta, stats, r, full):
+    """The dual solution at theta, its integrands held from one residual
+    call on a fresh store, as a solve ending there holds them."""
+    held = certify._HeldGrid()
+    _dual_residual(np.array(theta, dtype=float), stats, r, full, held)
+    variant = DualVariant.FULL if full else DualVariant.REDUCED_NO_SLOPE
+    return certify._solution(*_coefficients(theta, full), variant, r, held)
 
 
 # a solve_grid residual point (seed 106) whose c passes x = -12 at -34.87:
@@ -349,8 +373,8 @@ GRID_POINT = ((7.115184496938647, 3.499236248398088, -0.6803064951101936),
               FirstOrderStats(0.943784967564801, -0.02645069755982607,
                               0.018337338904590907))
 
-# (c0, c1, u, r) whose c reaches the clip at -CLAMP inside the objective's
-# window; the untruncated p runs exp(-722) there
+# (c0, c1, u, r) whose c reaches the clip at -CLAMP on the held grid; the
+# untruncated mass runs exp(-722) there
 CLIPPED_COEFFICIENTS = [
     (0.0, 20.0, -2.0, 0.3),
     # solve_dual(FirstOrderStats(0.9, -0.05, 0.08), 0.3)
@@ -365,7 +389,8 @@ class TestTailFlush:
 
     The untruncated integrands reach exp(-722), a subnormal, wherever c is
     clipped, and 7 of the 8 ``RESIDUAL_THETAS`` raised under
-    ``np.errstate(under="raise")`` before the tail was dropped.
+    ``np.errstate(under="raise")`` before the tail was dropped.  The set's
+    mass (``probability_from_dual``) is read off the same held integrands.
     """
 
     @pytest.mark.parametrize("theta, r, full",
@@ -373,12 +398,13 @@ class TestTailFlush:
     def test_residual_stays_out_of_subnormals(self, theta, r, full):
         stats = GRID_POINT[3] if theta == GRID_POINT[0] else RESIDUAL_STATS
         with np.errstate(under="raise"):
-            _dual_residual(np.array(theta), stats, r, full)
+            _dual_residual(np.array(theta), stats, r, full, certify._HeldGrid())
 
     @pytest.mark.parametrize("coefficients", CLIPPED_COEFFICIENTS)
     def test_probability_stays_out_of_subnormals(self, coefficients):
+        *theta, r = coefficients
         with np.errstate(under="raise"):
-            certify._probability_from_coeffs(*coefficients)
+            probability_from_dual(_held_dual(theta, RESIDUAL_STATS, r, True))
 
     @pytest.mark.parametrize("theta, r, full, stats", [
         # c clipped on both sides of its crossing
@@ -393,19 +419,18 @@ class TestTailFlush:
     ])
     def test_dropped_terms_move_no_bit(self, theta, r, full, stats):
         c0, c1, u = _coefficients(theta, full)
-        half = certify._DOMAIN_HALF_WIDTH
-        x, _ = certify._dual_grid(c0, c1, u, r, -half, half)
-        c, _ = certify._c_values(x, c0, c1, u, r)
+        _, _, c, _ = _grid_integrands(c0, c1, u, r)
         assert np.any(np.abs(c) >= certify._TAIL)  # the flush drops terms
-        f, jac = _dual_residual(np.array(theta), stats, r, full)
+        f, jac = _dual_residual(np.array(theta), stats, r, full, certify._HeldGrid())
         f_ref, jac_ref = _untruncated_residual(theta, stats, r, full)
         assert np.array_equal(f, f_ref) and np.array_equal(jac, jac_ref)
-        p_and_slope = certify._probability_from_coeffs(c0, c1, u, r)
+        p_and_slope = probability_from_dual(_held_dual(theta, stats, r, full))
         assert p_and_slope == _untruncated_probability(c0, c1, u, r)
 
     @pytest.mark.parametrize("coefficients", CLIPPED_COEFFICIENTS)
     def test_dropped_terms_move_no_bit_of_p(self, coefficients):
-        got = certify._probability_from_coeffs(*coefficients)
+        *theta, r = coefficients
+        got = probability_from_dual(_held_dual(theta, RESIDUAL_STATS, r, True))
         assert got == _untruncated_probability(*coefficients)
 
 
@@ -648,13 +673,13 @@ class TestHeldGrid:
         last = {}
         worst = []
 
-        def recorded(theta, stats, r, full, *held):
+        def recorded(theta, stats, r, full, held):
             last["args"] = (stats, r, full)
-            return orig_residual(theta, stats, r, full, *held)
+            return orig_residual(theta, stats, r, full, held)
 
         def checked(residual, init):
             theta = orig_solve(residual, init)
-            fresh, _ = orig_residual(theta, *last["args"])
+            fresh, _ = orig_residual(theta, *last["args"], certify._HeldGrid())
             worst.append(float(np.max(np.abs(fresh))))
             return theta
 
@@ -1073,6 +1098,20 @@ class TestLowerBoundProbability:
             p = lower_bound_probability(stats, r)
             assert 0.0 <= p <= stats.q + 1e-9
 
+    def test_interval_alone_near_one_half(self, monkeypatch):
+        # within _Q_SMOOTH_FLOOR of 1/2 the radius search takes p_int alone,
+        # and so does the cold bound: no dual is solved there.  These stats
+        # lie near the perpendicular boundary, where such solves took up to
+        # 0.14 s, and at r = 0.3 the dual's g = 0.4812 was above p_int
+        stats = FirstOrderStats(0.5003, -0.05, 0.39)
+        interval = _solve_interval(stats.q, stats.m1)
+        solves = []
+        monkeypatch.setattr(certify, "solve_dual", lambda *args, **kw: solves.append(args))
+        for r in (0.006, 0.05, 0.1, 0.3):
+            want = _interval_probability(*interval, r)[0]
+            assert lower_bound_probability(stats, r) == want, r
+        assert not solves
+
     def test_zero_gradient_info_is_cohen(self):
         stats = FirstOrderStats(0.9, 0.0, 0.0)
         got = lower_bound_probability(stats, 1.0)
@@ -1138,6 +1177,31 @@ class TestDirectionalRadius:
         assert 0 < len(calls) <= 12
         assert 0 < len(solves) <= 3
         assert res.radius == 0.3076171875
+
+    def test_reduced_dual_decides_a_radius(self, monkeypatch):
+        # near the perpendicular boundary no FULL start converges at the
+        # first dual probe, p_int's root r = 2677 h, where the reduced
+        # dual's g = 0.5069 beats p_int = 0.5000 and moves the search up;
+        # without the reduced dual, p_int stands alone there and the radius
+        # falls by 36%
+        stats = FirstOrderStats(0.520393343347359, -0.05708384304293382,
+                                0.3929982007745405)
+        cfg = SmoothingConfig(0.5, 152)
+        r = 2677 * R_CAP_DEFAULT / 2 ** 17
+        interval = _solve_interval(stats.q, stats.m1)
+        p_int = _interval_probability(*interval, r)[0]
+        dual = solve_dual(stats, r, interval=interval)
+        assert dual.variant is DualVariant.REDUCED_NO_SLOPE
+        assert 0.5 <= p_int < 0.5001 < 0.5068 < dual.bound
+        assert directional_radius(stats, cfg, tol=1e-4) == \
+            RadiusResult(0.15872955322265625)
+
+        def no_reduced(stats, r):
+            raise NoConvergenceError("reduced dual disabled", math.inf)
+
+        monkeypatch.setattr(certify, "_reduced_dual", no_reduced)
+        assert directional_radius(stats, cfg, tol=1e-4) == \
+            RadiusResult(0.10211944580078125, fallback_used=True)
 
     def test_one_interval_solve_per_radius(self, monkeypatch):
         # the search solves the m2 = 0 interval once and hands it to the
