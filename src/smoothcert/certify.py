@@ -26,17 +26,20 @@ The integrals run on Gauss-Legendre panels graded around
 the crossings of c, and drop phi(c) where |c| >= 30 and Phi(c) where
 c <= -30: each dropped term is below the rounding unit of every sum it
 enters, so results are those of the full integrands, bit for bit, without
-subnormal arithmetic.  One dual solve keeps one grid while c's crossings
-hold still: it is rebuilt only when c crosses zero a different number of
-times, or a crossing moves by more than its refinement width
-max(1/max(|c'|, 1), 1e-12), the finest panel beside it; a warm-started
-solve starts on the grid of the solve it starts from.  Either sign of
-the solved slope coefficient c1 is accepted.  Only when no start of the
-full system converges is it re-solved without the directional constraint
-(``REDUCED_NO_SLOPE``), which is always conservative.  When m2 = 0 the
-dual degenerates to an indicator of an interval [w2, w1], which
-``solve_dual`` refuses; that branch is solved directly, and its slope is
-dp/dr = phi(w2 - r) - phi(w1 - r):
+subnormal arithmetic.  c is concave, so the nodes where c > -30 form one
+slice of the sorted grid, and phi(c) and Phi(c) are evaluated there
+alone; scalar bounds on the exponent and on c's maximum show where the
+clamps of the masked form are idle (``_dual_residual``).  One dual solve
+keeps one grid while c's crossings hold still: it is rebuilt only when c
+crosses zero a different number of times, or a crossing moves by more
+than its refinement width max(1/max(|c'|, 1), 1e-12), the finest panel
+beside it; a warm-started solve starts on the grid of the solve it starts
+from.  Either sign of the solved slope coefficient c1 is accepted.  Only
+when no start of the full system converges is it re-solved without the
+directional constraint (``REDUCED_NO_SLOPE``), which is always
+conservative.  When m2 = 0 the dual degenerates to an indicator of an
+interval [w2, w1], which ``solve_dual`` refuses; that branch is solved
+directly, and its slope is dp/dr = phi(w2 - r) - phi(w1 - r):
 
     Phi(w1) - Phi(w2)  = q
     phi(w2) - phi(w1)  = m1
@@ -647,48 +650,54 @@ def _graded_edges(lo: float, hi: float,
     return edges
 
 
-def _tail_cdf(c: np.ndarray) -> np.ndarray:
-    """Phi(c), exactly 0 where c <= -_TAIL; nan stays nan.
-
-    Those nodes take ndtr(-40), which is exactly 0.  c is clipped at CLAMP,
-    so ``std_normal_cdf``'s clip would be idle there.
-    """
-    return _sp.ndtr(np.where(c <= -_TAIL, -40.0, c))
-
-
-def _tail_pdf(c: np.ndarray) -> np.ndarray:
-    """phi(c), exactly 0 where |c| >= _TAIL; nan stays nan.
-
-    Evaluated only where |c| < _TAIL < CLAMP, where ``std_normal_pdf``'s
-    clip would be idle.
-    """
-    out = np.zeros_like(c)
-    live = ~(np.abs(c) >= _TAIL)
-    near = c[live]
-    out[live] = _INV_SQRT_2PI * np.exp(-0.5 * near * near)
-    return out
-
-
 class _HeldGrid:
     """One dual solve's quadrature grid and the integrands of its last call.
 
     ``roots``, ``x`` and ``base`` = w phi(x) are the grid, graded around
-    the crossings ``roots``; ``e``, ``cdf_c`` and ``residual`` are
-    e^{u + r x}, Phi(c(x)) and F of the last ``_dual_residual`` call,
-    ``rows`` its dF/dc per node and ``jac`` its J, from which
-    ``_tangent_start`` reads the solution's slope in r.  The grid's arrays
-    may be shared read-only with a neighbouring solve's store
-    (``carried``): a store only ever rebinds its slots to new arrays.
+    the crossings ``roots``; ``base_x`` = base x and ``cols``, the columns
+    (1, x) of dc/dtheta with a third left for -e^{u + r x}, are its
+    constants, built with it.  ``rx`` = r x is held for the store's
+    travel ``r``.  ``e``, ``cdf_c`` and ``residual`` are e^{u + r x},
+    Phi(c(x)) and F of the last ``_dual_residual`` call, ``rows`` its
+    dF/dc per node and ``jac`` its J, from which ``_tangent_start`` reads
+    the solution's slope in r.  The grid's arrays may be shared read-only
+    with a neighbouring solve's store (``carried``): a store only ever
+    rebinds its slots to new arrays, and copies ``cols`` before it fills
+    the third column.
     """
 
-    __slots__ = ("roots", "x", "base", "e", "cdf_c", "residual", "rows", "jac")
+    __slots__ = ("roots", "x", "base", "base_x", "cols", "r", "rx",
+                 "e", "cdf_c", "residual", "rows", "jac")
 
-    def __init__(self, roots=None, x=None, base=None) -> None:
-        self.roots, self.x, self.base = roots, x, base
+    def __init__(self, grid: tuple = (None,) * 5) -> None:
+        self.roots, self.x, self.base, self.base_x, self.cols = grid
+        self.r = self.rx = None
+
+    def build(self, roots: list[tuple[float, float]]) -> None:
+        """Hold the grid over [-12, 12] graded around ``roots``, with its constants."""
+        x, w = panel_nodes(_graded_edges(-_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH, roots))
+        # phi(x) as std_normal_pdf gives it, whose clip at +-CLAMP is idle
+        # on nodes within +-12
+        base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        # column-major, so that -e^{u + r x} fills one contiguous column
+        cols = np.empty((x.size, 3), order="F")
+        cols[:, 0] = 1.0
+        cols[:, 1] = x
+        self.roots, self.x, self.base, self.base_x, self.cols = roots, x, base, base * x, cols
+        self.r = None  # rx was r x on the old grid
 
     def carried(self) -> "_HeldGrid":
         """A new store on this grid, its arrays shared, with no integrands."""
-        return _HeldGrid(self.roots, self.x, self.base)
+        return _HeldGrid((self.roots, self.x, self.base, self.base_x, self.cols))
+
+
+def _c_peak(c0: float, c1: float, u: float, r: float) -> float:
+    """The maximum of c over [-12, 12] for r > 0, at x* = (ln(c1/r) - u)/r
+    where c' = 0, clamped to the domain, or at x = -12 where c falls."""
+    x = -_DOMAIN_HALF_WIDTH
+    if c1 > 0.0:
+        x = min(max((math.log(c1 / r) - u) / r, x), _DOMAIN_HALF_WIDTH)
+    return _c_value(x, c0, c1, u, r)
 
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
@@ -705,6 +714,30 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     of every sum it enters, so F and J are those of the untruncated
     integrands on the same grid, bit for bit.
 
+    Only the nodes where c > -_TAIL are evaluated.  c is concave
+    (c'' = -r^2 e^{u + r x} < 0), so they form one interval of x and, the
+    nodes being sorted, one slice [i0, i1) of the grid; a count of the live
+    nodes checks that rounding kept it one.  phi(c) and Phi(c) go into
+    zero-filled arrays of the grid's length, so the nodes outside the slice
+    hold the exact zeros the masks gave them, and every dot product and the
+    matmul for J run on the same operands in the same order: F, J and the
+    held integrands keep every bit.  Scalar bounds retire the masked form's
+    clamps:
+
+    - the exponent cap: u + r x is at most u + 12 |r| on the grid, so
+      where scale = |c0| + 12 |c1| + e^{u + 12 |r|} is below 1e300, no node
+      reaches 700, and c is finite at every node;
+    - the -1e300 clip: it acts only where c <= -_TAIL, outside the slice;
+    - the CLAMP clip: Phi(c) is 1 from c = 8.3 up, and phi(c) is masked to
+      0 at c >= _TAIL, so it moves no bit of a finite c;
+    - that mask: it is idle where c's maximum over [-12, 12] (``_c_peak``)
+      lies below _TAIL by 1e-9 scale, a margin over the rounding of c at
+      the nodes.
+
+    Where the scale bound fails, the masked form runs on the whole grid,
+    with c clipped and the capped nodes' dc set to 0; where the peak bound
+    or the count fails, it runs on the slice.
+
     The grid is graded around the crossings of c.  ``held``, one solve's
     store (``_solve_dual_system``), keeps the last grid built: it serves
     while c crosses zero as often and each crossing stays within its
@@ -715,47 +748,75 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     ``_tangent_start`` the solution's slope in r.
     """
     if full:
-        c0, c1, u = float(theta[0]), float(theta[1]), float(theta[2])
+        c0, c1, u = theta.tolist()
         dc0 = 1.0
     else:
         # reduced: c0 = e^v keeps the (provably positive) offset positive
-        v = float(theta[0])
-        c0, c1, u = math.exp(min(v, 700.0)), 0.0, float(theta[1])
+        v, u = theta.tolist()
+        c0, c1 = math.exp(min(v, 700.0)), 0.0
         dc0 = c0 if v < 700.0 else 0.0
     lo, hi = -_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH
     if held.x is None or not _roots_hold(held.roots, c0, c1, u, r, lo, hi):
-        roots = _c_roots(c0, c1, u, r, lo, hi)
-        x, w = panel_nodes(_graded_edges(lo, hi, roots))
-        # phi(x) as std_normal_pdf gives it, whose clip at +-CLAMP is idle
-        # on nodes within +-12
-        base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
-        held.roots, held.x, held.base = roots, x, base
+        held.build(_c_roots(c0, c1, u, r, lo, hi))
     x, base = held.x, held.base
-    t = u + r * x
-    e = np.exp(np.minimum(t, 700.0))
-    # c clamped for Phi and phi below, the exponent capped at 700
-    c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
-    phi_c = _tail_pdf(c)
-    cdf_c = _tail_cdf(c)
-    eq_q = float(base @ cdf_c) - stats.q
-    eq_m2 = float(base @ phi_c) - stats.m2
-    d_cdf = np.where(t < 700.0, base * phi_c, 0.0)
-    # J = (dF/dc rows) @ (dc/dtheta columns), both filled in place
-    size = 3 if full else 2
-    rows = np.empty((size, x.size))
-    cols = np.empty((x.size, size))
-    rows[0] = d_cdf
-    np.multiply(c, d_cdf, out=rows[1])
-    np.negative(rows[1], out=rows[1])
-    cols[:, 0] = dc0
-    np.negative(e, out=cols[:, -1])
-    if full:
-        eq_m1 = float((base * x) @ cdf_c) - stats.m1
-        np.multiply(x, d_cdf, out=rows[2])
-        cols[:, 1] = x
-        f = np.array([eq_q, eq_m2, eq_m1])
+    if held.r != r:
+        held.r, held.rx = r, r * x
+    top = u + abs(r) * hi  # u + r x is at most this on the grid; nan for a nan u
+    scale = abs(c0) + hi * abs(c1) + math.exp(min(top, 700.0))
+    size, n = (3 if full else 2), x.size
+    capped = None
+    if r > 0.0 and scale < 1e300:
+        # so u + r x < 700 and c is finite at every node
+        e = np.add(u, held.rx)
+        np.exp(e, out=e)
+        c = c1 * x
+        c += c0
+        c -= e
+        live = c > -_TAIL
+        # the slice from the first live node to the last; where none is
+        # live, argmax gives [0, n), which the count sends to the masks
+        i0, i1 = int(live.argmax()), n - int(live[::-1].argmax())
+        dense = (np.count_nonzero(live) != i1 - i0
+                 or not _c_peak(c0, c1, u, r) + 1e-9 * scale < _TAIL)
     else:
-        f = np.array([eq_q, eq_m2])
+        t = u + held.rx
+        capped = ~(t < 700.0)
+        e = np.exp(np.minimum(t, 700.0))
+        # c clamped for Phi and phi below, the exponent capped at 700
+        c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
+        i0, i1, dense = 0, n, True
+    phi_c, cdf_c, rows = np.zeros(n), np.zeros(n), np.zeros((size, n))
+    near, base_near = c[i0:i1], base[i0:i1]
+    phi, cdf, d_cdf, d_m2 = phi_c[i0:i1], cdf_c[i0:i1], rows[0, i0:i1], rows[1, i0:i1]
+    if dense:
+        tail = np.abs(near) >= _TAIL
+        kept = near[~tail]
+        phi[~tail] = _INV_SQRT_2PI * np.exp(-0.5 * kept * kept)
+        _sp.ndtr(np.where(near <= -_TAIL, -40.0, near), out=cdf)
+    else:
+        # _INV_SQRT_2PI e^{-0.5 c c}, in place
+        np.multiply(-0.5, near, out=phi)
+        phi *= near
+        np.exp(phi, out=phi)
+        phi *= _INV_SQRT_2PI
+        _sp.ndtr(near, out=cdf)
+    np.multiply(base_near, phi, out=d_cdf)
+    if capped is not None:
+        d_cdf[capped] = 0.0
+    np.multiply(near, d_cdf, out=d_m2)
+    np.negative(d_m2, out=d_m2)
+    # J = (dF/dc rows) @ (dc/dtheta columns)
+    if full:
+        # over the whole grid, so that x < 0 gives -0.0 outside the slice
+        np.multiply(x, rows[0], out=rows[2])
+        f = np.array([float(base @ cdf_c) - stats.q, float(base @ phi_c) - stats.m2,
+                      float(held.base_x @ cdf_c) - stats.m1])
+        cols = held.cols.copy(order="F")
+    else:
+        f = np.array([float(base @ cdf_c) - stats.q, float(base @ phi_c) - stats.m2])
+        cols = np.empty((n, 2), order="F")
+        cols[:, 0] = dc0
+    np.negative(e, out=cols[:, -1])
     jac = rows @ cols
     held.e, held.cdf_c, held.residual, held.rows, held.jac = e, cdf_c, f, rows, jac
     return f, jac

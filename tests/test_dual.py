@@ -41,6 +41,7 @@ from smoothcert.numerics import (
     bisect_root,
     bisection_steps,
     panel_nodes,
+    solve_system,
     std_normal_cdf,
     std_normal_pdf,
     std_normal_quantile,
@@ -313,24 +314,28 @@ def _coefficients(theta, full):
     return math.exp(min(theta[0], 700.0)), 0.0, float(theta[1])
 
 
-def _grid_integrands(c0, c1, u, r):
-    """The grid ``_dual_residual`` builds for (c0, c1, u) at r, as nodes x
-    and weights w phi(x), with c and e^{u + r x} on it, clipped and capped
-    as there."""
-    half = certify._DOMAIN_HALF_WIDTH
-    roots = certify._c_roots(c0, c1, u, r, -half, half)
-    x, w = panel_nodes(certify._graded_edges(-half, half, roots))
+def _grid_integrands(c0, c1, u, r, grid=None):
+    """The grid ``_dual_residual`` builds for (c0, c1, u) at r, or ``grid``
+    = (x, w phi(x)) when given, as nodes x and weights w phi(x), with c and
+    e^{u + r x} on it, clipped and capped as there."""
+    if grid is None:
+        half = certify._DOMAIN_HALF_WIDTH
+        roots = certify._c_roots(c0, c1, u, r, -half, half)
+        x, w = panel_nodes(certify._graded_edges(-half, half, roots))
+        grid = x, w * std_normal_pdf(x)
+    x, base = grid
     e = np.exp(np.minimum(u + r * x, 700.0))
     c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
-    return x, w * std_normal_pdf(x), c, e
+    return x, base, c, e
 
 
-def _untruncated_residual(theta, stats, r, full):
+def _untruncated_residual(theta, stats, r, full, grid=None):
     """F and J of the dual from the full integrands, on ``_dual_residual``'s
-    grid with its dot and matmul order: phi(c) and Phi(c) at every node,
-    and dc = 0 where c is clipped or the exponent capped."""
+    grid (or ``grid``, as ``_grid_integrands`` takes it) with its dot and
+    matmul order: phi(c) and Phi(c) at every node, and dc = 0 where c is
+    clipped or the exponent capped."""
     c0, c1, u = _coefficients(theta, full)
-    x, base, c, e = _grid_integrands(c0, c1, u, r)
+    x, base, c, e = _grid_integrands(c0, c1, u, r, grid)
     phi_c = std_normal_pdf(c)
     cdf_c = std_normal_cdf(c)
     live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
@@ -384,6 +389,18 @@ CLIPPED_COEFFICIENTS = [
 ]
 
 
+# (theta, r, full) where the exponent cap acts: u + r x >= 700 on the 32
+# nodes nearest x = 12 (of 2,080), where c is clipped at -1e300, while
+# c > -_TAIL on 752 nodes
+CAPPED_POINTS = [
+    ((500.0, 590.0), 10.0, False),
+    ((math.exp(500.0), 0.5, 590.0), 10.0, True),
+]
+
+# c < -_TAIL on every node: c0 = -50, c1 = 0, c2 = -e^-5 at r = 1
+NO_LIVE_NODE = ((-50.0, 0.0, -5.0), 1.0, True)
+
+
 class TestTailFlush:
     """The dual's integrands drop phi(c) and Phi(c) in the tail |c| >= _TAIL.
 
@@ -394,7 +411,7 @@ class TestTailFlush:
     """
 
     @pytest.mark.parametrize("theta, r, full",
-                             RESIDUAL_THETAS + [GRID_POINT[:3]])
+                             RESIDUAL_THETAS + [GRID_POINT[:3]] + CAPPED_POINTS)
     def test_residual_stays_out_of_subnormals(self, theta, r, full):
         stats = GRID_POINT[3] if theta == GRID_POINT[0] else RESIDUAL_STATS
         with np.errstate(under="raise"):
@@ -416,6 +433,8 @@ class TestTailFlush:
         ((0.4, 0.8, 0.5), 2.5, True, RESIDUAL_STATS),
         ((1.0, -3.0), 2.0, False, RESIDUAL_STATS),
         GRID_POINT,
+        # the exponent capped near x = 12
+        *[point + (RESIDUAL_STATS,) for point in CAPPED_POINTS],
     ])
     def test_dropped_terms_move_no_bit(self, theta, r, full, stats):
         c0, c1, u = _coefficients(theta, full)
@@ -432,6 +451,47 @@ class TestTailFlush:
         *theta, r = coefficients
         got = probability_from_dual(_held_dual(theta, RESIDUAL_STATS, r, True))
         assert got == _untruncated_probability(*coefficients)
+
+    def test_no_live_node(self):
+        # no node has c > -_TAIL, so every integrand is dropped: F is -stats,
+        # J is 0, and a solve from there finds J singular.  argmax of the
+        # all-False mask is 0, and integrands evaluated from there unmasked
+        # would run exp(-1250)
+        theta, r, full = NO_LIVE_NODE
+        stats = RESIDUAL_STATS
+        with np.errstate(under="raise"):
+            f, jac = _dual_residual(np.array(theta), stats, r, full, certify._HeldGrid())
+        assert f.tolist() == [-stats.q, -stats.m2, -stats.m1]
+        f_ref, jac_ref = _untruncated_residual(theta, stats, r, full)
+        assert np.array_equal(f, f_ref) and np.array_equal(jac, jac_ref)
+        with pytest.raises(NoConvergenceError, match="singular Jacobian"):
+            solve_system(lambda th: _dual_residual(th, stats, r, full, certify._HeldGrid()),
+                         theta)
+
+    def test_solve_grid_residuals_move_no_bit(self, monkeypatch):
+        # every residual call of the bench's seed-101 solve_grid pass (613
+        # when written), warm solves on carried grids included, gives the F
+        # and J of the untruncated integrands on that call's own held grid
+        suite = _bench_suite()
+        cfg = SmoothingConfig(suite.SIGMA, 152)
+        orig = certify._dual_residual
+        calls, differ = [], []
+
+        def checked(theta, stats, r, full, held):
+            f, jac = orig(theta, stats, r, full, held)
+            f_ref, jac_ref = _untruncated_residual(theta, stats, r, full,
+                                                   (held.x, held.base))
+            calls.append(held.x)
+            if not (np.array_equal(f, f_ref) and np.array_equal(jac, jac_ref)):
+                differ.append((theta.tolist(), r, full))
+            return f, jac
+
+        monkeypatch.setattr(certify, "_dual_residual", checked)
+        for stats in suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101):
+            directional_radius(stats, cfg, tol=suite.RADIUS_TOL)
+        grids = len({id(x) for x in calls})
+        assert len(calls) > 500 and grids < len(calls) / 2, (len(calls), grids)
+        assert not differ, differ[:3]
 
 
 def _unique_edges(lo, hi, roots):
