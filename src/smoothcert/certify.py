@@ -1,75 +1,112 @@
 """Certified radii for Gaussian-smoothed hard-label classifiers.
 
-Two levels of machinery live here.  The zeroth-order closed form
-``sigma * Phi^-1(q)`` needs only the smoothed top-class probability.  The
-first-order machinery additionally consumes directional-derivative and
-perpendicular-gradient bounds (m1, m2) and solves the worst-case problem
+The zeroth-order radius ``sigma * Phi^-1(q)`` needs only the smoothed
+top-class probability q.  The first-order radius also takes bounds m1 on
+the directional derivative along the travel direction and m2 on the
+perpendicular gradient norm: it is the last travel distance r (in units of
+sigma, as everything here) where the worst-case probability p(r) is at
+least 1/2.  The worst-case set is {z2 >= -c(z1)}, where c solves
 
     integral phi(x) Phi(c(x)) dx   = q
     integral phi(x) phi(c(x)) dx   = m2
     integral x phi(x) Phi(c(x)) dx = m1,      c(x) = c0 + c1 x + c2 e^{r x}
 
-for the dual coefficients.  The worst-case probability at scaled travel
-distance r is read off the solve's last residual evaluation, on its own
-grid, as the dual function at the solve's multipliers,
-g = lam2 [c0 q + c1 m1 + m2 - integral phi(x) (c Phi(c) + phi(c)) dx]
-with lam2 = e^{-r^2/2 - u}, c2 = -e^u: by weak duality a lower bound on
-the worst case at any multipliers, and at a solution the set's mass
-p(r) = integral phi(x - r) Phi(c(x)) dx (``_dual_bound``).  The
-constraints sit at r = 0, so its slope with the multipliers held is
-dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx, read off the same grid.
-So is the set's own mass under N(r, 1) at any r (``_grid_mass``): every
-integral of a solved set is read off the grid its solve built.
-g bounds the problem with m1 as an equality; with q as a lower bound
-only where c0 >= 0, and with m1 as a lower bound only where c1 >= 0.
-The integrals run on Gauss-Legendre panels graded around
-the crossings of c, and drop phi(c) where |c| >= 30 and Phi(c) where
-c <= -30: each dropped term is below the rounding unit of every sum it
-enters, so results are those of the full integrands, bit for bit, without
-subnormal arithmetic.  c is concave, so the nodes where c > -30 form one
-slice of the sorted grid, and phi(c) and Phi(c) are evaluated there
-alone; scalar bounds on the exponent and on c's maximum show where the
-clamps of the masked form are idle (``_dual_residual``).  One dual solve
-keeps one grid while c's crossings hold still: it is rebuilt only when c
-crosses zero a different number of times, or a crossing moves by more
-than its refinement width max(1/max(|c'|, 1), 1e-12), the finest panel
-beside it; a warm-started solve starts on the grid of the solve it starts
-from.  Either sign of the solved slope coefficient c1 is accepted.  Only
-when no start of the full system converges is it re-solved without the
-directional constraint (``REDUCED_NO_SLOPE``), which is always
-conservative.  When m2 = 0 the dual degenerates to an indicator of an
-interval [w2, w1], which ``solve_dual`` refuses; that branch is solved
-directly, and its slope is dp/dr = phi(w2 - r) - phi(w1 - r):
+with c2 = -e^u < 0, so c is concave.  ``solve_dual`` solves F(theta) = 0
+for theta = (c0, c1, u) by damped Newton.  Every threat runs one core
+(``_dual_norm_radius``) with its own dual norm and travel scale sqrt(k),
+and converts to input units once, on the way out; travel is capped at 10
+sigma.  Each argument a radius rests on is stated once, below, and the code
+that relies on it names it.
 
-    Phi(w1) - Phi(w2)  = q
-    phi(w2) - phi(w1)  = m1
-    Phi(w1 - r) - Phi(w2 - r) = 0.5   defines the failure distance r.
+*Weak duality.*  With lam2 = e^{-r^2/2 - u}, lam0 = lam2 c0 and
+lam1 = lam2 c1 the multipliers of q, m1 and m2,
 
-Endpoint labels follow the convention validated by the halfspace limit
-(w1 the upper endpoint, m1 the directional derivative bound along the
-travel direction), which reproduces R = sigma * Phi^-1(q) as m1 -> -M.
+    g = lam2 [c0 q + c1 m1 + m2 - integral phi(x) (c Phi(c) + phi(c)) dx]
 
-Dropping the m2 constraint can only lower the minimum, so the interval's
-closed-form p_int(r) is a proven lower bound at every r.  One rule gives
-the worst-case probability wherever it is needed (``_worst_case``):
-p = max(p_int, g), and p_int alone below the smooth floor, near q = 1/2,
-for m2 = 0, and where no dual converges.
+is the Lagrangian minimised over all sets, and {z2 >= -c(z1)} attains it.
+So at any multipliers, converged or not, g is at most the minimum of every
+problem whose constraints that family relaxes: the worst case with m1 as
+an equality, always; with q as a lower bound only where c0 >= 0, and with
+m1 as a lower bound only where c1 >= 0.  A FULL dual with c1 < 0 is not
+certified for m1 as a lower bound, which is what the estimators give:
+the strict xfail ``test_m1_as_a_lower_bound`` finds a lower minimum there.
+At a solution (F = 0) g is the set's mass under N(r, 1).  The constraints
+sit at r = 0, so with the multipliers held dg/dr = integral (x - r)
+phi(x - r) Phi(c(x)) dx.  g, dg/dr and the set's own mass are read off the
+solve's last residual evaluation, on its own grid (``_dual_bound``,
+``_grid_mass``).  Only when no start of the FULL system converges is the
+two-equation system solved (``REDUCED_NO_SLOPE``): it drops the m1
+constraint, so its minimum is no larger.
 
-A radius is the last point of bisection's grid of travel distances where
-p(r) >= 1/2.  One safeguarded Newton search with that slope finds every
-radius (``_grid_search``): on p_int first, and for m2 > 0 then on
-max(p_int, g), started at p_int's root, in about 2 dual solves where
-bisection needed 15.  A bracket end next to a FULL-solved one is decided
-from that solve where it can be: the solved set meets the constraints at
-every r, so its mass one step up bounds the worst case from above, and
-its multipliers give g one step down.
+*The m2 = 0 interval.*  Dropping the m2 constraint can only lower the
+minimum, so the worst case under (q, m1) alone, an interval [w2, w1] with
+Phi(w1) - Phi(w2) = q and phi(w2) - phi(w1) = m1, gives a proven lower
+bound p_int(r) = Phi(w1 - r) - Phi(w2 - r) at every r, with slope
+phi(w2 - r) - phi(w1 - r).  w1 = Phi^-1(q + Phi(w2)) meets the mass
+equation identically, and the gap phi(w2) - phi(w1) - m1 increases in w2,
+so bisection finds its root.  Rounding w1's mass moves phi(w1) by about
+1e-16 |w1|, so the computed gap is within 1e-16 max(1, |w1|) <= 4e-15 of
+the true one.  A Newton search first brackets the root in [a, b], where the
+computed gap clears zero by the margin 1e-13; outside [a, b] its sign is
+therefore known, bisection evaluates it only inside, and w2 is the plain
+bisection's, bit for bit.  m1 is never rounded up: where rounding leaves no
+root below the bracket end, that end is returned, whose moment lies below
+m1.  The labels follow the halfspace limit, R = sigma Phi^-1(q) as m1 -> -M.
 
-All quantities here are dimensionless (travel measured in units of sigma);
-entry points convert to input units exactly once on the way out.  One
-dispatch (``first_order_radius``) picks a threat's entry point, and every
-entry point runs one core (``_dual_norm_radius``): they differ only in the
-dual norm of the gradient they bound and the sqrt(k) scale of the travel
-direction, l2 being k = 1 with m2 = 0.  Travel is capped at 10 sigma.
+*The worst case and the radius.*  p = max(p_int, g), with the larger
+term's slope.  p_int stands alone where the exponential basis degenerates
+(r below ``_R_SMOOTH_FLOOR``, q within ``_Q_SMOOTH_FLOOR`` of 1/2), for m2
+below ``M2_DEGENERATE``, and where no dual converges.  A radius is the last
+point of bisection's grid where p >= 1/2, found by safeguarded Newton on
+that grid: over p_int, then for m2 > 0 over p from p_int's root.  So a
+radius may lie above p_int's root, where only the dual's g supports it.
+
+*The top-end set-mass bound.*  The set of a converged FULL dual meets the
+constraints at every r, so its mass under N(r, 1) bounds the worst case
+there from above.  Where such a solve has p >= 1/2, and both that mass and
+p_int one grid step above it are below 1/2, that step is the bracket's top
+end, decided without a solve of its own.  A bound too low could only end a
+search short of the root.  ``fallback_used`` is set when an end of the
+final bracket (or the cap) at or above the smooth floor was decided neither
+by a FULL dual nor by this bound: the reduced dual was used, or p_int stood
+alone.
+
+*The slice rule.*  The residual drops phi(c) where |c| >= 30 and Phi(c)
+where c <= -30: each dropped term is below the rounding unit of every sum
+it enters, so F and J are those of the full integrands, bit for bit.  c is
+concave, so the nodes where c > -30 form one slice of the sorted grid, and
+phi(c) and Phi(c) are evaluated there alone, into zero-filled arrays of the
+grid's length: every sum runs on the same operands in the same order, so
+F, J and the held integrands keep every bit.  A count of the live nodes
+checks that rounding kept the slice one.  Scalar bounds retire the masked
+form's clamps:
+
+- the exponent cap: where |c0| + 12 |c1| + e^{u + 12 |r|} is below 1e300,
+  no node's u + r x reaches 700 and c is finite at every node;
+- the -1e300 clip acts only where c <= -30, outside the slice;
+- the CLAMP clip moves no bit of a finite c: Phi(c) is 1 from c = 8.3 up,
+  and phi(c) is masked at c >= 30;
+- that mask is idle where c's maximum over [-12, 12] lies below 30 by
+  1e-9 of the scale above, a margin over the rounding of c at the nodes.
+
+Where the scale bound fails, the masked form runs on the whole grid, with c
+clipped and the capped nodes' dc set to 0; where the peak bound or the
+count fails, it runs on the slice.
+
+*The grid-hold rule.*  The integrals run on Gauss-Legendre panels over
+[-12, 12], graded around the crossings of c.  One solve keeps one grid
+while c crosses zero as often and each crossing stays within its
+refinement width max(1/max(|c'|, 1), 1e-12), the finest panel beside it,
+of the held one; else a new grid is built.  On a monotone piece c crosses
+once, so two values of c per crossing decide this.
+
+*The tangent start.*  A warm solve starts from the FULL solution at the
+nearest travel distance r' already solved, moved along its tangent:
+dtheta/dr = -J^-1 dF/dr with dF/dr = dF/dc . (-x e^{u + r x}), both read
+off that solve's last residual evaluation.  The step is cut to a quarter
+of max(1, |theta'|) in the max norm, because near the perpendicular
+boundary the path bends within a longer step.  The solve starts on the
+grid of the solve at r', whose arrays it shares read-only.
 """
 
 from __future__ import annotations
@@ -138,9 +175,8 @@ M2_DEGENERATE = 1e-7
 # Relative slack accepted by the feasibility check.
 FEASIBILITY_SLACK = 1e-9
 
-# Smooth dual solves are skipped for q this close to 0.5 or travel this
-# small, where the exponential basis degenerates: the m2 = 0 interval's
-# closed-form p, a proven lower bound, stands in for the dual's there.
+# No dual is solved for q this close to 0.5 or travel this small, where the
+# exponential basis degenerates (*The worst case and the radius*)
 _Q_SMOOTH_FLOOR = 5e-4
 _R_SMOOTH_FLOOR = 5e-3
 
@@ -159,10 +195,9 @@ _BASE_PANELS = 48
 _PANEL_INDEX = np.arange(_BASE_PANELS + 1.0)
 _POWERS_OF_TWO = 2.0 ** np.arange(1024)  # every power of two a float holds
 
-# The dual's integrands are 0 past |c| = _TAIL (see _dual_residual): phi(30)
-# ~ 2e-196 is below the rounding unit of every sum, yet far enough above
-# 1e-308 that the Jacobian's products stay normal floats (at 35, one product
-# of a solve_grid residual fell below).
+# *The slice rule*'s cut: phi(30) ~ 2e-196 is below the rounding unit of
+# every sum, yet far enough above 1e-308 that the Jacobian's products stay
+# normal floats (at 35, one product of a solve_grid residual fell below).
 _TAIL = 30.0
 
 
@@ -240,18 +275,11 @@ class FirstOrderStats:
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Worst-case classifier coefficients at one travel distance.
+    """Worst-case coefficients of c at travel distance ``travel_scale``.
 
-    The worst-case set is {(z1, z2): e^{r z1} <= a1 z1 + a2 z2 + b} with
-    c0 = b/a2, c1 = a1/a2, c2 = -1/a2 (hence c2 < 0).  Its a2 -> 0 limit,
-    the m2 = 0 interval, has no coefficients and is never a solution.
-
-    A solve also records ``bound``, the dual function g at its multipliers,
-    and ``bound_slope``, dg/dr with the multipliers held (``_dual_bound``),
-    both read off its last residual evaluation, and ``grid``, that
-    evaluation's quadrature grid and integrands.  By weak duality g is a
-    lower bound on the worst case, converged or not.  None of the three
-    takes part in equality.
+    ``bound`` and ``bound_slope`` are g and dg/dr at the solve's multipliers
+    and ``grid`` its last residual evaluation's store (*Weak duality*); none
+    of the three takes part in equality.
     """
 
     c0: float
@@ -387,11 +415,8 @@ def _pdf(x: float) -> float:
 
 
 def _upper_endpoint(q: float, w2: float) -> float:
-    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP.
-
-    A scalar form of ``std_normal_quantile(q + std_normal_cdf(w2))``, equal
-    to it bit for bit, with the same domain check on the mass.
-    """
+    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP:
+    ``std_normal_quantile(q + std_normal_cdf(w2))`` bit for bit."""
     mass = min(q + _cdf(w2), _BELOW_ONE)
     if not 0.0 < mass < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {mass!r}")
@@ -404,8 +429,8 @@ def _interval_gap(q: float, m1: float, w2: float) -> tuple[float, float]:
     return _pdf(w2) - _pdf(w1) - m1, w1
 
 
-# The interval's computed gap is within about 4e-15 of the true, increasing
-# one (``_solve_interval``): beyond this margin its sign holds past the point
+# the computed gap's margin over zero at the ends of its bracket (*The m2 = 0
+# interval*)
 _GAP_MARGIN = 1e-13
 _BRACKET_STEPS = 12
 
@@ -414,17 +439,11 @@ def _gap_bracket(q: float, m1: float, big_m: float,
                  w2_max: float) -> tuple[float, float]:
     """[a, b] within [-CLAMP, w2_max] around the root of the interval gap.
 
-    The computed gap(w2) = phi(w2) - phi(w1) - m1 is below -_GAP_MARGIN
-    at a unless a = -CLAMP, and above _GAP_MARGIN at b unless b = w2_max.
-    Safeguarded Newton, with slope phi(w2) (w1 - w2), starts at the root
-    for m1 = 0, Phi^-1((1 - q)/2), or for m1 < 0 at the w2 < 0 with
-    phi(w2) = M + m1 if that is further left: phi(w1) < M, so the root
-    lies left of both.  Each step aims twice the margin past the root, so
-    the iterates close in from both sides; one that leaves the bracket
-    bisects it.  It stops once the ends' gaps lie within 8 margins, or
-    after ``_BRACKET_STEPS`` evaluations.  gap >= -(M + m1), so where
-    M + m1 is within the margin no end below the root clears it, and the
-    whole range is returned.
+    The computed gap is below -_GAP_MARGIN at a unless a = -CLAMP, and above
+    _GAP_MARGIN at b unless b = w2_max.  Safeguarded Newton starts left of
+    the root, at Phi^-1((1 - q)/2) or, for m1 < 0, where phi(w2) = M + m1,
+    and aims each step twice the margin past the root.  gap >= -(M + m1), so
+    where M + m1 is within the margin the whole range is returned.
     """
     a, b = -CLAMP, w2_max
     if big_m + m1 <= _GAP_MARGIN:
@@ -451,25 +470,9 @@ def _gap_bracket(q: float, m1: float, big_m: float,
 
 
 def _solve_interval(q: float, m1: float) -> tuple[float, float]:
-    """Endpoints [w2, w1] of the m2 = 0 worst-case interval.
-
-    Parametrizing w1 = Phi^-1(q + Phi(w2)) satisfies the mass equation
-    identically; the remaining equation phi(w2) - phi(w1) = m1 is strictly
-    increasing in w2, so bisection finds the unique root.  m1 is never
-    rounded up: m1 >= M takes the closed form [Phi^-1(1 - q), CLAMP], and
-    where rounding leaves no root below the bracket end (m1 within about
-    1e-11 M of M), that end is returned, whose moment lies below m1 and so
-    is the weaker constraint.
-
-    A Newton search first brackets the root in [a, b] (``_gap_bracket``),
-    and ``bisect_root`` then runs on [-CLAMP, w2_max] with its usual
-    tolerance and midpoints, evaluating the gap only inside [a, b].  Outside,
-    its sign is known: rounding w1's mass q + Phi(w2) by about 1e-16 moves
-    phi(w1) by about 1e-16 |w1|, so the computed gap is within about
-    1e-16 max(1, |w1|) <= 4e-15 of the true, increasing one, far inside the
-    margin 1e-13 by which it clears zero at a and b.  So w2 is the plain
-    bisection's, bit for bit.
-    """
+    """Endpoints [w2, w1] of the m2 = 0 worst-case interval (*The m2 = 0
+    interval*): w2 is a plain bisection's over [-CLAMP, w2_max], bit for
+    bit, and m1 >= M takes the closed form [Phi^-1(1 - q), CLAMP]."""
     big_m = max_gradient_magnitude(q)
     if m1 <= -big_m * (1.0 - 1e-12):
         return -CLAMP, _upper_endpoint(q, -CLAMP)
@@ -519,11 +522,8 @@ def _refinement_width(slope: float) -> float:
 
 def _crossing_segments(c0: float, c1: float, u: float, r: float, lo: float,
                        hi: float) -> list[tuple[float, float, float]]:
-    """The monotone pieces (a, b, c(a)) of c on [lo, hi] where c crosses zero.
-
-    c' = c1 - r e^{u + r x} falls in x (c is concave), so it has at most one
-    zero: c rises, then falls, and crosses zero at most once on each side.
-    """
+    """The monotone pieces (a, b, c(a)) of c on [lo, hi] where c crosses zero:
+    c is concave, so it crosses at most once on each side of its peak."""
     breaks = [lo, hi]
     if c1 > 0.0:
         x_crit = (math.log(c1 / r) - u) / r
@@ -541,15 +541,11 @@ def _segment_root(a: float, b: float, fa: float,
                   c0: float, c1: float, u: float, r: float) -> float:
     """The crossing of c on a monotone piece [a, b] with a sign change.
 
-    Safeguarded Newton from the end where c < 0.  c is concave, and so is
-    log(c0 + c1 x) - (u + r x) where the line c0 + c1 x is positive, with
-    the same zero and signs: from the side where both are negative, a Newton
-    step on either lands between the iterate and the crossing, so the longer
-    of the two is taken.  Far right of a falling crossing e^{u + r x} swamps
-    the line, and a step on c moves only about 1/r there while the log form
-    is nearly linear; near the line's zero the log form's steps vanish and
-    c's do not.  A step that leaves the bracket bisects it.  The iteration
-    stops once a step is below 1e-4 of the crossing's refinement width.
+    Safeguarded Newton from the end where c < 0, on c and on the concave
+    log(c0 + c1 x) - (u + r x), which has the same zero and signs where the
+    line is positive: from that side each step lands short of the crossing,
+    so the longer is taken.  It stops once a step is below 1e-4 of the
+    crossing's refinement width.
     """
     if fa == 0.0:
         return a
@@ -589,12 +585,8 @@ def _segment_root(a: float, b: float, fa: float,
 
 def _c_roots(c0: float, c1: float, u: float, r: float,
              lo: float, hi: float) -> list[tuple[float, float]]:
-    """Zero crossings of c on [lo, hi] with their local |slope|.
-
-    c is concave, so it has at most two crossings, one on each monotone
-    piece (``_crossing_segments``), each found by ``_segment_root``.  Scalar
-    math throughout: this runs on every grid that is built.
-    """
+    """Zero crossings of c on [lo, hi] with their local |slope|, in scalar
+    math: this runs on every grid that is built."""
     roots = []
     for a, b, fa in _crossing_segments(c0, c1, u, r, lo, hi):
         root = _segment_root(a, b, fa, c0, c1, u, r)
@@ -604,13 +596,8 @@ def _c_roots(c0: float, c1: float, u: float, r: float,
 
 def _roots_hold(roots: list[tuple[float, float]], c0: float, c1: float,
                 u: float, r: float, lo: float, hi: float) -> bool:
-    """Whether a grid graded around ``roots`` still serves c on [lo, hi].
-
-    It does while c crosses zero as often, and each crossing lies within
-    the refinement width of the held crossing it replaces.  On a monotone
-    piece c has one crossing, so it lies in that window exactly when c
-    changes sign across it: two values of c per crossing decide it.
-    """
+    """Whether a grid graded around ``roots`` still serves c on [lo, hi]
+    (*The grid-hold rule*)."""
     segments = _crossing_segments(c0, c1, u, r, lo, hi)
     if len(segments) != len(roots):
         return False
@@ -625,12 +612,9 @@ def _roots_hold(roots: list[tuple[float, float]], c0: float, c1: float,
 
 def _graded_edges(lo: float, hi: float,
                   roots: list[tuple[float, float]]) -> np.ndarray:
-    """Uniform panels plus geometric refinement around each sigmoid transition.
-
-    The uniform edges are ``np.linspace(lo, hi, _BASE_PANELS + 1)``, bit for
-    bit.  Edges closer than 1e-14 max(1, |lo|, |hi|) merge, and lo and hi end
-    the grid.
-    """
+    """Uniform panels, ``np.linspace(lo, hi, _BASE_PANELS + 1)`` bit for bit,
+    refined geometrically around each root; edges closer than
+    1e-14 max(1, |lo|, |hi|) merge, and lo and hi end the grid."""
     width = (hi - lo) / _BASE_PANELS
     uniform = _PANEL_INDEX * width + lo
     uniform[-1] = hi
@@ -653,17 +637,12 @@ def _graded_edges(lo: float, hi: float,
 class _HeldGrid:
     """One dual solve's quadrature grid and the integrands of its last call.
 
-    ``roots``, ``x`` and ``base`` = w phi(x) are the grid, graded around
-    the crossings ``roots``; ``base_x`` = base x and ``cols``, the columns
-    (1, x) of dc/dtheta with a third left for -e^{u + r x}, are its
-    constants, built with it.  ``rx`` = r x is held for the store's
-    travel ``r``.  ``e``, ``cdf_c`` and ``residual`` are e^{u + r x},
-    Phi(c(x)) and F of the last ``_dual_residual`` call, ``rows`` its
-    dF/dc per node and ``jac`` its J, from which ``_tangent_start`` reads
-    the solution's slope in r.  The grid's arrays may be shared read-only
-    with a neighbouring solve's store (``carried``): a store only ever
-    rebinds its slots to new arrays, and copies ``cols`` before it fills
-    the third column.
+    The grid is ``x`` and ``base`` = w phi(x), graded around ``roots``, with
+    its constants ``base_x`` = base x and ``cols``, the (1, x) columns of
+    dc/dtheta; ``rx`` = r x for travel ``r``.  ``e``, ``cdf_c``,
+    ``residual``, ``rows`` and ``jac`` are e^{u + r x}, Phi(c), F, dF/dc and
+    J of the last ``_dual_residual`` call.  A store only rebinds its slots,
+    so stores made by ``carried`` share the grid's arrays read-only.
     """
 
     __slots__ = ("roots", "x", "base", "base_x", "cols", "r", "rx",
@@ -692,8 +671,7 @@ class _HeldGrid:
 
 
 def _c_peak(c0: float, c1: float, u: float, r: float) -> float:
-    """The maximum of c over [-12, 12] for r > 0, at x* = (ln(c1/r) - u)/r
-    where c' = 0, clamped to the domain, or at x = -12 where c falls."""
+    """The maximum of c over [-12, 12] for r > 0."""
     x = -_DOMAIN_HALF_WIDTH
     if c1 > 0.0:
         x = min(max((math.log(c1 / r) - u) / r, x), _DOMAIN_HALF_WIDTH)
@@ -702,50 +680,13 @@ def _c_peak(c0: float, c1: float, u: float, r: float) -> float:
 
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
                    full: bool, held: _HeldGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Dual equations F(theta) and their Jacobian dF/dtheta, from one grid.
+    """Dual equations F(theta) and their Jacobian dF/dtheta on ``held``'s grid.
 
     theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
-    reduced one, so dc/dtheta is (1, x, -e^{u+rx}) or (c0, -e^{u+rx}).  The
-    integrands differentiate in closed form: d Phi(c) = phi(c) dc,
-    d phi(c) = -c phi(c) dc and d x Phi(c) = x phi(c) dc.  Where the
-    exponent is capped, F does not move, so dc counts as 0.  phi(c) is 0
-    where |c| >= _TAIL and Phi(c) where c <= -_TAIL, which covers every c
-    clipped at -1e300 or CLAMP: each dropped term is below the rounding unit
-    of every sum it enters, so F and J are those of the untruncated
-    integrands on the same grid, bit for bit.
-
-    Only the nodes where c > -_TAIL are evaluated.  c is concave
-    (c'' = -r^2 e^{u + r x} < 0), so they form one interval of x and, the
-    nodes being sorted, one slice [i0, i1) of the grid; a count of the live
-    nodes checks that rounding kept it one.  phi(c) and Phi(c) go into
-    zero-filled arrays of the grid's length, so the nodes outside the slice
-    hold the exact zeros the masks gave them, and every dot product and the
-    matmul for J run on the same operands in the same order: F, J and the
-    held integrands keep every bit.  Scalar bounds retire the masked form's
-    clamps:
-
-    - the exponent cap: u + r x is at most u + 12 |r| on the grid, so
-      where scale = |c0| + 12 |c1| + e^{u + 12 |r|} is below 1e300, no node
-      reaches 700, and c is finite at every node;
-    - the -1e300 clip: it acts only where c <= -_TAIL, outside the slice;
-    - the CLAMP clip: Phi(c) is 1 from c = 8.3 up, and phi(c) is masked to
-      0 at c >= _TAIL, so it moves no bit of a finite c;
-    - that mask: it is idle where c's maximum over [-12, 12] (``_c_peak``)
-      lies below _TAIL by 1e-9 scale, a margin over the rounding of c at
-      the nodes.
-
-    Where the scale bound fails, the masked form runs on the whole grid,
-    with c clipped and the capped nodes' dc set to 0; where the peak bound
-    or the count fails, it runs on the slice.
-
-    The grid is graded around the crossings of c.  ``held``, one solve's
-    store (``_solve_dual_system``), keeps the last grid built: it serves
-    while c crosses zero as often and each crossing stays within its
-    refinement width of the held one (``_roots_hold``); otherwise a new
-    grid is built and held, as it is on an empty store.  ``held`` also
-    keeps this call's e^{u + r x}, Phi(c), F, dF/dc and J, from which
-    ``_dual_bound`` reads g, ``_grid_mass`` the set's mass and
-    ``_tangent_start`` the solution's slope in r.
+    reduced one.  The grid is ``held``'s while it serves (*The grid-hold
+    rule*), else a new one built there; F and J are those of the full
+    integrands, bit for bit (*The slice rule*), and ``held`` keeps this
+    call's integrands.
     """
     if full:
         c0, c1, u = theta.tolist()
@@ -824,25 +765,12 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
 
 def _dual_bound(held: _HeldGrid, c0: float, c1: float, u: float, r: float
                 ) -> tuple[float, float]:
-    """The dual function g at multipliers (c0, c1, u), and dg/dr, from the
-    last ``_dual_residual`` call on ``held``, made at those multipliers.
+    """g at multipliers (c0, c1, u), clipped to [0, 1], and dg/dr (*Weak
+    duality*), from the last ``_dual_residual`` call on ``held``, made there.
 
-    With lam2 = e^{-r^2/2 - u}, lam0 = lam2 c0 and lam1 = lam2 c1 the
-    multipliers of q, m1 and m2,
-
-        g = lam2 [c0 q + c1 m1 + m2 - integral phi(x) (c Phi(c) + phi(c)) dx]
-
-    is the Lagrangian minimised over all sets (the set {z2 >= -c(z1)}
-    attains it), so by weak duality g is at most the minimum of every
-    problem whose constraints the set family relaxes: the worst case with
-    m1 as an equality, for any multipliers; with q as a lower bound only
-    where c0 >= 0, and with m1 as a lower bound only where c1 >= 0.  c is
-    unclipped here: c0 + c1 x - c = e^{u + r x} turns the c Phi(c) term into
-    the sums F already holds, so g = lam2 [sum w phi e Phi(c) - c0 F_q - F_m2
-    - c1 F_m1] costs one more dot product, and dg/dr = lam2 sum w phi
-    (x - r) e Phi(c) one more.  At a solution (F = 0) g is the set's mass
-    under N(r, 1).  g is clipped to [0, 1]; multipliers past the float range
-    give the trivial bound 0.
+    c0 + c1 x - c = e^{u + r x} turns the c Phi(c) term into sums F holds:
+    g = lam2 [sum w phi e Phi(c) - c0 F_q - F_m2 - c1 F_m1], with c
+    unclipped.  Multipliers past the float range give the trivial bound 0.
     """
     log_lam2 = -0.5 * r * r - u
     if not log_lam2 < 700.0:
@@ -861,16 +789,9 @@ def _dual_bound(held: _HeldGrid, c0: float, c1: float, u: float, r: float
 def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
                        init: tuple[float, ...], grid: Optional[_HeldGrid] = None
                        ) -> tuple[np.ndarray, _HeldGrid]:
-    """``solve_system`` on the dual from ``init``, with one grid store.
-
-    The residual it solves holds the last grid it built, for this solve
-    alone: no state outlives the call or is shared between threads.  The
-    store starts on ``grid``'s grid when given (a neighbouring solve's,
-    whose arrays it only reads; ``_roots_hold`` decides whether it serves)
-    and on none otherwise.  The store is returned with the solution:
-    ``solve_system`` returns the point of its last evaluation, so the
-    store's integrands are the solution's.
-    """
+    """``solve_system`` on the dual from ``init``, and the solve's own store,
+    started on ``grid``'s grid when given.  ``solve_system`` returns the point
+    of its last evaluation, so the store's integrands are the solution's."""
     held = _HeldGrid() if grid is None else grid.carried()
     theta = solve_system(lambda th: _dual_residual(th, stats, r, full, held), init)
     return theta, held
@@ -898,14 +819,11 @@ def _log1mexp(t: float) -> float:
 def _soft_interval_init(stats: FirstOrderStats, r: float,
                         interval: tuple[float, float]
                         ) -> Optional[tuple[float, float, float]]:
-    """Start from the m2 = 0 interval [w2, w1], softening its edges to m2.
+    """Start from the m2 = 0 ``interval`` [w2, w1], its edges softened to m2.
 
-    ``interval`` is ``_solve_interval(stats.q, stats.m1)``, which the caller
-    solves once.  c crosses zero at both endpoints by construction; the
-    scale u is set so the edge-width model phi(w2)/|c'(w2)| + phi(w1)/|c'(w1)|
-    equals m2, which is exact in the sharp-edge limit.  All intermediate
-    quantities are kept in log space since e^{r w1} overflows for wide
-    intervals.
+    c crosses zero at both endpoints, and u sets the edge-width model
+    phi(w2)/|c'(w2)| + phi(w1)/|c'(w1)| to m2, exact in the sharp-edge
+    limit.  It works in log space, since e^{r w1} overflows for wide ones.
     """
     w2, w1 = interval
     # chord slope of e^{rx} over [w2, w1]: K = (e^{r w1} - e^{r w2}) / (w1 - w2)
@@ -926,12 +844,7 @@ def _soft_interval_init(stats: FirstOrderStats, r: float,
 
 
 def _reduced_dual(stats: FirstOrderStats, r: float) -> DualSolution:
-    """The two-equation dual, which drops the directional constraint.
-
-    A minimum over fewer constraints is no larger, so the bound is always
-    conservative; ``solve_dual`` falls back to it.  It starts cold from
-    ``_reduced_init``.
-    """
+    """The two-equation dual without the m1 constraint, from ``_reduced_init``."""
     sol, held = _solve_dual_system(stats, r, False, _reduced_init(stats, r))
     c0, u = math.exp(min(float(sol[0]), 700.0)), float(sol[1])
     return _solution(c0, 0.0, u, DualVariant.REDUCED_NO_SLOPE, r, held)
@@ -946,30 +859,19 @@ def _solution(c0: float, c1: float, u: float, variant: DualVariant, r: float,
 
 
 def _capped(stats: FirstOrderStats) -> FirstOrderStats:
-    """The stats ``solve_dual`` solves: m2 pulled back to within
-    ``_M2_PERP_MARGIN`` of the perpendicular boundary, which only weakens
-    its constraint."""
+    """m2 pulled back to ``_M2_PERP_MARGIN`` inside the perpendicular
+    boundary, which only weakens its constraint."""
     m2_cap = max_gradient_magnitude(stats.q) * (1.0 - _M2_PERP_MARGIN)
     return replace(stats, m2=m2_cap) if stats.m2 > m2_cap else stats
 
 
-# A warm start's tangent step is cut to this share of max(1, |theta'|) in
-# the max norm: near the perpendicular boundary the solution path bends
-# within a longer step, which then starts Newton outside its basin
+# *The tangent start*'s cut, as a share of max(1, |theta'|)
 _TANGENT_TRUST = 0.25
 
 
 def _tangent_start(warm: DualSolution, r: float) -> tuple[float, float, float]:
-    """The FULL solution ``warm`` at r' moved toward r along its tangent.
-
-    Along the solution path F(theta(r), r) = 0, so dtheta/dr = -J^-1 dF/dr,
-    with dF/dr = dF/dc . dc/dr and dc/dr = -x e^{u + r x} (0 where the
-    exponent is capped, which dF/dc already masks), both read off the
-    solve's last residual evaluation on its grid.  The start is
-    theta' + (r - r') dtheta/dr, the step cut to ``_TANGENT_TRUST``
-    max(1, |theta'|) in the max norm, or theta' itself where J is singular
-    or the step is not finite.
-    """
+    """The FULL solution ``warm`` moved to r along its tangent (*The tangent
+    start*), or its own theta where J is singular or the step not finite."""
     theta = (warm.c0, warm.c1, math.log(-warm.c2))
     held = warm.grid
     if held is None:
@@ -992,33 +894,15 @@ def solve_dual(stats: FirstOrderStats, r: float,
                interval: Optional[tuple[float, float]] = None) -> DualSolution:
     """Worst-case dual coefficients at scaled travel distance r > 0.
 
-    Solves the full three-equation system; both slope signs are accepted,
-    since either sign yields a worst-case set matching the constraints (the
-    negative-slope branch is exactly the near-halfspace family required for
-    the linear-classifier limit).  That holds with m1 as an equality: with
-    m1 as a lower bound, c1 < 0 means a negative m1 multiplier, and the
-    minimum lies below this p (selftest's LP oracle shows it).  Damped
-    Newton starts from, in order:
-
-    1. ``warm``, when it is a FULL solution (in a radius search, that of
-       the nearest travel distance already solved), moved to r along its
-       tangent (``_tangent_start``), on a copy of its grid: the solve
-       shares the grid's arrays read-only, keeps it while c's crossings
-       hold still, and leaves ``warm``'s own store as it was;
-    2. the m2 = 0 interval with its edges softened to m2.  ``interval``
-       must be that interval of (stats.q, stats.m1), as
-       ``_solve_interval`` returns it; a radius search solves it once and
-       passes it to each solve.  Without it, it is solved here when the
-       warm start fails.  The perpendicular cap below changes only m2, so
-       the interval stays valid.
-
-    When neither converges, the two-equation system is solved instead
-    (``_reduced_dual``), which drops the directional constraint and is
-    always conservative.  The solution carries g and dg/dr at its
-    multipliers (``DualSolution.bound``), read off the solve's last
-    residual evaluation.  m2 below the degeneracy floor ``M2_DEGENERATE``
-    raises ``DomainError``: that dual is the m2 = 0 interval, which its
-    callers solve in closed form (``_solve_interval``).
+    Damped Newton on the FULL system starts from ``warm``, when it is FULL,
+    by *The tangent start*, leaving ``warm``'s store as it was; then from
+    ``interval``, the m2 = 0 interval of (stats.q, stats.m1) that a search
+    solves once (solved here when needed), its edges softened to m2.  When
+    neither converges, the reduced system is solved (*Weak duality*).
+    Either sign of c1 is accepted.  m2 is first pulled back by ``_capped``.
+    Raises ``DomainError`` for r <= 0, q outside (1/2, 1) and m2 below
+    ``M2_DEGENERATE`` (whose dual is the interval), ``InfeasibleStatsError``
+    outside the disk, and ``NoConvergenceError`` if the reduced solve fails.
     """
     if not (r > 0.0 and math.isfinite(r)):
         raise DomainError(f"travel distance must be positive and finite, got {r}")
@@ -1046,7 +930,6 @@ def solve_dual(stats: FirstOrderStats, r: float,
         if soft is not None:
             full_sol = try_full(soft)
     if full_sol is None:
-        # conservative fallback: the two-equation bound is valid regardless
         return _reduced_dual(stats, r)
 
     sol, held = full_sol
@@ -1055,18 +938,12 @@ def solve_dual(stats: FirstOrderStats, r: float,
 
 
 def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
-    """The primal mass of the dual's set under N(r, 1), and its dp/dr.
+    """The mass of the dual's set under N(r, 1) on its solve's grid, and
+    ``dual.bound_slope``.
 
-    This is the set's own probability at the dual's travel distance r, the
-    quantity a Monte-Carlo re-run of the set estimates, read off the
-    solve's own grid by the sum the radius search bounds with
-    (``_grid_mass``).  That grid ends at x = 12, so it misses at most
-    Phi(r - 12) of N(r, 1), below 1e-19 for r <= 3.  It is the worst case
-    only to the extent that the set meets the constraints.  Radii rest
-    instead on ``dual.bound``, the dual function g at the solve's
-    multipliers, a lower bound by weak duality; at a converged solve the
-    two agree to within the residual.  The slope is ``dual.bound_slope``,
-    the search's: dp/dr with the set held fixed (envelope theorem).
+    This is what a Monte-Carlo re-run of the set estimates; the grid misses
+    at most Phi(r - 12) of it.  Radii rest on ``dual.bound`` instead (*Weak
+    duality*).  Raises ``DomainError`` for a dual that holds no grid.
     """
     if dual.grid is None:
         raise DomainError("probability_from_dual needs a solved dual, which holds its grid")
@@ -1076,22 +953,12 @@ def probability_from_dual(dual: DualSolution) -> tuple[float, float]:
 def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
                 warm: Optional[DualSolution] = None
                 ) -> tuple[float, float, Optional[DualSolution]]:
-    """Worst-case probability p(r), its slope dp/dr, and the dual solved.
+    """p(r) = max(p_int, g), its slope, and the dual solved, if any (*The
+    worst case and the radius*).
 
-    ``interval`` is ``_solve_interval(stats.q, stats.m1)``.  Dropping the m2
-    constraint can only lower the minimum, so the interval's closed-form
-    p_int(r) = Phi(w1 - r) - Phi(w2 - r) is a lower bound at every r > 0.
-    Below ``_R_SMOOTH_FLOOR`` or for q within ``_Q_SMOOTH_FLOOR`` of 1/2,
-    where the exponential basis degenerates, or for m2 below
-    ``M2_DEGENERATE``, p_int is returned with its exact slope.
-    Otherwise p is the larger of p_int and the dual's g, the dual function
-    at the multipliers ``solve_dual`` (started from ``warm``) ends on, read
-    off its last residual evaluation (``_dual_bound``): a lower bound by
-    weak duality, with m1 as an equality.  The slope is the larger one's;
-    one that would come from a reduced dual is nan, so the search bisects
-    there.  A dual that does not converge at all leaves p_int, still a
-    proven bound, and no dual.  The dual is returned whenever one was
-    solved, for warm starts, even where p_int won.
+    ``interval`` is ``_solve_interval(stats.q, stats.m1)``, and ``warm``
+    starts the solve.  A reduced dual's slope is nan.  The dual is returned
+    even where p_int won.
     """
     p_int, slope_int = _interval_probability(*interval, r)
     if (r < _R_SMOOTH_FLOOR or stats.q <= 0.5 + _Q_SMOOTH_FLOOR
@@ -1109,43 +976,20 @@ def _worst_case(stats: FirstOrderStats, interval: tuple[float, float], r: float,
 
 def _grid_mass(held: _HeldGrid, r: float) -> float:
     """The mass under N(r, 1) of the set whose Phi(c) ``held`` holds, on its
-    grid over [-12, 12]: sum w phi(x) e^{r x - r^2/2} Phi(c(x))."""
+    grid: sum w phi(x) e^{r x - r^2/2} Phi(c(x))."""
     return float((held.base * held.cdf_c) @ np.exp(r * held.x - 0.5 * r * r))
 
 
 def _set_mass_bound(dual: DualSolution, r: float) -> float:
-    """An upper bound on the worst case at r from a FULL set solved at another r.
-
-    The constraints sit at r = 0, so the set of a converged FULL dual meets
-    them (to the solve's residual) at every r, and its mass under N(r, 1)
-    is at least the minimum.  That mass is read off the solve's last grid
-    (``_grid_mass``); the mass of N(r, 1) past 12 is added, since the grid
-    does not reach it.  A bound too low could only end a search short of
-    the root, never past it.
-    """
+    """An upper bound on the worst case at r from the set of a FULL ``dual``
+    solved at another r (*The top-end set-mass bound*): its mass on the
+    grid plus the mass of N(r, 1) past 12, which the grid does not reach."""
     return _grid_mass(dual.grid, r) + _cdf(r - _DOMAIN_HALF_WIDTH)
 
 
-def _shifted_bound(stats: FirstOrderStats, dual: DualSolution, r: float,
-                   shift: float) -> float:
-    """g at r from the multipliers of ``dual``, solved at r' = r + h.
-
-    Holding lam2 = e^{-r'^2/2 - u} (and so lam0 and lam1) fixed moves u to
-    u + ``shift``, shift = (r'^2 - r^2) / 2; any multipliers give a lower
-    bound by weak duality (``_dual_bound``).  The solve's grid serves if
-    c's crossings hold still, and is copied, never changed.
-    """
-    held = dual.grid.carried()
-    u = math.log(-dual.c2) + shift
-    _dual_residual(np.array([dual.c0, dual.c1, u]), _capped(stats), r, True, held)
-    return _dual_bound(held, dual.c0, dual.c1, u, r)[0]
-
-
 def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
-    """Worst-case smoothed probability at scaled distance r (r = 0 gives q).
-
-    The radius search's p = max(p_int, g) (``_worst_case``), solved cold.
-    """
+    """The radius search's worst-case p at scaled distance r, solved cold
+    (r = 0 gives q)."""
     if r < 0.0 or not math.isfinite(r):
         raise DomainError(f"travel distance must be nonnegative, got {r}")
     if r == 0.0:
@@ -1163,19 +1007,14 @@ def _grid_search(probe: Callable[[int], tuple[float, float]], top: int,
                  k: int) -> Optional[int]:
     """Last grid index lo with p(lo h) >= 1/2, where h = R_CAP_DEFAULT / top.
 
-    Returns None when p at the cap (index top) is >= 1/2.  ``probe(k)``
-    gives p(k h) and the exact dp/dr there, nan where no slope is known.
-    Only p's side of 1/2 steers the search, so a probe may return a bound
-    that decides that side instead of p itself, with a nan slope.
-    The search returns lo once p(lo h) >= 1/2 and p((lo + 1) h) < 1/2 have
-    both been probed: for a p that falls once through 1/2, the point
-    ``bisect_root`` returns on the same grid.  It probes k first, then takes
-    Newton steps on p(r) - 1/2, floored to the grid and kept strictly inside
-    the bracket.  It bisects the bracket where the slope is nan or not
-    negative, where Newton points outside the bracket, or when two Newton
-    probes have not halved it.  The cap is probed only when Newton points
-    past it or the bracket ends there.  A p that is not finite raises
-    ``NumericalError``: a nan would otherwise read as p >= 1/2 and certify.
+    ``probe(k)`` gives p(k h), or a bound that decides its side of 1/2, and
+    dp/dr there, nan where none is known.  lo is returned once p(lo h) >= 1/2
+    and p((lo + 1) h) < 1/2 have both been probed: for a p that falls once
+    through 1/2, ``bisect_root``'s point on the same grid.  None means
+    p >= 1/2 at the cap.  It probes k first, then takes Newton steps floored
+    to the grid inside the bracket, and bisects where the slope is nan or
+    not negative, Newton leaves the bracket, or two Newton probes have not
+    halved it.  A p that is not finite raises ``NumericalError``.
     """
     h = R_CAP_DEFAULT / top
     # p(lo h) >= 1/2 > p(hi h), where hi = top stands unproven until a
@@ -1209,41 +1048,12 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
                        tol: float = 1e-4) -> RadiusResult:
     """Largest certified travel distance along the encoded direction.
 
-    Returns sigma * r*, where r* lies short of the root of p(r) = 0.5 by
-    at most tol (in input units) and never past it; 0 when q <= 0.5; and
-    the fixed cap sigma * R_CAP_DEFAULT = 10 sigma with the capped flag when
-    the worst-case probability never falls to 0.5 before it.  The result is
-    floored at the zeroth-order radius, which the first-order bound provably
-    dominates.
-
-    r* is the ``_grid_search`` result on bisection's grid k h, with
-    h = R_CAP_DEFAULT / 2**bisection_steps(R_CAP_DEFAULT, tol / sigma),
-    a grid at most 1e-9 wide when m2 = 0.  That search runs first over the
-    closed-form p_int of the m2 = 0 interval, from Phi^-1(q).  Its root is
-    the radius for m2 = 0 and for q within ``_Q_SMOOTH_FLOOR`` of 1/2.
-    Otherwise the search runs again over ``_worst_case``'s
-    p = max(p_int, g), from p_int's root: dropping the m2 constraint
-    can only lower p, so that root lies below the dual's and closer than
-    Phi^-1(q).  The slope is the larger term's: the exact one of p_int, or
-    dg/dr = integral (x - r) phi(x - r) Phi(c(x)) dx of a FULL dual, its
-    multipliers held; a reduced dual has none.  Each solve is warm-started
-    from the nearest r already solved, moved along its tangent in r, on
-    its grid (``solve_dual``).
-
-    A probe k next to a FULL-solved index is first decided from that
-    solve, which closes the bracket without a solve at k: it is the top
-    when index k - 1 had p >= 1/2 and both p_int(k h) and that set's mass
-    at k h, an upper bound on the worst case (``_set_mass_bound``), are
-    below 1/2; it is the bottom when index k + 1 had p < 1/2 and
-    max(p_int, g) >= 1/2, g from that solve's multipliers with lam2 held
-    (``_shifted_bound``).
-
-    ``fallback_used`` is set when an end of the final bracket (or the cap,
-    for a capped result) at or above the smooth floor was decided neither
-    by its own FULL dual nor by a neighbour's: the reduced dual was used,
-    or no dual converged and p_int stood alone.  An end that a neighbour's
-    converged FULL solve decided, through its set or its multipliers, is
-    not a fallback.
+    Returns sigma r*, r* the last point where p >= 1/2 (*The worst case and
+    the radius*) of bisection's grid, whose step is at most tol in input
+    units (1e-9 sigma when m2 = 0), floored at the zeroth-order radius; 0
+    when q <= 0.5; and 10 sigma with ``capped`` when p never falls below 1/2
+    before the cap.  ``fallback_used`` is as *The top-end set-mass bound*
+    defines it.
     """
     q = stats.q
     if q <= 0.5:
@@ -1273,30 +1083,20 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
 
     duals: dict[int, DualSolution] = {}  # grid index -> its solve
     probed: dict[int, float] = {}  # grid index -> its p
-    borrowed: set[int] = set()  # bracket ends decided by a neighbour's dual
+    borrowed: set[int] = set()  # top ends decided by the solve below
 
-    def neighbour_decides(k: int) -> Optional[float]:
-        # a p on the far side of 1/2 from a FULL-solved neighbour closes
-        # the bracket at k, so k needs no solve of its own
-        r = k * h
-        if r < _R_SMOOTH_FLOOR:
+    def set_mass_decides(k: int) -> Optional[float]:
+        # *The top-end set-mass bound*, from the FULL solve at k - 1
+        r, below = k * h, duals.get(k - 1)
+        if not (r >= _R_SMOOTH_FLOOR and below is not None
+                and below.variant is DualVariant.FULL and probed[k - 1] >= 0.5
+                and _interval_probability(*interval, r)[0] < 0.5):
             return None
-        p_int = _interval_probability(*interval, r)[0]
-        below, above = duals.get(k - 1), duals.get(k + 1)
-        if (below is not None and below.variant is DualVariant.FULL
-                and probed[k - 1] >= 0.5 and p_int < 0.5):
-            upper = _set_mass_bound(below, r)
-            if upper < 0.5:
-                return upper
-        if (above is not None and above.variant is DualVariant.FULL
-                and probed[k + 1] < 0.5):
-            p = max(p_int, _shifted_bound(stats, above, r, (2 * k + 1) * h * h / 2.0))
-            if p >= 0.5:
-                return p
-        return None
+        upper = _set_mass_bound(below, r)
+        return upper if upper < 0.5 else None
 
     def probe(k: int) -> tuple[float, float]:
-        p = neighbour_decides(k)
+        p = set_mass_decides(k)
         if p is not None:
             borrowed.add(k)
             probed[k] = p
@@ -1309,9 +1109,8 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         return p, slope
 
     def fell_back(k: int) -> bool:
-        # an end at or above the floor was decided neither by its own FULL
-        # dual nor by a neighbour's: the search probes every bracket end it
-        # returns but index 0, which lies below the floor
+        # the search probes every bracket end it returns but index 0, which
+        # lies below the floor
         return k * h >= _R_SMOOTH_FLOOR and k not in borrowed and (
             k not in duals or duals[k].variant is not DualVariant.FULL)
 

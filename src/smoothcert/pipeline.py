@@ -1,9 +1,11 @@
 """Per-point certification orchestration, accuracy curves, and persistence.
 
 A point is certified in one sampling pass: the same N draws produce the
-top-class success count and the gradient-statistic sums, and the total
-failure probability is Bonferroni-split across every estimate consumed, so
-the joint confidence statement holds regardless of dependence between them.
+top-class success count and the gradient-statistic sums.  The total failure
+probability is Bonferroni-split across the estimates of one class, which
+then hold jointly regardless of dependence between them.  The class is
+picked from the same draws, so with C classes the proven joint level is
+1 - C alpha_total, not 1 - alpha_total.
 """
 
 from __future__ import annotations

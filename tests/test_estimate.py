@@ -81,6 +81,21 @@ class TestClopperPearson:
         # the lower bound sits below the point estimate
         assert estimate_q_lower(80, 100, 0.01) < 0.8
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the pipeline picks the class from the draws that "
+                              "bound its q, so with two classes q's bound fails "
+                              "about twice as often as its alpha allows")
+    def test_majority_class_bound_fails_within_alpha(self):
+        # two classes at true p = 1/2: the pipeline bounds the majority
+        # class's q from the same n draws, so a false certificate
+        # (q_lb > 1/2) happens with the exact probability below.  It is
+        # 0.1948 = 1.95 alpha here
+        n, alpha = 1000, 0.1
+        counts = np.arange(n + 1)
+        false = [estimate_q_lower(max(k, n - k), n, alpha) > 0.5 for k in counts.tolist()]
+        p_false = float(stats.binom.pmf(counts, n, 0.5) @ np.array(false, dtype=float))
+        assert p_false <= alpha, p_false
+
 
 class TestGradientMean:
     def test_zero(self):
