@@ -121,6 +121,7 @@ from scipy import special as _sp
 
 from .numerics import (
     CLAMP,
+    INV_SQRT_2PI,
     DomainError,
     NoConvergenceError,
     NumericalError,
@@ -129,6 +130,7 @@ from .numerics import (
     panel_nodes,
     solve_system,
     std_normal_cdf,
+    std_normal_pdf,
     std_normal_quantile,
 )
 
@@ -351,8 +353,8 @@ def zeroth_radius_l2(q: float, cfg: SmoothingConfig) -> float:
     if q <= 0.5:
         return 0.0
     if q >= 1.0:
-        return cfg.sigma * float(std_normal_quantile(1.0 - 1e-16))
-    return cfg.sigma * float(std_normal_quantile(q))
+        return cfg.sigma * std_normal_quantile(1.0 - 1e-16)
+    return cfg.sigma * std_normal_quantile(q)
 
 
 def max_gradient_magnitude(q: float) -> float:
@@ -362,7 +364,7 @@ def max_gradient_magnitude(q: float) -> float:
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return _pdf(float(_sp.ndtri(q)))
+    return std_normal_pdf(std_normal_quantile(q))
 
 
 def check_feasible(stats: FirstOrderStats) -> bool:
@@ -391,42 +393,19 @@ def ensure_feasible(stats: FirstOrderStats) -> None:
 # ---------------------------------------------------------------------------
 
 
-# The interval's math and ``max_gradient_magnitude`` run on one float at a
-# time, several times per probe.  Each helper calls the
-# ufunc behind its numerics counterpart (std_normal_cdf, std_normal_pdf,
-# std_normal_quantile) with the same +-CLAMP clip, so results are equal bit
-# for bit, without the array path's cost on every scalar.  math.exp and
-# math.erfc are not used: their last bits can differ from numpy's and scipy's.
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _clip(x: float) -> float:
-    return min(max(x, -CLAMP), CLAMP)  # nan stays nan, as in np.clip
-
-
-def _cdf(x: float) -> float:
-    return float(_sp.ndtr(_clip(x)))
-
-
-def _pdf(x: float) -> float:
-    x = _clip(x)
-    return float(_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def _upper_endpoint(q: float, w2: float) -> float:
-    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP:
-    ``std_normal_quantile(q + std_normal_cdf(w2))`` bit for bit."""
-    mass = min(q + _cdf(w2), _BELOW_ONE)
-    if not 0.0 < mass < 1.0:
-        raise DomainError(f"quantile argument must lie in (0, 1), got {mass!r}")
-    return _clip(float(_sp.ndtri(mass)))
+    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP."""
+    w1 = std_normal_quantile(min(q + std_normal_cdf(w2), _BELOW_ONE))
+    return min(max(w1, -CLAMP), CLAMP)
 
 
 def _interval_gap(q: float, m1: float, w2: float) -> tuple[float, float]:
     """The interval's gap phi(w2) - phi(w1) - m1, and w1 = Phi^-1(q + Phi(w2))."""
     w1 = _upper_endpoint(q, w2)
-    return _pdf(w2) - _pdf(w1) - m1, w1
+    return std_normal_pdf(w2) - std_normal_pdf(w1) - m1, w1
 
 
 # the computed gap's margin over zero at the ends of its bracket (*The m2 = 0
@@ -448,9 +427,9 @@ def _gap_bracket(q: float, m1: float, big_m: float,
     a, b = -CLAMP, w2_max
     if big_m + m1 <= _GAP_MARGIN:
         return a, b
-    w2 = float(_sp.ndtri(0.5 * (1.0 - q)))
+    w2 = std_normal_quantile(0.5 * (1.0 - q))
     if m1 < 0.0:
-        w2 = min(w2, -math.sqrt(-2.0 * math.log((big_m + m1) / _INV_SQRT_2PI)))
+        w2 = min(w2, -math.sqrt(-2.0 * math.log((big_m + m1) / INV_SQRT_2PI)))
     gap_a, gap_b = -math.inf, math.inf
     for _ in range(_BRACKET_STEPS):
         gap, w1 = _interval_gap(q, m1, w2)
@@ -464,7 +443,7 @@ def _gap_bracket(q: float, m1: float, big_m: float,
         # while no end below has been found; else aim above it
         below = gap > _GAP_MARGIN or (gap >= -_GAP_MARGIN and gap_a == -math.inf)
         target = -2.0 * _GAP_MARGIN if below else 2.0 * _GAP_MARGIN
-        w2_new = w2 + (target - gap) / (_pdf(w2) * (w1 - w2))
+        w2_new = w2 + (target - gap) / (std_normal_pdf(w2) * (w1 - w2))
         w2 = w2_new if a < w2_new < b else 0.5 * (a + b)
     return a, b
 
@@ -477,8 +456,8 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
     if m1 <= -big_m * (1.0 - 1e-12):
         return -CLAMP, _upper_endpoint(q, -CLAMP)
     if m1 >= big_m:
-        return float(std_normal_quantile(1.0 - q)), CLAMP
-    w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
+        return std_normal_quantile(1.0 - q), CLAMP
+    w2_max = std_normal_quantile(1.0 - q) - 1e-12
     gap_max, w1 = _interval_gap(q, m1, w2_max)
     if gap_max <= 0.0:
         return w2_max, w1
@@ -497,7 +476,8 @@ def _solve_interval(q: float, m1: float) -> tuple[float, float]:
 
 def _interval_probability(w2: float, w1: float, r: float) -> tuple[float, float]:
     """p(r) = Phi(w1 - r) - Phi(w2 - r) for the interval [w2, w1], and dp/dr."""
-    return _cdf(w1 - r) - _cdf(w2 - r), _pdf(w2 - r) - _pdf(w1 - r)
+    return (std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r),
+            std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +637,7 @@ class _HeldGrid:
         x, w = panel_nodes(_graded_edges(-_DOMAIN_HALF_WIDTH, _DOMAIN_HALF_WIDTH, roots))
         # phi(x) as std_normal_pdf gives it, whose clip at +-CLAMP is idle
         # on nodes within +-12
-        base = w * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        base = w * (INV_SQRT_2PI * np.exp(-0.5 * x * x))
         # column-major, so that -e^{u + r x} fills one contiguous column
         cols = np.empty((x.size, 3), order="F")
         cols[:, 0] = 1.0
@@ -732,14 +712,14 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     if dense:
         tail = np.abs(near) >= _TAIL
         kept = near[~tail]
-        phi[~tail] = _INV_SQRT_2PI * np.exp(-0.5 * kept * kept)
+        phi[~tail] = INV_SQRT_2PI * np.exp(-0.5 * kept * kept)
         _sp.ndtr(np.where(near <= -_TAIL, -40.0, near), out=cdf)
     else:
-        # _INV_SQRT_2PI e^{-0.5 c c}, in place
+        # INV_SQRT_2PI e^{-0.5 c c}, in place
         np.multiply(-0.5, near, out=phi)
         phi *= near
         np.exp(phi, out=phi)
-        phi *= _INV_SQRT_2PI
+        phi *= INV_SQRT_2PI
         _sp.ndtr(near, out=cdf)
     np.multiply(base_near, phi, out=d_cdf)
     if capped is not None:
@@ -799,7 +779,7 @@ def _solve_dual_system(stats: FirstOrderStats, r: float, full: bool,
 
 def _reduced_init(stats: FirstOrderStats, r: float) -> tuple[float, float]:
     """Closed-form start: linearize c around its crossing and match (q, m2)."""
-    w0 = float(std_normal_quantile(stats.q))
+    w0 = std_normal_quantile(stats.q)
     big_m = max_gradient_magnitude(stats.q)
     ratio = min(stats.m2 / big_m, 1.0 - 1e-9)
     beta = math.sqrt(max(1.0 - ratio * ratio, 1e-10))
@@ -984,7 +964,7 @@ def _set_mass_bound(dual: DualSolution, r: float) -> float:
     """An upper bound on the worst case at r from the set of a FULL ``dual``
     solved at another r (*The top-end set-mass bound*): its mass on the
     grid plus the mass of N(r, 1) past 12, which the grid does not reach."""
-    return _grid_mass(dual.grid, r) + _cdf(r - _DOMAIN_HALF_WIDTH)
+    return _grid_mass(dual.grid, r) + std_normal_cdf(r - _DOMAIN_HALF_WIDTH)
 
 
 def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
@@ -999,7 +979,7 @@ def lower_bound_probability(stats: FirstOrderStats, r: float) -> float:
     ensure_feasible(stats)
     if stats.m1 == 0.0 and stats.m2 == 0.0:
         # no usable gradient information: zeroth-order worst case (halfspace)
-        return float(std_normal_cdf(std_normal_quantile(stats.q) - r))
+        return std_normal_cdf(std_normal_quantile(stats.q) - r)
     return _worst_case(stats, _solve_interval(stats.q, stats.m1), r)[0]
 
 
@@ -1072,7 +1052,7 @@ def directional_radius(stats: FirstOrderStats, cfg: SmoothingConfig,
         R_CAP_DEFAULT, min(scaled_tol, 1e-9) if degenerate else scaled_tol)
     h = R_CAP_DEFAULT / top
     interval = _solve_interval(q, stats.m1)
-    k = min(max(math.floor(float(std_normal_quantile(q)) / h), 1), top - 1)
+    k = min(max(math.floor(std_normal_quantile(q) / h), 1), top - 1)
     lo = _grid_search(lambda j: _interval_probability(*interval, j * h), top, k)
     if degenerate or q <= 0.5 + _Q_SMOOTH_FLOOR:
         # _worst_case is p_int here too; returning now keeps these probes

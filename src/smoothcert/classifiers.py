@@ -152,8 +152,25 @@ class SphereClassifier(BlackBoxClassifier):
         return (dist < self.radius).astype(np.int64)
 
 
+# classifier kind -> the params it reads
+_SYNTHETIC_PARAMS = {
+    "linear": ("w", "b"),
+    "slab_interval": ("axis", "lo", "hi"),
+    "union_of_halfspaces": ("ws", "bs"),
+    "sphere_interior": ("center", "radius"),
+}
+
+
 def make_synthetic(kind: str, params: dict) -> BlackBoxClassifier:
-    """Build a synthetic classifier from a declarative spec."""
+    """Build a synthetic classifier from a declarative spec; an unknown kind,
+    or a param that the kind does not read, raises ``DomainError``."""
+    if kind not in _SYNTHETIC_PARAMS:
+        raise DomainError(f"unknown classifier kind {kind!r}")
+    known = _SYNTHETIC_PARAMS[kind]
+    unknown = sorted(str(key) for key in params if key not in known)
+    if unknown:
+        raise DomainError(f"unknown parameter(s) {', '.join(unknown)} for classifier "
+                          f"kind {kind!r}; choose from {', '.join(known)}")
     try:
         if kind == "linear":
             return LinearClassifier(LinearClassifierSpec(
@@ -164,11 +181,9 @@ def make_synthetic(kind: str, params: dict) -> BlackBoxClassifier:
                                   float(params["hi"]))
         if kind == "union_of_halfspaces":
             return UnionOfHalfspacesClassifier(params["ws"], params["bs"])
-        if kind == "sphere_interior":
-            return SphereClassifier(params["center"], float(params["radius"]))
+        return SphereClassifier(params["center"], float(params["radius"]))
     except KeyError as missing:
         raise DomainError(f"missing parameter {missing} for classifier kind {kind!r}")
-    raise DomainError(f"unknown classifier kind {kind!r}")
 
 
 @dataclass
@@ -320,11 +335,11 @@ def analytic_linear_stats(spec: LinearClassifierSpec, x,
     margin = float(spec.w @ x + spec.b)
     norm = float(np.linalg.norm(spec.w))
     z = abs(margin) / (cfg.sigma * norm)
-    y0 = float(std_normal_cdf(z))
+    y0 = std_normal_cdf(z)
     # predicted class is 1 on the margin <= 0 side; its probability grows
     # in the -w direction there, and in the +w direction on the other side
     orient = 1.0 if margin > 0.0 else -1.0
-    y1 = (float(std_normal_pdf(z)) / cfg.sigma) * orient * spec.w / norm
+    y1 = (std_normal_pdf(z) / cfg.sigma) * orient * spec.w / norm
     return y0, y1
 
 

@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 usage/config error, 2 partial per-point failures
 from __future__ import annotations
 
 import argparse
+import enum
 import math
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -37,8 +39,6 @@ from .workloads import make_linear_workload
 
 __all__ = ["main"]
 
-_THREAT_ALIASES = {t.value: t for t in ThreatModel}
-
 
 class ConfigError(ValueError):
     """Unusable configuration or arguments (exit code 1)."""
@@ -54,16 +54,13 @@ def _parse_threats(text) -> tuple[ThreatModel, ...]:
                           f"got {text!r}")
     threats = []
     for item in items:
-        key = str(item).strip().lower()
-        if key not in _THREAT_ALIASES:
-            raise ConfigError(
-                f"unknown threat {item!r}; choose from {sorted(_THREAT_ALIASES)}"
-            )
-        threats.append(_THREAT_ALIASES[key])
+        try:
+            threats.append(ThreatModel(str(item).strip().lower()))
+        except ValueError:
+            raise ConfigError(f"unknown threat {item!r}; choose from "
+                              f"{sorted(t.value for t in ThreatModel)}") from None
     if not threats:
         raise ConfigError("threat list is empty")
-    if sum(t.is_subspace for t in threats) > 1:
-        raise ConfigError("at most one subspace threat per run")
     return tuple(threats)
 
 
@@ -77,20 +74,23 @@ def _load_config(path: Optional[str]) -> dict:
             data = yaml.safe_load(handle)
         except (yaml.YAMLError, UnicodeDecodeError) as err:
             raise ConfigError(f"config parse error: {err}")
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    return data
+    return _section(data, "root", ("run", "points", "classifier", "subspace"))
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """A mapping section of the config; a key with no value reads as empty."""
-    section = cfg.get(name)
+def _section(section, name: str, keys) -> dict:
+    """Config section ``name`` as a mapping whose keys are among ``keys``.
+
+    None (a key with no value) reads as empty; a key that nothing reads is
+    a config error, not a silently dropped setting.
+    """
     if section is None:
         return {}
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
+    unknown = sorted(str(key) for key in section if key not in keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} setting(s) {', '.join(unknown)}; "
+                          f"choose from {', '.join(keys)}")
     return section
 
 
@@ -109,11 +109,7 @@ _RUN_KEYS = (*_RUN_FIELDS, "threats")
 
 
 def _run_config(cfg: dict, args) -> RunConfig:
-    run = dict(_section(cfg, "run"))
-    unknown = sorted(str(key) for key in run if key not in _RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown run setting(s) {', '.join(unknown)}; "
-                          f"choose from {', '.join(_RUN_KEYS)}")
+    run = dict(_section(cfg.get("run"), "run", _RUN_KEYS))
     for key in ("sigma", "alpha", "samples", "seed", "linf_mode"):  # flag overrides
         if getattr(args, key) is not None:
             run[key] = getattr(args, key)
@@ -130,7 +126,7 @@ def _run_config(cfg: dict, args) -> RunConfig:
 def _threats_from(cfg: dict, args) -> tuple[ThreatModel, ...]:
     if getattr(args, "threats", None):
         return _parse_threats(args.threats)
-    run = _section(cfg, "run")
+    run = _section(cfg.get("run"), "run", _RUN_KEYS)
     if "threats" in run:
         return _parse_threats(run["threats"])
     return (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
@@ -140,13 +136,13 @@ def _subspace_mask(cfg: dict, args) -> Optional[tuple[int, ...]]:
     raw = getattr(args, "subspace_mask", None)
     if raw:
         try:
-            return tuple(sorted({int(s) for s in raw.split(",")}))
+            return tuple(int(s) for s in raw.split(","))
         except ValueError as err:
             raise ConfigError(f"bad --subspace-mask: {err}")
-    sub = _section(cfg, "subspace")
+    sub = _section(cfg.get("subspace"), "subspace", ("mask",))
     if "mask" in sub:
         try:
-            return tuple(sorted({int(i) for i in sub["mask"]}))
+            return tuple(int(i) for i in sub["mask"])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad subspace.mask: {err}")
     return None
@@ -162,13 +158,7 @@ def _build_workload(cfg: dict, args, run: RunConfig
                     ) -> tuple[BlackBoxClassifier, list[PointTask]]:
     threats = _threats_from(cfg, args)
     mask = _subspace_mask(cfg, args)
-    subspace = any(t.is_subspace for t in threats)
-    if subspace and mask is None:
-        raise ConfigError("subspace threats need subspace.mask or --subspace-mask")
-    if mask is not None and not subspace:
-        raise ConfigError("a subspace mask needs a subspace threat "
-                          "(subspace_l1, subspace_l2 or subspace_linf)")
-    points = _section(cfg, "points")
+    points = _section(cfg.get("points"), "points", ("generate", "explicit"))
     if not points:
         raise ConfigError("config must define a points section")
     if "generate" in points:
@@ -177,13 +167,7 @@ def _build_workload(cfg: dict, args, run: RunConfig
         if "classifier" in cfg:
             raise ConfigError("generated points come with their own classifier; "
                               "drop the classifier section")
-        gen = points["generate"]
-        if not isinstance(gen, dict):
-            raise ConfigError("bad points.generate section: must be a mapping")
-        unknown = sorted(str(key) for key in gen if key not in _GENERATE_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown points.generate setting(s) {', '.join(unknown)}; "
-                              f"choose from {', '.join(_GENERATE_KEYS)}")
+        gen = _section(points["generate"], "points.generate", _GENERATE_KEYS)
         try:
             classifier, tasks = make_linear_workload(
                 **{key: convert(gen[key]) for key, convert in _GENERATE_KEYS.items()
@@ -198,7 +182,7 @@ def _build_workload(cfg: dict, args, run: RunConfig
         return classifier, tasks
     if "explicit" not in points:
         raise ConfigError("points section needs either 'generate' or 'explicit'")
-    spec = _section(cfg, "classifier")
+    spec = _section(cfg.get("classifier"), "classifier", ("kind", "params"))
     if "kind" not in spec:
         raise ConfigError("explicit points require a classifier spec (kind, params)")
     try:
@@ -208,6 +192,7 @@ def _build_workload(cfg: dict, args, run: RunConfig
     tasks = []
     try:
         for entry in points["explicit"]:
+            entry = _section(entry, "entry", ("id", "x", "label"))
             label = int(entry["label"])
             if not 0 <= label < classifier.num_classes:
                 raise DomainError(f"label must lie in [0, {classifier.num_classes}), "
@@ -226,19 +211,17 @@ def _build_workload(cfg: dict, args, run: RunConfig
     return classifier, tasks
 
 
-def _meta_for(run: RunConfig, tasks: list[PointTask],
-              threats: tuple[ThreatModel, ...]) -> dict:
-    dim = int(tasks[0].x.size)
-    meta = {
-        "sigma": repr(run.sigma),
-        "dim": str(dim),
-        "alpha_total": repr(run.alpha_total),
-        "n_samples": str(run.n_samples),
-        "seed": str(run.seed),
-        "linf_mode": run.linf_mode.value,
-        "sample_dtype": run.sample_dtype,
-        "threats": ",".join(t.value for t in threats),
-    }
+def _meta_for(run: RunConfig, tasks: list[PointTask]) -> dict:
+    """Every ``RunConfig`` field, the points' dim and threats, and the
+    subspace threat and its dim when there is one."""
+    meta = {}
+    for f in fields(run):
+        value = getattr(run, f.name)
+        meta[f.name] = (repr(value) if isinstance(value, float) else
+                        value.value if isinstance(value, enum.Enum) else str(value))
+    threats = tasks[0].requested_threats
+    meta["dim"] = str(tasks[0].x.size)
+    meta["threats"] = ",".join(t.value for t in threats)
     sub = [t for t in threats if t.is_subspace]
     if sub:
         meta["subspace_threat"] = sub[0].value
@@ -250,7 +233,6 @@ def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
     run = _run_config(cfg, args)
     classifier, tasks = _build_workload(cfg, args, run)
-    threats = tasks[0].requested_threats
     out = args.out or "certificates.csv"
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
@@ -259,7 +241,7 @@ def cmd_certify(args) -> int:
         results = run_points(tasks, classifier, run, jobs=args.jobs)
     except DomainError as err:  # jobs or ids, checked before any sampling
         raise ConfigError(str(err))
-    persist_run(results, out, meta=_meta_for(run, tasks, threats))
+    persist_run(results, out, meta=_meta_for(run, tasks))
     # degraded estimates are surfaced in-row but still certify; hard
     # per-point failures (no certificates at all) drive the exit code
     failures = sum(1 for r in results if r.predicted < 0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special as _sp
@@ -206,17 +206,6 @@ def l1_norm_bounds(batch: GradientSampleBatch, alpha: float) -> tuple[float, flo
     return _pooled_interval(float(np.sum(np.abs(gradient_mean(batch)))), t)
 
 
-def _masked_batch(batch: GradientSampleBatch, mask: np.ndarray) -> GradientSampleBatch:
-    return GradientSampleBatch(
-        x_sum=batch.x_sum[mask],
-        y_sum=batch.y_sum[mask],
-        n1=batch.n1,
-        n2=batch.n2,
-        success_count=batch.success_count,
-        sigma=batch.sigma,
-    )
-
-
 def subspace_norm_bounds(batch: GradientSampleBatch, mask, p,
                          alpha: float) -> tuple[float, float]:
     """Norm bounds for the projected statistic P_S z at effective dimension |S|.
@@ -232,7 +221,7 @@ def subspace_norm_bounds(batch: GradientSampleBatch, mask, p,
             f"mask indices must lie in [0, {batch.dim - 1}], got "
             f"[{idx.min()}, {idx.max()}]"
         )
-    sub = _masked_batch(batch, idx)
+    sub = replace(batch, x_sum=batch.x_sum[idx], y_sum=batch.y_sum[idx])
     if p == 2:
         return l2_norm_bounds(sub, alpha)
     if p == 1:

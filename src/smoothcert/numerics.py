@@ -35,7 +35,7 @@ CLAMP = 38.0
 GAUSS_LEGENDRE_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_ORDER)
 
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 # fixed damped-Newton setup of solve_system
 RESIDUAL_TOLERANCE = 1e-10
@@ -63,23 +63,24 @@ class BracketError(DomainError):
     """Root bracketing endpoints do not straddle a sign change."""
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF, vectorized; saturates cleanly for large |x|."""
-    return _sp.ndtr(np.minimum(np.maximum(x, -CLAMP), CLAMP))
+# ndtr and np.exp, not math.erfc and math.exp, whose last bits can differ:
+# the dual's array integrands use the same two, and match these bit for bit
+def std_normal_cdf(x: float) -> float:
+    """Standard normal CDF of a float; saturates cleanly for large |x|."""
+    return float(_sp.ndtr(min(max(x, -CLAMP), CLAMP)))  # nan stays nan
 
 
-def std_normal_pdf(x):
-    """Standard normal density, vectorized."""
-    x = np.minimum(np.maximum(x, -CLAMP), CLAMP)
-    return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+def std_normal_pdf(x: float) -> float:
+    """Standard normal density of a float."""
+    x = min(max(x, -CLAMP), CLAMP)
+    return float(INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
-def std_normal_quantile(p):
+def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on (0, 1); DomainError outside it, nan included."""
-    p_arr = np.asarray(p, dtype=float)
-    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):  # nan fails too
+    if not 0.0 < p < 1.0:
         raise DomainError(f"quantile argument must lie in (0, 1), got {p!r}")
-    return _sp.ndtri(p)
+    return float(_sp.ndtri(p))
 
 
 def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -122,6 +122,9 @@ class PointTask:
         subspace = sum(t.is_subspace for t in self.requested_threats)
         if subspace and self.subspace_mask is None:
             raise DomainError(f"point {self.point_id}: subspace threat needs a mask")
+        if self.subspace_mask is not None and not subspace:
+            raise DomainError(f"point {self.point_id}: a subspace mask needs a "
+                              f"subspace threat")
         if subspace > 1:
             raise DomainError(f"point {self.point_id}: at most one subspace threat")
 
@@ -355,25 +358,20 @@ def accuracy_curves(results: Sequence[PointResult], grid: Sequence[float],
 
 CSV_SCHEMA = "smoothcert-certificates v1"
 
-_COLUMNS = [f.name for f in fields(PointResult)]
-_FLOAT_COLUMNS = {
-    "q_lb", "grad_l2_lb", "grad_l2_ub", "grad_linf_ub", "radius_zeroth_l2",
-    "radius_first_l1", "radius_first_l2", "radius_first_linf",
-    "radius_first_subspace",
-}
-_BOOL_COLUMNS = {"correct", "abstained", "capped", "fallback_used"}
-_OPTIONAL_COLUMNS = {
-    "grad_l2_lb", "grad_l2_ub", "grad_linf_ub", "radius_first_l1",
-    "radius_first_l2", "radius_first_linf", "radius_first_subspace",
-}
+# column -> (cell type, whether the cell may be empty), from PointResult's
+# annotations: Optional[T], which is Union[T, None], gives (T, True)
+_KINDS = {name: (get_args(hint)[0], True) if get_args(hint) else (hint, False)
+          for name, hint in get_type_hints(PointResult).items()}
+_COLUMNS = list(_KINDS)
 
 
 def _format_cell(name: str, value) -> str:
     if value is None:
         return ""
-    if name in _BOOL_COLUMNS:
+    kind = _KINDS[name][0]
+    if kind is bool:
         return "true" if value else "false"
-    if name in _FLOAT_COLUMNS:
+    if kind is float:
         return repr(float(value))
     text = str(value)
     if name == "error":
@@ -385,30 +383,42 @@ def _format_cell(name: str, value) -> str:
 
 
 def _parse_cell(name: str, text: str, line: int, column: int):
+    kind, optional = _KINDS[name]
     if text == "":
-        if name in _OPTIONAL_COLUMNS or name == "error":
-            return None if name != "error" else ""
+        if optional or name == "error":
+            return None if optional else ""
         raise ParseError(f"missing required field {name}", line, column)
     try:
-        if name in _BOOL_COLUMNS:
+        if kind is bool:
             if text not in ("true", "false"):
                 raise ValueError(f"bad boolean {text!r}")
             return text == "true"
-        if name in _FLOAT_COLUMNS:
-            return float(text)
-        if name == "predicted":
-            return int(text)
-        return text
+        return kind(text)
     except ValueError as err:
         raise ParseError(str(err), line, column)
 
 
+def _meta_entry(line: str) -> tuple[str, str]:
+    """The key and value of a '# meta key=value' line, as ``load_run`` reads them."""
+    key, _, value = line[1:].strip()[len("meta "):].partition("=")
+    return key.strip(), value
+
+
 def persist_run(results: Sequence[PointResult], path,
                 meta: Optional[dict] = None) -> None:
-    """Write results as the versioned certificates CSV (deterministic bytes)."""
+    """Write results as the versioned certificates CSV (deterministic bytes).
+
+    Raises ``DomainError`` for a meta entry that ``load_run`` would not read
+    back as given: a key that holds '=', a line break or edge whitespace, or
+    a value that holds a line break or ends in whitespace.
+    """
     lines = [f"# {CSV_SCHEMA}"]
     for key in sorted(meta or {}):
-        lines.append(f"# meta {key}={meta[key]}")
+        line = f"# meta {key}={meta[key]}"
+        if (any(ch in line for ch in "\n\r")
+                or _meta_entry(line) != (str(key), str(meta[key]))):
+            raise DomainError(f"meta entry {key!r}={meta[key]!r} would not read back")
+        lines.append(line)
     lines.append(",".join(_COLUMNS))
     for res in sorted(results, key=lambda r: r.point_id):
         row = [_format_cell(name, getattr(res, name)) for name in _COLUMNS]
@@ -430,8 +440,8 @@ def load_run(path) -> tuple[list[PointResult], dict]:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("meta "):
-                    key, _, value = body[5:].partition("=")
-                    meta[key.strip()] = value
+                    key, value = _meta_entry(line)
+                    meta[key] = value
                 elif lineno == 1 and body != CSV_SCHEMA:
                     raise ParseError(f"unknown schema {body!r}", lineno)
                 continue

@@ -84,7 +84,7 @@ def random_halfspace_case(seed: int, dim: int
     sigma = float(gen.uniform(0.2, 1.0))
     q_target = float(gen.uniform(0.62, 0.93))
     w_norm = float(np.linalg.norm(w))
-    margin = sigma * w_norm * float(std_normal_quantile(q_target))
+    margin = sigma * w_norm * std_normal_quantile(q_target)
     x = margin * w / (w_norm * w_norm)
     return LinearClassifierSpec(w=w, b=0.0), x, SmoothingConfig(sigma, dim)
 

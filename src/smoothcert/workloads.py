@@ -60,7 +60,7 @@ def make_linear_workload(
     tasks: list[PointTask] = []
     for i in range(count):
         q = float(q_targets[i])
-        margin = sigma * w_norm * float(std_normal_quantile(q))
+        margin = sigma * w_norm * std_normal_quantile(q)
         x = sides[i] * margin * w / (w_norm * w_norm)
         base_label = classifier.classify(x)
         label = 1 - base_label if mislabeled[i] else base_label

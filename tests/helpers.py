@@ -16,6 +16,8 @@ import math
 import numpy as np
 from scipy import optimize, special
 
+from smoothcert.numerics import CLAMP, INV_SQRT_2PI
+
 
 # frozen high-precision constants (mpmath, 40 digits)
 PHI_0 = 0.3989422804014327
@@ -37,6 +39,18 @@ def cdf(x):
 
 def quantile(p):
     return special.ndtri(p)
+
+
+# std_normal_cdf and std_normal_pdf take one float; these are their array
+# forms, with the same clip at +-CLAMP and the same constant, so that the
+# dual's array integrands can be checked against them bit for bit
+def clipped_cdf(x):
+    return special.ndtr(np.minimum(np.maximum(x, -CLAMP), CLAMP))
+
+
+def clipped_pdf(x):
+    x = np.minimum(np.maximum(x, -CLAMP), CLAMP)
+    return INV_SQRT_2PI * np.exp(-0.5 * x * x)
 
 
 def central_difference_jacobian(fun, x, rel_step: float = 1e-6) -> np.ndarray:

