@@ -73,25 +73,25 @@ alone.
 
 *The slice rule.*  The residual drops phi(c) where |c| >= 30 and Phi(c)
 where c <= -30: each dropped term is below the rounding unit of every sum
-it enters, so F and J are those of the full integrands, bit for bit.  c is
-concave, so the nodes where c > -30 form one slice of the sorted grid, and
-phi(c) and Phi(c) are evaluated there alone, into zero-filled arrays of the
-grid's length: every sum runs on the same operands in the same order, so
-F, J and the held integrands keep every bit.  A count of the live nodes
-checks that rounding kept the slice one.  Scalar bounds retire the masked
-form's clamps:
+it enters, so F and J are those of the full integrands, bit for bit.  phi(c)
+and Phi(c) are evaluated only on the slice from the first node where
+c > -30 to the last, into zero-filled arrays of the grid's length: every
+sum runs on the same operands in the same order, so F, J and the held
+integrands keep every bit.  Where the slice's own minimum and maximum show
+-30 < c < 30 at each of its nodes, no mask acts and the plain form runs; it
+computes the masked form's operands, so the check only picks which of two
+bit-identical formulas runs.  Else the masked form runs on the slice.  c is
+concave, which is why the plain form is the common case.  A scalar bound
+retires the masked form's clamps:
 
 - the exponent cap: where |c0| + 12 |c1| + e^{u + 12 |r|} is below 1e300,
   no node's u + r x reaches 700 and c is finite at every node;
-- the -1e300 clip acts only where c <= -30, outside the slice;
+- the -1e300 clip acts only where c <= -30, where both terms are dropped;
 - the CLAMP clip moves no bit of a finite c: Phi(c) is 1 from c = 8.3 up,
-  and phi(c) is masked at c >= 30;
-- that mask is idle where c's maximum over [-12, 12] lies below 30 by
-  1e-9 of the scale above, a margin over the rounding of c at the nodes.
+  and phi(c) is dropped at c >= 30.
 
 Where the scale bound fails, the masked form runs on the whole grid, with c
-clipped and the capped nodes' dc set to 0; where the peak bound or the
-count fails, it runs on the slice.
+clipped and the capped nodes' dc set to 0.
 
 *The grid-hold rule.*  The integrals run on Gauss-Legendre panels over
 [-12, 12], graded around the crossings of c.  One solve keeps one grid
@@ -397,9 +397,9 @@ _BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _upper_endpoint(q: float, w2: float) -> float:
-    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, w1 clipped to +-CLAMP."""
-    w1 = std_normal_quantile(min(q + std_normal_cdf(w2), _BELOW_ONE))
-    return min(max(w1, -CLAMP), CLAMP)
+    """w1 = Phi^-1(q + Phi(w2)), the mass capped below 1, so w1 lies in
+    (0, 8.3] for q in (1/2, 1)."""
+    return std_normal_quantile(min(q + std_normal_cdf(w2), _BELOW_ONE))
 
 
 def _interval_gap(q: float, m1: float, w2: float) -> tuple[float, float]:
@@ -650,23 +650,17 @@ class _HeldGrid:
         return _HeldGrid((self.roots, self.x, self.base, self.base_x, self.cols))
 
 
-def _c_peak(c0: float, c1: float, u: float, r: float) -> float:
-    """The maximum of c over [-12, 12] for r > 0."""
-    x = -_DOMAIN_HALF_WIDTH
-    if c1 > 0.0:
-        x = min(max((math.log(c1 / r) - u) / r, x), _DOMAIN_HALF_WIDTH)
-    return _c_value(x, c0, c1, u, r)
-
-
 def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
                    full: bool, held: _HeldGrid) -> tuple[np.ndarray, np.ndarray]:
     """Dual equations F(theta) and their Jacobian dF/dtheta on ``held``'s grid.
 
     theta is (c0, c1, u) for the full system and (v, u), c0 = e^v, for the
     reduced one.  The grid is ``held``'s while it serves (*The grid-hold
-    rule*), else a new one built there; F and J are those of the full
-    integrands, bit for bit (*The slice rule*), and ``held`` keeps this
-    call's integrands.
+    rule*), else a new one built there.  phi(c) and Phi(c) are evaluated on
+    the slice from the first node where c > -30 to the last, masked only
+    where a node of it has |c| >= 30, or on the whole grid where the scale
+    bound fails; F and J are those of the full integrands, bit for bit (*The
+    slice rule*), and ``held`` keeps this call's integrands.
     """
     if full:
         c0, c1, u = theta.tolist()
@@ -686,7 +680,7 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
     scale = abs(c0) + hi * abs(c1) + math.exp(min(top, 700.0))
     size, n = (3 if full else 2), x.size
     capped = None
-    if r > 0.0 and scale < 1e300:
+    if scale < 1e300:
         # so u + r x < 700 and c is finite at every node
         e = np.add(u, held.rx)
         np.exp(e, out=e)
@@ -695,19 +689,19 @@ def _dual_residual(theta: np.ndarray, stats: FirstOrderStats, r: float,
         c -= e
         live = c > -_TAIL
         # the slice from the first live node to the last; where none is
-        # live, argmax gives [0, n), which the count sends to the masks
+        # live, argmax gives [0, n), whose minimum sends it to the masks
         i0, i1 = int(live.argmax()), n - int(live[::-1].argmax())
-        dense = (np.count_nonzero(live) != i1 - i0
-                 or not _c_peak(c0, c1, u, r) + 1e-9 * scale < _TAIL)
+        near = c[i0:i1]
+        dense = not (near.min() > -_TAIL and near.max() < _TAIL)
     else:
         t = u + held.rx
         capped = ~(t < 700.0)
         e = np.exp(np.minimum(t, 700.0))
         # c clamped for Phi and phi below, the exponent capped at 700
         c = np.minimum(np.maximum(c0 + c1 * x - e, -1e300), CLAMP)
-        i0, i1, dense = 0, n, True
+        i0, i1, near, dense = 0, n, c, True
     phi_c, cdf_c, rows = np.zeros(n), np.zeros(n), np.zeros((size, n))
-    near, base_near = c[i0:i1], base[i0:i1]
+    base_near = base[i0:i1]
     phi, cdf, d_cdf, d_m2 = phi_c[i0:i1], cdf_c[i0:i1], rows[0, i0:i1], rows[1, i0:i1]
     if dense:
         tail = np.abs(near) >= _TAIL

@@ -108,10 +108,12 @@ class PointTask:
             raise DomainError(f"point {self.point_id}: x must be a non-empty 1-D "
                               f"vector of finite numbers, got shape {x.shape}")
         object.__setattr__(self, "x", x)
-        object.__setattr__(
-            self, "requested_threats",
-            tuple(ThreatModel(t) for t in self.requested_threats),
-        )
+        threats = tuple(ThreatModel(t) for t in self.requested_threats)
+        for i, threat in enumerate(threats):
+            if threat in threats[:i]:
+                raise DomainError(f"point {self.point_id}: threat {threat.value} "
+                                  f"is repeated")
+        object.__setattr__(self, "requested_threats", threats)
         if self.subspace_mask is not None:
             mask = tuple(sorted(set(int(i) for i in self.subspace_mask)))
             if not mask or mask[0] < 0 or mask[-1] >= self.x.size:

@@ -11,12 +11,25 @@ the zeroth, halfspace and angular checks with theirs.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
 from scipy import optimize, special
 
 from smoothcert.numerics import CLAMP, INV_SQRT_2PI
+
+
+def bench_suite():
+    """The benchmark's workload module, loaded from perfbench/suite.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "suite.py")
+    spec = importlib.util.spec_from_file_location("bench_suite", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 # frozen high-precision constants (mpmath, 40 digits)

@@ -15,6 +15,8 @@ import math
 import time
 
 import numpy as np
+import pytest
+from scipy import stats
 
 from smoothcert.certify import (
     FirstOrderStats,
@@ -42,9 +44,11 @@ from smoothcert.estimate import (
     estimate_q_lower,
     l2_norm_bounds,
     linf_norm_bounds,
+    split_alpha,
     subgaussian_k,
 )
 from smoothcert.pipeline import (
+    PointTask,
     RunConfig,
     accuracy_curves,
     persist_run,
@@ -305,3 +309,68 @@ def test_criterion_9_end_to_end_determinism_and_dominance(tmp_path):
            f"max certified/exact l1/l2/linf={worst_ratio[1]:.4f}/"
            f"{worst_ratio[2]:.4f}/{worst_ratio[math.inf]:.4f}", t0)
     assert passed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("true_q, trials", [
+    pytest.param(0.5, 2400, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the class is picked from the draws that bound q, so at q = 1/2 "
+               "twice q's alpha of rows certify")),
+    (0.6, 600),
+])
+def test_false_certificate_census(true_q, trials):
+    """Finished certificates against the truth, on a two-class linear classifier.
+
+    The classifier is f(x) = 1 iff w.x <= 0, with w drawn in d = 128.  Its
+    smoothed boundary is the hyperplane itself, so the true radius in each
+    threat norm is |w.x| over the dual norm of w.  ``trials`` points with
+    distinct ids sit at true q, alternating sides (on the hyperplane at
+    q = 1/2), and each is certified from 1,000 draws at sigma 0.5 and
+    alpha_total 0.2.
+
+    A row is a false certificate for a threat where q_lb > 1/2 and either
+    the predicted class is not the class of x's side (any certificate of a
+    point on the hyperplane counts) or that threat's radius exceeds the
+    true one.  The test fails when, for some threat, the exact binomial tail
+    P(Binomial(trials, share) >= false count) is below 1e-6.  The share is
+    the rate the docs state: q's alpha at q = 1/2, where only a failed q
+    bound certifies, and alpha_total at q = 0.6.
+
+    At q = 1/2 a row certifies with probability 0.0606 for each class the
+    draws may pick, 0.121 in all.  600 trials would cross the gate's count
+    of 73 only half the time; 2,400 cross its 222 but for 3e-6.
+    """
+    t0 = time.time()
+    dim, sigma = 128, 0.5
+    config = RunConfig(sigma=sigma, alpha_total=0.2, n_samples=1000, seed=2828)
+    threats = (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
+    w = RngSpec(2828, 0).generator().standard_normal(dim)
+    classifier = LinearClassifier(LinearClassifierSpec(w=w, b=0.0))
+    # x = s w has margin s ||w||^2, so true q = Phi(|s| ||w|| / sigma)
+    step = sigma * float(quantile(true_q)) / float(np.linalg.norm(w))
+    xs = [(-1.0) ** i * step * w for i in range(trials)]
+    tasks = [PointTask(f"q{true_q}-{i}", x, classifier.classify(x), threats)
+             for i, x in enumerate(xs)]
+    results = run_points(tasks, classifier, config)
+    by_id = {t.point_id: t for t in tasks}
+    dual_norms = {ThreatModel.L1: float(np.max(np.abs(w))),
+                  ThreatModel.L2: float(np.linalg.norm(w)),
+                  ThreatModel.LINF: float(np.sum(np.abs(w)))}
+    false = dict.fromkeys(threats, 0)
+    for res in results:
+        if not res.q_lb > 0.5:
+            continue
+        task = by_id[res.point_id]
+        margin = float(w @ task.x)
+        wrong = margin == 0.0 or res.predicted != task.true_label
+        for threat, norm in dual_norms.items():
+            false[threat] += wrong or res.first_radius(threat) > abs(margin) / norm
+    share = split_alpha(config.alpha_total) if true_q == 0.5 else config.alpha_total
+    tails = {t: float(stats.binom.sf(count - 1, trials, share))
+             for t, count in false.items()}
+    passed = all(tail >= 1e-6 for tail in tails.values())
+    report(f"census at q = {true_q}", passed, ", ".join(
+        f"{t.value} {false[t]}/{trials} (tail {tails[t]:.1e})" for t in threats)
+        + f" vs share {share:.3f}", t0)
+    assert passed, (false, tails)

@@ -212,6 +212,22 @@ class TestCertifyCommand:
         assert sampled == []
         assert message in capsys.readouterr().err
 
+    def test_repeated_threat_exits_1_before_sampling(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # threats are read case-blind, so l2 and L2 are one threat: a row
+        # certifies each threat once, and the meta line names it once
+        sampled = []
+        orig = pipeline.sample_class_sums
+        monkeypatch.setattr(pipeline, "sample_class_sums",
+                            lambda *a, **k: sampled.append(a) or orig(*a, **k))
+        config = write_config(tmp_path / "run.yaml")
+        out = tmp_path / "nope.csv"
+        assert main(["certify", "--config", str(config), "--out", str(out),
+                     "--threats", "l2,L2,l2"]) == 1
+        assert not out.exists()
+        assert sampled == []
+        assert "threat l2 is repeated" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, run, x, message", [
         (["--sigma", "-1"], {}, [1.2, 0.0], "sigma must be positive and finite"),
         (["--sigma", "nan"], {}, [1.2, 0.0], "sigma must be positive and finite"),

@@ -1,10 +1,7 @@
 """Worst-case dual solver: spec examples, invariants, and oracle agreement."""
 
 import hashlib
-import importlib.util
 import math
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -52,6 +49,7 @@ from smoothcert.selftest import (_check_angular, _check_interval_floor,
 from helpers import (
     CDF_1,
     PHI_1,
+    bench_suite,
     cdf,
     central_difference_jacobian,
     clipped_cdf,
@@ -403,6 +401,14 @@ CAPPED_POINTS = [
 NO_LIVE_NODE = ((-50.0, 0.0, -5.0), 1.0, True)
 
 
+def _peaked_theta(peak):
+    """Full (c0, c1, u) whose c at r = 1 peaks at ``peak`` at x = 0.25, the
+    midpoint of the uniform panel [0, 0.5], whose nearest nodes lie 0.024
+    to either side: c there is about 3.6e-4 below the peak."""
+    c1 = math.exp(0.25)
+    return peak + 0.75 * c1, c1, 0.0
+
+
 class TestTailFlush:
     """The dual's integrands drop phi(c) and Phi(c) in the tail |c| >= _TAIL.
 
@@ -454,6 +460,27 @@ class TestTailFlush:
         got = probability_from_dual(_held_dual(theta, RESIDUAL_STATS, r, True))
         assert got == _untruncated_probability(*coefficients)
 
+    @pytest.mark.parametrize("peak, plain", [(30.0001, True), (31.0, False)],
+                             ids=["peak-between-nodes", "node-at-30"])
+    def test_slice_check_moves_no_bit(self, peak, plain):
+        # the plain form runs where every node of the slice has |c| < _TAIL,
+        # even where c peaks above _TAIL between nodes; a node at c >= _TAIL
+        # sends the slice to the masks.  Either way F, J and the set's mass
+        # are the untruncated integrands', bit for bit
+        theta, r = _peaked_theta(peak), 1.0
+        c0, c1, u = theta
+        assert c0 + 0.25 * c1 - math.exp(u + 0.25 * r) > certify._TAIL
+        _, _, c, _ = _grid_integrands(c0, c1, u, r)
+        live = np.flatnonzero(c > -certify._TAIL)
+        near = c[live[0]:live[-1] + 1]
+        assert (near.max() < certify._TAIL) == plain and near.min() > -certify._TAIL
+        f, jac = _dual_residual(np.array(theta), RESIDUAL_STATS, r, True,
+                                certify._HeldGrid())
+        f_ref, jac_ref = _untruncated_residual(theta, RESIDUAL_STATS, r, True)
+        assert np.array_equal(f, f_ref) and np.array_equal(jac, jac_ref)
+        p_and_slope = probability_from_dual(_held_dual(theta, RESIDUAL_STATS, r, True))
+        assert p_and_slope == _untruncated_probability(c0, c1, u, r)
+
     def test_no_live_node(self):
         # no node has c > -_TAIL, so every integrand is dropped: F is -stats,
         # J is 0, and a solve from there finds J singular.  argmax of the
@@ -474,7 +501,7 @@ class TestTailFlush:
         # every residual call of the bench's seed-101 solve_grid pass (613
         # when written), warm solves on carried grids included, gives the F
         # and J of the untruncated integrands on that call's own held grid
-        suite = _bench_suite()
+        suite = bench_suite()
         cfg = SmoothingConfig(suite.SIGMA, 152)
         orig = certify._dual_residual
         calls, differ = [], []
@@ -592,16 +619,6 @@ def _bisected_roots(c0, c1, u, r, lo, hi):
     return roots
 
 
-def _bench_suite():
-    """The benchmark's workload module, loaded from perfbench/suite.py."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "suite.py")
-    spec = importlib.util.spec_from_file_location("bench_suite", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestHeldGrid:
     """One dual solve holds its quadrature grid while c's crossings hold."""
 
@@ -688,7 +705,7 @@ class TestHeldGrid:
         # every dual it kept still holds its own grid bytes and integrands
         # (_set_mass_bound reads them), and reproduces its bound on a copy
         # of its grid, as a warm solve started on it re-evaluates there
-        suite = _bench_suite()
+        suite = bench_suite()
         cfg = SmoothingConfig(suite.SIGMA, 152)
         orig = certify.solve_dual
         kept = []
@@ -727,7 +744,7 @@ class TestHeldGrid:
         # every solve of the bench's solve_grid pass (seed 101) converges
         # on held grids; its theta re-evaluated on a grid built for it
         # must still meet the tolerance
-        suite = _bench_suite()
+        suite = bench_suite()
         stats_grid = suite.threat_path_grid(suite.SHAPES["full"]["solve_grid"], 101)
         cfg = SmoothingConfig(suite.SIGMA, 152)
         orig_residual = certify._dual_residual
@@ -779,7 +796,7 @@ def _quad_mass(c0, c1, u, r):
 def _seed_101_solves(monkeypatch):
     """(stats, r, dual, h) of every dual solve that the searches of the
     bench's seed-101 solve_grid pass make, h their grid step."""
-    suite = _bench_suite()
+    suite = bench_suite()
     cfg = SmoothingConfig(suite.SIGMA, 152)
     h = R_CAP_DEFAULT / 2 ** bisection_steps(R_CAP_DEFAULT, suite.RADIUS_TOL / cfg.sigma)
     solves = []
@@ -872,7 +889,7 @@ class TestNeighbourDecidedEnds:
         # wrongly would shorten a radius unseen.  Every uncapped radius of
         # the seed-101 solve_grid pass is bisection's grid point below the
         # root by cold solves too
-        suite = _bench_suite()
+        suite = bench_suite()
         cfg = SmoothingConfig(suite.SIGMA, 152)
         decided = {"top": 0}
         orig_upper = certify._set_mass_bound
@@ -918,7 +935,7 @@ class TestNeighbourDecidedEnds:
     def test_every_residual_runs_inside_a_solve(self, monkeypatch):
         # the bench counts residual evaluations inside solve_system, so a
         # residual called from anywhere else would go uncounted
-        suite = _bench_suite()
+        suite = bench_suite()
         cfg = SmoothingConfig(suite.SIGMA, 152)
         depth, counts = [0], {"inside": 0, "outside": 0}
         orig_solve, orig_residual = certify.solve_system, certify._dual_residual
@@ -961,7 +978,7 @@ SOLVE_GRID_SHA256 = {
 
 
 def test_solve_grid_outputs_are_pinned(tmp_path):
-    suite = _bench_suite()
+    suite = bench_suite()
     shape = suite.SHAPES["full"]["solve_grid"]
     got = {}
     for seed in SOLVE_GRID_SHA256:
@@ -992,8 +1009,10 @@ class TestIntervalScalarPath:
         for q in self.QS:
             for w2 in self.W:
                 capped += q + float(std_normal_cdf(w2)) >= 1.0
-                assert certify._upper_endpoint(q, w2) == \
-                    self.vector_upper_endpoint(q, w2), (q, w2)
+                w1 = certify._upper_endpoint(q, w2)
+                # so the +-CLAMP clip the array form keeps is idle
+                assert w1 == self.vector_upper_endpoint(q, w2), (q, w2)
+                assert 0.0 < w1 <= 8.3, (q, w2)
         assert capped > 100
 
     def test_cdf_and_pdf(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -35,6 +36,8 @@ from smoothcert.pipeline import (
     run_points,
 )
 from smoothcert.workloads import make_linear_workload
+
+from helpers import bench_suite
 
 
 THREATS = (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
@@ -195,6 +198,11 @@ class TestCertifyPoint:
             PointTask("p0", np.zeros(4), 0,
                       (ThreatModel.SUBSPACE_L2, ThreatModel.SUBSPACE_LINF),
                       subspace_mask=(0, 1))
+
+    def test_repeated_threat_rejected(self):
+        # a repeated threat would be solved once per copy for one column
+        with pytest.raises(DomainError, match="threat l2 is repeated"):
+            PointTask("p0", np.zeros(4), 0, ("l2", ThreatModel.L1, ThreatModel.L2))
 
 
 class TestRunPoints:
@@ -503,3 +511,24 @@ class TestRunConfig:
                 RunConfig(sigma=bad)
             with pytest.raises(DomainError, match="radius_tol"):
                 RunConfig(sigma=0.25, radius_tol=bad)
+
+
+# sha256 of the benchmark's full-shape CSVs: c9 at seeds 101 and 202, and
+# wide_jobs2 (two pool threads) at seed 101, pinned when the dual kernel's
+# slice check replaced its bound on c's peak.  A change that moves one byte
+# of a row, from its noise draws to its radii, must re-pin these on purpose
+PIPELINE_SHA256 = {
+    ("c9", 101): "bc113c7c35fa55a83fa2b3468c2a2a288cf040b0f11e40c0f217ac978cadd34a",
+    ("c9", 202): "b8e1eefea1748170db3eca657a6b4a8c8504867074eb5726d04b8a91fa0a7760",
+    ("wide_jobs2", 101): "aa62ad1afd0b07435b0ce1c8c312aae0c8c8ea3e43c669170852264a6dcd1691",
+}
+
+
+def test_pipeline_outputs_are_pinned(tmp_path):
+    suite = bench_suite()
+    got = {}
+    for name, seed in PIPELINE_SHA256:
+        work = suite.build(name, "full", seed, str(tmp_path))
+        work.run_pass()
+        got[name, seed] = hashlib.sha256(work.output()).hexdigest()
+    assert got == PIPELINE_SHA256
