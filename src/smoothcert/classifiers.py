@@ -10,12 +10,64 @@ Sampling uses a counter-based Philox generator keyed by (seed, stream_id),
 so a key gives the same draws on any thread; the pipeline keys a point by a
 hash of its id alone.  ``sample_class_sums`` splits a pass into two
 sub-streams of that key, sampled in fixed-size chunks on one shared pool.
+
+*The draw rule.*  Every normal the program draws comes from the
+``standard_normal`` of ``RngSpec.generator()``, which uses Box-Muller (Box
+and Muller, 1958) on the key's Philox words (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).  Normals 2k and 2k + 1 of a stream are
+r cos(theta) and r sin(theta) of word k:
+
+- the word's high 32 bits hi give r = sqrt(-2 ln((hi + 1) 2^-32)), in float64;
+- its low 32 bits, read as a signed lo, give theta = lo 2 pi 2^-32 in
+  [-pi, pi), rounded to float32, with float32 cos and sin.
+
+r is rounded to float32 and the products are float32; a float64 request
+gets them widened, so float64 draws differ from float32 ones only where the
+caller's sigma scaling rounds.  A call that ends mid-pair keeps the second
+normal for the next call, so a stream does not depend on how it is split
+into calls.  Each pair takes exactly one word, so no draw depends on a
+rejection.  ``random``, ``uniform`` and the other methods stay numpy's, on
+the same words: data drawn only from them, such as the bench's solve grid,
+does not move.  The bits rest on numpy's float64 log and float32 cos and
+sin, whose SIMD paths may round differently on another CPU.
+
+*The tail charge.*  r takes only 2^32 values, from 0 at hi = 2^32 - 1 up to
+the cap a = sqrt(64 ln 2) = 6.6604 at hi = 0, whose neighbour is 6.5555.
+Read the word as the rounding of exact uniforms, U1 in (hi 2^-32,
+(hi + 1) 2^-32]: r is then the exact radius sqrt(-2 ln U1) rounded down onto
+those values, and theta the exact angle rounded.  The estimators treat these
+roundings as exact, as they treated numpy's float32 ziggurat's.  The cut at
+hi = 0 is no rounding: there the exact radius ranges over [a, inf), a
+Rayleigh tail of mass 2^-32 per pair.  A row of d normals takes at most
+floor(d/2) + 1 words, so it meets a cut pair with probability at most
+``tail_mass(d)`` = (floor(d/2) + 1) 2^-32: 1.8e-8 at d = 152 and 3.6e-7 at
+d = 3072.  Off that event the drawn row is the exact one, so
+``pipeline.certify_point`` charges the event:
+
+- A label's probability under the draws is within ``tail_mass(d)`` of its
+  probability under N(0, sigma^2 I), so q_lb drops by it.
+- The gradient statistic z = w h, with h = 1[label = c] - 1/2, moves by at
+  most (|w'_i| + |w_i|) / 2 per coordinate on the event.  If coordinate i's
+  own pair is cut, |w'_i| <= a sigma and E[|w_i|; cut] <= sigma E[R; R > a] =
+  sigma (a 2^-32 + sqrt(2 pi) Phi(-a)).  If another pair is cut, w'_i = w_i
+  is independent of it, with E|w_i| = sigma sqrt(2/pi).  So each coordinate
+  of z's mean moves by at most sigma ``tail_mean_shift(d)`` = sigma (a 2^-32 +
+  sqrt(pi/2) Phi(-a) + sqrt(2/pi) floor(d/2) 2^-32), 1.6e-8 sigma at d = 152,
+  and each gradient-norm bound widens by the matching norm of that vector.
+- ``estimate.subgaussian_k(sigma)`` is derived for Gaussian w, and the draw
+  keeps what it needs of w: off the event the rows are exact, and on it the
+  cut only shrinks each pair.  A pair's law is symmetric, and its
+  projection on any v is at most the exact one in absolute value, so
+  E exp(t <v, w'>) = E cosh(t <v, w'>) is at most the exact value: w' keeps
+  w's sub-Gaussian parameter sigma^2.  The constant for z is taken over
+  unchanged, not re-derived for the cut law.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -41,9 +93,106 @@ __all__ = [
     "analytic_linear_stats",
     "analytic_linear_radius",
     "mc_worst_case_probability",
+    "RADIUS_CAP",
+    "tail_mass",
+    "tail_mean_shift",
 ]
 
 _U64 = (1 << 64) - 1
+
+# the largest radius a draw takes, at hi = 0 (module docstring)
+RADIUS_CAP = math.sqrt(64.0 * math.log(2.0))
+_ANGLE_STEP = 2.0 * math.pi * 2.0 ** -32
+# index of a word's high half in its uint32 view
+_HIGH = 1 if sys.byteorder == "little" else 0
+# most pairs per Box-Muller step: a step's words and scratch take 256 kB
+_STEP_PAIRS = 1 << 14
+
+
+def tail_mass(d: int) -> float:
+    """Bound on the chance that a row of d draws meets a cut pair."""
+    return (d // 2 + 1) * 2.0 ** -32
+
+
+def tail_mean_shift(d: int) -> float:
+    """Bound on each coordinate's mean shift of z, in units of sigma."""
+    return (RADIUS_CAP * 2.0 ** -32 + math.sqrt(0.5 * math.pi) * std_normal_cdf(-RADIUS_CAP)
+            + math.sqrt(2.0 / math.pi) * (d // 2) * 2.0 ** -32)
+
+
+def _box_muller(words: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Each word's float32 cos(theta) and sin(theta), into ``cos`` and ``sin``,
+    and its float64 r, returned in the words' own memory."""
+    halves = words.view(np.uint32).reshape(-1, 2)
+    np.multiply(halves[:, 1 - _HIGH].view(np.int32), _ANGLE_STEP, out=sin,
+                casting="unsafe")
+    np.cos(sin, out=cos)
+    np.sin(sin, out=sin)
+    radius = words.view(np.float64)
+    np.add(halves[:, _HIGH], 1.0, out=radius)
+    radius *= 2.0 ** -32
+    np.log(radius, out=radius)
+    radius *= -2.0
+    return np.sqrt(radius, out=radius)
+
+
+class _BoxMullerGenerator(np.random.Generator):
+    """A Philox ``Generator`` whose ``standard_normal`` follows the draw rule.
+
+    The spare normal and the scratch live on the generator, which one
+    thread uses at a time: each sub-stream has its own.
+    """
+
+    def __init__(self, bit_generator: np.random.Philox):
+        super().__init__(bit_generator)
+        self._spare: Optional[np.float32] = None
+        self._trig = np.empty((2, 0), dtype=np.float32)
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise TypeError(f"Unsupported dtype {dtype!r} for standard_normal")
+        if out is None:
+            draws = np.empty(() if size is None else size, dtype=np.float32)
+        else:
+            if out.dtype != dtype:
+                raise TypeError(f"Supplied output array has the wrong type. "
+                                f"Expected {dtype}, got {out.dtype}")
+            if not (out.flags.c_contiguous and out.flags.writeable):
+                raise ValueError("Supplied output array must be contiguous and writable")
+            if size is not None and np.empty(size, dtype=bool).shape != out.shape:
+                raise ValueError("size must match out.shape when used together")
+            draws = out if dtype == np.float32 else np.empty(out.shape, np.float32)
+        self._fill(draws.reshape(-1))
+        if out is not None:
+            if draws is not out:
+                np.copyto(out, draws)
+            return out
+        if size is None:
+            return float(draws)
+        return draws if dtype == np.float32 else draws.astype(np.float64)
+
+    def _fill(self, flat: np.ndarray) -> None:
+        start = 0
+        if self._spare is not None and flat.size:
+            flat[0], self._spare = self._spare, None
+            start = 1
+        while start < flat.size:
+            pairs = min(_STEP_PAIRS, (flat.size - start + 1) // 2)
+            if self._trig.shape[1] < pairs:
+                self._trig = np.empty((2, pairs), dtype=np.float32)
+            cos, sin = self._trig[:, :pairs]
+            radius = _box_muller(self.bit_generator.random_raw(pairs), cos, sin)
+            whole = min(pairs, (flat.size - start) // 2)
+            target = flat[start:start + 2 * whole].reshape(whole, 2)
+            target[:, 1] = radius[:whole]  # r rounded to float32
+            np.multiply(target[:, 1], cos[:whole], out=target[:, 0])
+            target[:, 1] *= sin[:whole]
+            start += 2 * whole
+            if whole < pairs:  # the call ends mid-pair
+                r32 = np.float32(radius[whole])
+                flat[start], self._spare = r32 * cos[whole], r32 * sin[whole]
+                start += 1
 
 
 @dataclass(frozen=True)
@@ -52,7 +201,8 @@ class RngSpec:
 
     Sub-stream k starts at Philox counter ``[0, 0, 0, k]``, 2^192 blocks past
     sub-stream k - 1, so sub-streams never overlap; sub-stream 0 is the
-    plain stream of the key.
+    plain stream of the key.  ``generator()`` draws its normals by the
+    module's draw rule.
     """
 
     seed: int
@@ -64,7 +214,7 @@ class RngSpec:
         # a smaller one as float64, which rounds the word (2^64 - 1 to 0)
         key = np.array([self.seed & _U64, self.stream_id & _U64], dtype=np.uint64)
         counter = np.array([0, 0, 0, self.substream & _U64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return _BoxMullerGenerator(np.random.Philox(key=key, counter=counter))
 
 
 class BlackBoxClassifier:
@@ -215,16 +365,25 @@ class ClassConditionalSums:
 
 
 # Elements per sampling chunk: a chunk holds max(1, budget // d) rows, so its
-# float32 draws, their float64 copy and the points take 1.25 MB at any d and
-# stay in a core's 2 MB L2 cache.  1 << 16 is 431 rows at d = 152 and 21 rows
-# at d = 3072.  Measured on 2 cores, budgets from 1 << 15 to 1 << 18 sampled a
-# point equally fast to within noise, with 1 << 16 fastest at its best runs.
-# At 1 << 19 (170 rows at d = 3072) the (C, rows) @ (rows, d) class-sum
-# product crosses OpenBLAS's threading threshold: two pool threads running
-# two BLAS threads each then took 0.75 s per d = 3072 point instead of 0.36.
-# That product runs on the sampler threads: at most os.cpu_count() of them
-# run at once, whatever run_points' jobs, but above the threshold each would
-# still start BLAS threads of its own.
+# float32 draws, their float64 copy and the points take 1.25 MB at any d, and
+# the draw adds up to 256 kB of words and scratch per sub-stream
+# (_STEP_PAIRS).  1 << 16 is 431 rows at d = 152 and 21 rows at d = 3072.
+# Re-timed with the Box-Muller draw: untraced bench runs of 8 s at seeds
+# 301-303, os.cpu_count() 2, points/s and peak RSS of c9 / wide_jobs2:
+#
+#   budget   c9 points/s   wide points/s   c9 MB       wide MB
+#   1 << 15  3.4-4.5       3.2-3.8         60.6-60.7   61.9-62.2
+#   1 << 16  3.6-5.0       3.1-4.8         62.2-62.5   63.4-63.8
+#   1 << 17  4.4-4.8       3.5-5.1         64.7-64.9   65.9-66.1
+#   ziggurat 2.8-3.5       2.5-3.4         61.0-61.2   62.5-62.6
+#
+# 1 << 16 is the fastest budget within 2 MB of the ziggurat's peak; 1 << 17
+# adds 3.8 MB.  At 1 << 19 (170 rows at d = 3072) the (C, rows) @ (rows, d)
+# class-sum product crosses OpenBLAS's threading threshold: two pool threads
+# running two BLAS threads each then took 0.75 s per d = 3072 point instead
+# of 0.36.  That product runs on the sampler threads: at most
+# os.cpu_count() of them run at once, whatever run_points' jobs, but above
+# the threshold each would still start BLAS threads of its own.
 _CHUNK_ELEMENTS = 1 << 16
 
 # The sampler pool, shared by every pass: a pass submits one task per half,

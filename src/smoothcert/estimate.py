@@ -231,13 +231,31 @@ def subspace_norm_bounds(batch: GradientSampleBatch, mask, p,
     raise DomainError(f"p must be 1, 2 or inf, got {p}")
 
 
-def split_alpha(alpha_total: float, needs_l1: bool = False,
-                needs_subspace: bool = False) -> float:
-    """Each estimate's alpha under an equal Bonferroni split of ``alpha_total``.
+def split_alpha(alpha_total: float, num_classes: int, needs_l1: bool = False,
+                needs_subspace: bool = False) -> tuple[float, float]:
+    """q's alpha and each gradient estimate's, from ``alpha_total``.
 
     A run consumes the q, l2 and linf estimates, plus the l1 and subspace
-    ones when asked for.
+    ones when asked for: E estimates, each with a share alpha_total / E.  The
+    class is the majority of the same draws, so the picked class's estimate
+    fails only if that estimate fails for some class c of the C.  So:
+
+    - q's alpha is the share over C.  The C classes' q bounds each fail with
+      probability at most share / C, so the picked one's fails with
+      probability at most the share.
+    - Each gradient alpha is the share, over C when C > 2.  With C = 2,
+      class 1's z = w (1[label = 1] - 1/2) is -z of class 0, and its y1 is
+      -y1 of class 0.  Every gradient estimate reads its halves through X.Y
+      or |mean|, which the sign leaves alone, so the two classes' bounds on
+      the same norm are equal and fail on one event, of probability at most
+      the share.  For C > 2 the union bound over the classes needs the C.
+
+    The E failures then total at most alpha_total, so the estimates of the
+    picked class hold jointly with probability at least 1 - alpha_total.
     """
     if not (0.0 < alpha_total < 0.5):
         raise DomainError(f"alpha_total must lie in (0, 0.5), got {alpha_total}")
-    return alpha_total / (3 + int(needs_l1) + int(needs_subspace))
+    if num_classes < 1:
+        raise DomainError(f"need at least one class, got {num_classes}")
+    share = alpha_total / (3 + int(needs_l1) + int(needs_subspace))
+    return share / num_classes, (share / num_classes if num_classes > 2 else share)

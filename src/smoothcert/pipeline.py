@@ -4,8 +4,9 @@ A point is certified in one sampling pass: the same N draws produce the
 top-class success count and the gradient-statistic sums.  The total failure
 probability is Bonferroni-split across the estimates of one class, which
 then hold jointly regardless of dependence between them.  The class is
-picked from the same draws, so with C classes the proven joint level is
-1 - C alpha_total, not 1 - alpha_total.
+picked from the same draws, and ``estimate.split_alpha`` prices that pick
+into the shares, so the joint level is 1 - alpha_total.  The estimates
+also pay for the draw rule's tail cut (``classifiers`` module docstring).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .classifiers import (
     RngSpec,
     batch_for_class,
     sample_class_sums,
+    tail_mass,
+    tail_mean_shift,
 )
 from .estimate import (
     HypothesisError,
@@ -223,9 +226,18 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         sums = sample_class_sums(f, task.x, cfg, config.n_samples, rng, dtype=dtype)
         predicted = sums.majority_class()
         batch = batch_for_class(sums, predicted)
-        alpha = split_alpha(config.alpha_total, needs_l1=needs_l1,
-                            needs_subspace=bool(subspace_threats))
-        q_lb = estimate_q_lower(batch.success_count, batch.n_total, alpha)
+        q_alpha, alpha = split_alpha(config.alpha_total, f.num_classes,
+                                     needs_l1=needs_l1,
+                                     needs_subspace=bool(subspace_threats))
+        q_lb = max(0.0, estimate_q_lower(batch.success_count, batch.n_total, q_alpha)
+                   - tail_mass(cfg.dim))
+
+        # the tail cut moves each coordinate of z's mean by at most `shift`,
+        # so each norm bound widens by that norm of the constant vector
+        shift = cfg.sigma * tail_mean_shift(cfg.dim)
+
+        def widen(dim: int, order: float) -> float:
+            return shift * dim ** (1.0 / order)
 
         # estimators bound norms of sigma^2 * y1; the division below is the
         # single conversion into gradient units
@@ -233,21 +245,24 @@ def certify_point(task: PointTask, f: BlackBoxClassifier,
         try:
             # both interval sides are consumed, so each gets half the alpha
             l2_lb, l2_ub = l2_norm_bounds(batch, alpha / 2.0)
+            l2_lb = max(0.0, l2_lb - widen(cfg.dim, 2))
+            l2_ub += widen(cfg.dim, 2)
         except HypothesisError as err:
             error_notes.append(str(err))
             l2_lb, l2_ub = 0.0, math.inf
-        linf_ub = linf_norm_bounds(batch, alpha)[1]
+        linf_ub = linf_norm_bounds(batch, alpha)[1] + shift
         l1_ub = None
         if needs_l1:
-            l1_ub = l1_norm_bounds(batch, alpha)[1]
+            l1_ub = l1_norm_bounds(batch, alpha)[1] + widen(cfg.dim, 1)
         subspace_ub = None
         subspace_dim = None
         if subspace_threats:
             subspace_dim = len(task.subspace_mask)
             order = cz.DUAL_EXPONENT[subspace_threats[0].norm]
             try:
-                subspace_ub = subspace_norm_bounds(batch, task.subspace_mask,
-                                                   order, alpha)[1]
+                subspace_ub = (subspace_norm_bounds(batch, task.subspace_mask,
+                                                    order, alpha)[1]
+                               + widen(subspace_dim, order))
             except HypothesisError as err:
                 error_notes.append(str(err))
                 subspace_ub = math.inf

@@ -22,8 +22,10 @@ from . import certify as cz
 from .certify import (DualVariant, FirstOrderStats, GradientNormBounds, LinfMode,
                       SmoothingConfig, ThreatModel)
 from .classifiers import (
+    RADIUS_CAP,
     LinearClassifierSpec,
     RngSpec,
+    _box_muller,
     analytic_linear_radius,
     analytic_linear_stats,
     batch_for_class,
@@ -32,7 +34,8 @@ from .classifiers import (
     LinearClassifier,
 )
 from .estimate import estimate_q_lower, l2_norm_bounds, subgaussian_k, GradientSampleBatch
-from .numerics import RESIDUAL_TOLERANCE, std_normal_quantile
+from .numerics import (RESIDUAL_TOLERANCE, std_normal_cdf, std_normal_pdf,
+                       std_normal_quantile)
 
 __all__ = [
     "CheckResult",
@@ -321,6 +324,55 @@ def _check_determinism() -> CheckResult:
     return CheckResult(same, "bit-identical batches" if same else "batches differ")
 
 
+def _check_normal_moments(n: int, seed: int) -> CheckResult:
+    """The draw rule's moments, under bounds that exact N(0, 1) draws break
+    with probability at most 1e-6 each.
+
+    Per dtype, n draws z from their own sub-stream of ``seed``; with
+    x = ln(2e6) and y = ln(4e6):
+
+    - mean: exactly N(0, 1/n), so |mean| <= Phi^-1(1 - 5e-7) / sqrt(n).
+    - E z^2: n times it is chi^2_n, so by Laurent and Massart (Ann. Statist.
+      28, 2000, Lemma 1) |E z^2 - 1| <= 2 sqrt(x/n) + 2x/n.
+    - E z^4: take c with n P(|z| > c) = 5e-7.  Below c, z^4 lies in [0, c^4]
+      with second moment at most E z^8 = 105, so by Bernstein's inequality,
+      with 2.5e-7 per side, |E z^4 - 3| <= 2 c^4 y / (3n) + sqrt(210 y / n)
+      + E[z^4; |z| > c], the last term being 2 (c^3 + 3c) phi(c) + 6 Phi(-c).
+    - the share beyond |z| > 3, of mean p = 2 Phi(-3): by Bernstein's
+      inequality it is within 2x / (3n) + sqrt(2 p (1 - p) x / n) of p.
+
+    Also no draw exceeds the cap sqrt(64 ln 2) rounded to float32, and the
+    words 0 and 2^64 - 1 give finite normals.
+    """
+    x, y = math.log(2e6), math.log(4e6)
+    c = -std_normal_quantile(2.5e-7 / n)
+    p3 = 2.0 * std_normal_cdf(-3.0)
+    limits = {
+        "mean": -std_normal_quantile(5e-7) / math.sqrt(n),
+        "m2": 2.0 * math.sqrt(x / n) + 2.0 * x / n,
+        "m4": (2.0 * c ** 4 * y / (3.0 * n) + math.sqrt(210.0 * y / n)
+               + 2.0 * (c ** 3 + 3.0 * c) * std_normal_pdf(c) + 6.0 * std_normal_cdf(-c)),
+        "beyond_3": 2.0 * x / (3.0 * n) + math.sqrt(2.0 * p3 * (1.0 - p3) * x / n),
+    }
+    worst = dict.fromkeys(limits, 0.0)
+    peak = 0.0
+    for i, dtype in enumerate((np.float32, np.float64)):
+        z = RngSpec(seed, i).generator().standard_normal(n, dtype=dtype).astype(np.float64)
+        z2 = z * z
+        errors = {"mean": np.mean(z), "m2": np.mean(z2) - 1.0,
+                  "m4": np.mean(z2 * z2) - 3.0,
+                  "beyond_3": np.mean(np.abs(z) > 3.0) - p3}
+        worst = {k: np.maximum(worst[k], abs(errors[k]) / limits[k]) for k in limits}
+        peak = np.maximum(peak, np.max(np.abs(z)))
+    trig = np.empty((2, 2), dtype=np.float32)
+    radius = _box_muller(np.array([0, 2 ** 64 - 1], dtype=np.uint64), trig[0], trig[1])
+    ends = radius.astype(np.float32) * trig
+    ok = (all(v <= 1.0 for v in worst.values()) and peak <= np.float32(RADIUS_CAP)
+          and bool(np.all(np.isfinite(ends))))
+    return CheckResult(ok, ", ".join(f"{k} at {v:.2f} of its bound" for k, v in worst.items())
+                       + f", max |z| = {peak:.4f}", {**worst, "peak": peak})
+
+
 def _check_dominance(qs, sigmas, fracs, dim: int, gap_limit: float,
                      boundary_limit: float) -> CheckResult:
     """Corollary 3: the first-order l2 radius is at least the zeroth-order
@@ -376,6 +428,7 @@ def run_selftests(quick: bool = False) -> list[tuple[str, CheckResult]]:
              (200, 300, 300, 0.25, 0.05)],
             seed=50, mean_scale=0.01, noise_scale=0.05, limit=1e-9)),
         ("sampling_determinism", _check_determinism),
+        ("normal_moments", lambda: _check_normal_moments(n=1_000_000, seed=60)),
         ("mc_oracle_agreement", lambda: _check_mc_oracle(
             mc_cases, n=100_000 if quick else 1_000_000, seed=100, limit=4.0)),
     ]

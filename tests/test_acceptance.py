@@ -312,13 +312,7 @@ def test_criterion_9_end_to_end_determinism_and_dominance(tmp_path):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("true_q, trials", [
-    pytest.param(0.5, 2400, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the class is picked from the draws that bound q, so at q = 1/2 "
-               "twice q's alpha of rows certify")),
-    (0.6, 600),
-])
+@pytest.mark.parametrize("true_q, trials", [(0.5, 2400), (0.6, 600)])
 def test_false_certificate_census(true_q, trials):
     """Finished certificates against the truth, on a two-class linear classifier.
 
@@ -334,12 +328,14 @@ def test_false_certificate_census(true_q, trials):
     point on the hyperplane counts) or that threat's radius exceeds the
     true one.  The test fails when, for some threat, the exact binomial tail
     P(Binomial(trials, share) >= false count) is below 1e-6.  The share is
-    the rate the docs state: q's alpha at q = 1/2, where only a failed q
-    bound certifies, and alpha_total at q = 0.6.
+    the rate the docs state: at q = 1/2, where only a failed q bound
+    certifies, q's alpha times the class count (``split_alpha``: 0.2 / 3),
+    and alpha_total at q = 0.6.
 
-    At q = 1/2 a row certifies with probability 0.0606 for each class the
-    draws may pick, 0.121 in all.  600 trials would cross the gate's count
-    of 73 only half the time; 2,400 cross its 222 but for 3e-6.
+    2,400 trials at q = 1/2 catch a pipeline that does not divide q's alpha
+    by the class count: a row then certifies with probability 0.0606 for
+    each class the draws may pick, 0.121 in all, and crosses the gate's
+    count of 222 but for 3e-6.
     """
     t0 = time.time()
     dim, sigma = 128, 0.5
@@ -366,7 +362,8 @@ def test_false_certificate_census(true_q, trials):
         wrong = margin == 0.0 or res.predicted != task.true_label
         for threat, norm in dual_norms.items():
             false[threat] += wrong or res.first_radius(threat) > abs(margin) / norm
-    share = split_alpha(config.alpha_total) if true_q == 0.5 else config.alpha_total
+    q_alpha, _ = split_alpha(config.alpha_total, classifier.num_classes)
+    share = classifier.num_classes * q_alpha if true_q == 0.5 else config.alpha_total
     tails = {t: float(stats.binom.sf(count - 1, trials, share))
              for t, count in false.items()}
     passed = all(tail >= 1e-6 for tail in tails.values())

@@ -28,6 +28,7 @@ from smoothcert.classifiers import (
 )
 from smoothcert.estimate import gradient_mean
 from smoothcert.numerics import DomainError
+from smoothcert.selftest import _check_normal_moments
 
 from helpers import CDF_1, PHI_0, PHI_1, SUBGAUSSIAN_K_1, cdf, dual_norm_lp_oracle
 
@@ -191,33 +192,67 @@ class TestChunkedSampler:
     def test_matches_row_by_row_reference(self, monkeypatch, chunk, dtype):
         # three classes exercise the one-hot sums beyond C = 2; n is odd so
         # the halves differ (501, 500); chunks of 7 and 64 rows leave a short
-        # last chunk in both sub-streams; None keeps the default chunk
+        # last chunk in both sub-streams; None keeps the default chunk.  At
+        # the odd d = 5, chunks of 1 and 7 rows end calls mid-pair
         gen = np.random.default_rng(5)
-        f = ThreeClassLinear(gen.standard_normal((4, 3)))
-        x = 0.3 * gen.standard_normal(4)
-        n, sigma = 1001, 0.7
-        if chunk is not None:
-            monkeypatch.setattr(classifiers, "_CHUNK_ELEMENTS", chunk * x.size)
-        sums = sample_class_sums(f, x, SmoothingConfig(sigma, 4), n, RngSpec(12, 3),
-                                 dtype=dtype)
-        counts, ref, scale = naive_class_sums(f, x, sigma, n, RngSpec(12, 3), dtype)
-        assert (sums.n1, sums.n2) == (501, 500)
-        assert np.array_equal(sums.counts, counts)
-        assert np.all(counts > 0)
-        # rtol 1e-12 of the sum of magnitudes: any summation order of k <= n
-        # terms is within k * eps of that scale of the exact sum
-        assert np.all(np.abs(sums.class_w_sum - ref) <= 1e-12 * scale)
+        for d in (4, 5):
+            f = ThreeClassLinear(gen.standard_normal((d, 3)))
+            x = 0.3 * gen.standard_normal(d)
+            n, sigma = 1001, 0.7
+            if chunk is not None:
+                monkeypatch.setattr(classifiers, "_CHUNK_ELEMENTS", chunk * d)
+            sums = sample_class_sums(f, x, SmoothingConfig(sigma, d), n, RngSpec(12, 3),
+                                     dtype=dtype)
+            counts, ref, scale = naive_class_sums(f, x, sigma, n, RngSpec(12, 3), dtype)
+            assert (sums.n1, sums.n2) == (501, 500)
+            assert np.array_equal(sums.counts, counts)
+            assert np.all(counts > 0)
+            # rtol 1e-12 of the sum of magnitudes: any summation order of k <= n
+            # terms is within k * eps of that scale of the exact sum
+            assert np.all(np.abs(sums.class_w_sum - ref) <= 1e-12 * scale)
 
     def test_substream_zero_is_the_plain_stream(self):
         for seed, stream in ((12, 3), (0, 0), (20_24, 0xFFFF_FFFF)):
-            plain = np.random.Generator(np.random.Philox(key=[seed, stream]))
-            got = RngSpec(seed, stream).generator().standard_normal(1000)
-            assert np.array_equal(got, plain.standard_normal(1000))
+            plain = np.random.Philox(key=[seed, stream])
+            got = RngSpec(seed, stream).generator().bit_generator.random_raw(1000)
+            assert np.array_equal(got, plain.random_raw(1000))
             # sub-stream k starts at counter [0, 0, 0, k]
-            offset = np.random.Generator(np.random.Philox(key=[seed, stream],
-                                                          counter=[0, 0, 0, 1]))
-            got = RngSpec(seed, stream, substream=1).generator().standard_normal(1000)
-            assert np.array_equal(got, offset.standard_normal(1000))
+            offset = np.random.Philox(key=[seed, stream], counter=[0, 0, 0, 1])
+            got = RngSpec(seed, stream, substream=1).generator().bit_generator.random_raw(1000)
+            assert np.array_equal(got, offset.random_raw(1000))
+
+    def test_pair_k_is_box_muller_of_word_k(self):
+        # normals 2k and 2k + 1 read word k: the radius from its high half
+        # in float64, the angle from its low half as a signed int, rounded to
+        # float32 before its float32 cos and sin, and float32 products
+        words = np.random.Philox(key=[7, 9]).random_raw(500)
+        hi = (words >> np.uint64(32)).astype(np.float64)
+        lo = (words & np.uint64(0xFFFF_FFFF)).astype(np.uint32).view(np.int32)
+        radius = np.sqrt(-2.0 * np.log((hi + 1.0) / 2.0 ** 32)).astype(np.float32)
+        theta = (lo * (2.0 * math.pi / 2.0 ** 32)).astype(np.float32)
+        want = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1).ravel()
+        got = RngSpec(7, 9).generator().standard_normal(1000, dtype=np.float32)
+        assert np.array_equal(got, want)
+
+    def test_float64_is_the_float32_draw_widened(self):
+        narrow = RngSpec(3, 4).generator().standard_normal((7, 5), dtype=np.float32)
+        wide = RngSpec(3, 4).generator().standard_normal((7, 5))
+        assert wide.dtype == np.float64
+        assert np.array_equal(wide, narrow.astype(np.float64))
+        out = np.empty((7, 5))
+        assert RngSpec(3, 4).generator().standard_normal(out=out) is out
+        assert np.array_equal(out, wide)
+
+    def test_a_stream_does_not_depend_on_its_calls(self):
+        whole = RngSpec(1, 2).generator().standard_normal(40_001, dtype=np.float32)
+        gen = RngSpec(1, 2).generator()
+        parts = [gen.standard_normal(k, dtype=np.float32) for k in (1, 2, 3, 5, 39_990)]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_normal_moments(self):
+        # more draws than selftest's normal_moments, from another seed
+        res = _check_normal_moments(n=4_000_000, seed=61)
+        assert res.passed, res.detail
 
     def test_large_key_words_stay_distinct(self):
         # seed -1 is the key word 2^64 - 1, which a float64 round trip maps to 0

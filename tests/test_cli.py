@@ -505,7 +505,7 @@ class TestCurveCommand:
 
 QUICK_CHECKS = ["zeroth_closed_form", "halfspace_l2_exactness",
                 "halfspace_l1_exactness", "clopper_pearson", "table1_constants",
-                "sampling_determinism", "mc_oracle_agreement"]
+                "sampling_determinism", "normal_moments", "mc_oracle_agreement"]
 FULL_CHECKS = QUICK_CHECKS + ["halfspace_linf_exactness", "l2_dominance",
                               "angular_monotonicity", "interval_floor", "lp_oracle"]
 

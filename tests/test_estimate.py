@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,20 +82,20 @@ class TestClopperPearson:
         # the lower bound sits below the point estimate
         assert estimate_q_lower(80, 100, 0.01) < 0.8
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the pipeline picks the class from the draws that "
-                              "bound its q, so with two classes q's bound fails "
-                              "about twice as often as its alpha allows")
     def test_majority_class_bound_fails_within_alpha(self):
         # two classes at true p = 1/2: the pipeline bounds the majority
-        # class's q from the same n draws, so a false certificate
-        # (q_lb > 1/2) happens with the exact probability below.  It is
-        # 0.1948 = 1.95 alpha here
-        n, alpha = 1000, 0.1
+        # class's q from the same n draws, at q's alpha from split_alpha.
+        # A false certificate (q_lb > 1/2) then happens with the exact
+        # probability below, which must stay within q's share before the
+        # class count (at the share itself it read 0.1948 = 1.95 x 0.1)
+        n, alpha_total = 1000, 0.3
+        share = alpha_total / 3
+        q_alpha, _ = split_alpha(alpha_total, 2)
         counts = np.arange(n + 1)
-        false = [estimate_q_lower(max(k, n - k), n, alpha) > 0.5 for k in counts.tolist()]
+        false = [estimate_q_lower(max(k, n - k), n, q_alpha) > 0.5
+                 for k in counts.tolist()]
         p_false = float(stats.binom.pmf(counts, n, 0.5) @ np.array(false, dtype=float))
-        assert p_false <= alpha, p_false
+        assert p_false <= share, p_false
 
 
 class TestGradientMean:
@@ -245,26 +246,51 @@ class TestSubspaceBounds:
 
 
 class TestSplitAlpha:
+    # two classes: q's share is halved and the gradient shares are not
     def test_three_way(self):
-        alpha = split_alpha(0.001)
+        q_alpha, alpha = split_alpha(0.001, 2)
         assert alpha == pytest.approx(0.001 / 3)
-        assert 3 * alpha <= 0.001 * (1 + 1e-12)
+        assert q_alpha == pytest.approx(0.001 / 6)
+        assert 2 * q_alpha + 2 * alpha <= 0.001 * (1 + 1e-12)
 
     def test_four_way_with_l1(self):
-        alpha = split_alpha(0.001, needs_l1=True)
+        q_alpha, alpha = split_alpha(0.001, 2, needs_l1=True)
         assert alpha == pytest.approx(0.001 / 4)
-        assert 4 * alpha <= 0.001 * (1 + 1e-12)
+        assert q_alpha == pytest.approx(0.001 / 8)
+        assert 2 * q_alpha + 3 * alpha <= 0.001 * (1 + 1e-12)
 
     def test_five_way(self):
-        alpha = split_alpha(0.01, needs_l1=True, needs_subspace=True)
+        q_alpha, alpha = split_alpha(0.01, 2, needs_l1=True, needs_subspace=True)
         assert alpha == pytest.approx(0.01 / 5)
-        assert 5 * alpha <= 0.01 * (1 + 1e-12)
+        assert q_alpha == pytest.approx(0.01 / 10)
+        assert 2 * q_alpha + 4 * alpha <= 0.01 * (1 + 1e-12)
+
+    def test_more_classes_divide_every_share(self):
+        q_alpha, alpha = split_alpha(0.003, 3)
+        assert q_alpha == alpha == pytest.approx(0.001 / 3)
+        assert split_alpha(0.003, 1) == pytest.approx((0.001, 0.001))
+
+    def test_two_classes_give_equal_gradient_bounds(self):
+        # class 1's batch is class 0's negated, so every gradient bound of
+        # the two classes agrees: one event, one share
+        gen = np.random.default_rng(4)
+        x_sum, y_sum = gen.standard_normal(200) * 30, gen.standard_normal(200) * 30
+        zero = make_batch(x_sum, y_sum, 1000, 1000, 700, sigma=0.5)
+        one = make_batch(-x_sum, -y_sum, 1000, 1000, 1300, sigma=0.5)
+        for bound in (l2_norm_bounds, linf_norm_bounds, l1_norm_bounds):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # l1 above its dim limit
+                assert bound(zero, 0.01) == bound(one, 0.01)
+        assert (subspace_norm_bounds(zero, range(100), 2, 0.01)
+                == subspace_norm_bounds(one, range(100), 2, 0.01))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            split_alpha(0.0)
+            split_alpha(0.0, 2)
         with pytest.raises(DomainError):
-            split_alpha(0.7)
+            split_alpha(0.7, 2)
+        with pytest.raises(DomainError):
+            split_alpha(0.1, 0)
 
 
 class TestBatch:

@@ -21,7 +21,15 @@ from smoothcert.classifiers import (
     LinearClassifierSpec,
     RngSpec,
     analytic_linear_radius,
+    batch_for_class,
     make_synthetic,
+    sample_class_sums,
+    tail_mean_shift,
+)
+from smoothcert.estimate import (
+    estimate_q_lower,
+    l2_norm_bounds,
+    linf_norm_bounds,
 )
 from smoothcert.numerics import DomainError
 from smoothcert.pipeline import (
@@ -37,7 +45,7 @@ from smoothcert.pipeline import (
 )
 from smoothcert.workloads import make_linear_workload
 
-from helpers import bench_suite
+from helpers import bench_suite, cdf
 
 
 THREATS = (ThreatModel.L1, ThreatModel.L2, ThreatModel.LINF)
@@ -121,7 +129,8 @@ class TestCertifyPoint:
     def test_linf_via_l1_consumes_the_l1_bound(self, monkeypatch):
         # one-hot weights at d = 4: the l2 bound's hypothesis fails, but the
         # l1 bound is tight, so linf via l1 beats l2 scaling; q, l2, linf
-        # and l1 split alpha four ways
+        # and l1 split alpha four ways, and q's share is halved for the two
+        # classes
         seen = {}
         orig_q, orig_l1 = pipeline.estimate_q_lower, pipeline.l1_norm_bounds
 
@@ -146,10 +155,12 @@ class TestCertifyPoint:
                            linf_mode=LinfMode.VIA_L1_BOUND)
         res = certify_point(task, f, config)
         assert "l2 bound requires" in res.error
-        assert seen["q_alpha"] == seen["l1_alpha"] == config.alpha_total / 4
+        assert seen["l1_alpha"] == config.alpha_total / 4
+        assert seen["q_alpha"] == config.alpha_total / 8
         cfg = SmoothingConfig(config.sigma, dim)
+        l1_upper = seen["l1"][1] + dim * cfg.sigma * tail_mean_shift(dim)
         bounds = GradientNormBounds(res.grad_l2_lb, res.grad_l2_ub, res.grad_linf_ub,
-                                    l1_upper=seen["l1"][1] / (cfg.sigma * cfg.sigma))
+                                    l1_upper=l1_upper / (cfg.sigma * cfg.sigma))
         expected = radius_linf_first(res.q_lb, bounds, cfg, config.radius_tol,
                                      mode=LinfMode.VIA_L1_BOUND)
         assert res.radius_first_linf == expected.radius
@@ -182,6 +193,37 @@ class TestCertifyPoint:
         assert res.radius_zeroth_l2 > 0.0
         assert res.radius_first_subspace == pytest.approx(res.radius_zeroth_l2,
                                                           rel=1e-12)
+
+    def test_estimates_pay_the_tail_charge(self):
+        # q_lb is the Clopper-Pearson bound at q's alpha (alpha_total / 3,
+        # halved for two classes) less (floor(d/2) + 1) 2^-32, and each
+        # gradient bound widens by its norm of sigma s(d) per coordinate
+        dim = 161
+        f, tasks = make_linear_workload(dim=dim, count=1, seed=9, sigma=0.5,
+                                        threats=THREATS)
+        config = small_config()
+        res = certify_point(tasks[0], f, config)
+        cfg = SmoothingConfig(config.sigma, dim)
+        sums = sample_class_sums(f, tasks[0].x, cfg, config.n_samples,
+                                 RngSpec(config.seed, pipeline._stream_for(tasks[0])),
+                                 dtype=np.float32)
+        batch = batch_for_class(sums, res.predicted)
+        q_bound = estimate_q_lower(batch.success_count, batch.n_total,
+                                   config.alpha_total / 6)
+        assert 0.5 < res.q_lb == q_bound - 81 * 2.0 ** -32
+        cap = math.sqrt(64.0 * math.log(2.0))
+        s = (cap * 2.0 ** -32 + math.sqrt(math.pi / 2.0) * cdf(-cap)
+             + math.sqrt(2.0 / math.pi) * 80 * 2.0 ** -32)
+        shift = cfg.sigma * s
+        sig_sq = cfg.sigma ** 2
+        l2_lb, l2_ub = l2_norm_bounds(batch, config.alpha_total / 6)
+        linf_ub = linf_norm_bounds(batch, config.alpha_total / 3)[1]
+        got = (res.grad_l2_lb, res.grad_l2_ub, res.grad_linf_ub)
+        want = ((l2_lb - math.sqrt(dim) * shift) / sig_sq,
+                (l2_ub + math.sqrt(dim) * shift) / sig_sq, (linf_ub + shift) / sig_sq)
+        assert l2_lb > 0.0
+        assert got == pytest.approx(want, rel=0.0, abs=1e-13)
+        assert shift / sig_sq > 1e-8
 
     def test_mask_required_for_subspace(self):
         with pytest.raises(DomainError):
@@ -514,13 +556,15 @@ class TestRunConfig:
 
 
 # sha256 of the benchmark's full-shape CSVs: c9 at seeds 101 and 202, and
-# wide_jobs2 (two pool threads) at seed 101, pinned when the dual kernel's
-# slice check replaced its bound on c's peak.  A change that moves one byte
-# of a row, from its noise draws to its radii, must re-pin these on purpose
+# wide_jobs2 (two pool threads) at seed 101, re-pinned when the normals moved
+# to Box-Muller on Philox words, q_lb and the gradient bounds began to pay
+# for its tail cut, and q's alpha was divided by the class count.  A change
+# that moves one byte of a row, from its noise draws to its radii, must
+# re-pin these on purpose
 PIPELINE_SHA256 = {
-    ("c9", 101): "bc113c7c35fa55a83fa2b3468c2a2a288cf040b0f11e40c0f217ac978cadd34a",
-    ("c9", 202): "b8e1eefea1748170db3eca657a6b4a8c8504867074eb5726d04b8a91fa0a7760",
-    ("wide_jobs2", 101): "aa62ad1afd0b07435b0ce1c8c312aae0c8c8ea3e43c669170852264a6dcd1691",
+    ("c9", 101): "9b73ea169f81aaaa1e8de3182fa300a72fb87b975a0cf14c75524c65fd9d2e9d",
+    ("c9", 202): "2010ac43ed4bfe3a2fcbc2f534a7117e92c858b2023a87dce431415fe7118c6e",
+    ("wide_jobs2", 101): "af24bcfb5a7cbd74d1c34cba4efe0e653da7cb7df2c8baa998916904fa125505",
 }
 
 
